@@ -46,9 +46,11 @@ from .metrics import (
 from .strategy import (
     EstimatorConfig,
     FeatureConfig,
+    Regressors,
     SizingConfig,
     SpreadPath,
     TradeLedger,
+    compute_features,
     daily_pnl,
     estimate_spreads,
     order_size,
@@ -77,6 +79,7 @@ __all__ = [
     "MarketConfig",
     "NotReadyError",
     "PriceTable",
+    "Regressors",
     "ReturnMatrix",
     "SizingConfig",
     "SmootherTape",
@@ -85,6 +88,7 @@ __all__ = [
     "TradeLedger",
     "UnderdeterminedError",
     "apply_split_factors",
+    "compute_features",
     "daily_pnl",
     "estimate_spreads",
     "fls_smooth_batch",

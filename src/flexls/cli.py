@@ -40,6 +40,7 @@ from .strategy import (
     EstimatorConfig,
     FeatureConfig,
     SizingConfig,
+    compute_features,
     run_backtest,
     write_ledger_csv,
 )
@@ -353,9 +354,12 @@ def _load_job_config(args, need_grid: bool) -> BacktestJob:
 
 
 def _load_returns(job: BacktestJob):
-    table = load_csv(job.data, job.target, job.max_missing)
-    if job.splits is not None:
-        table = apply_split_factors(table, load_split_file(job.splits))
+    try:
+        table = load_csv(job.data, job.target, job.max_missing)
+        if job.splits is not None:
+            table = apply_split_factors(table, load_split_file(job.splits))
+    except OSError as exc:
+        raise DataError(str(exc)) from exc
     table = forward_fill(table)
     returns = to_log_returns(table)
     index_prices = table.prices[:, 0]
@@ -385,23 +389,25 @@ def _check_features(job: BacktestJob, returns) -> None:
         )
 
 
-def _cmd_backtest(args) -> int:
-    job = _load_job_config(args, need_grid=False)
-    try:
-        returns, index_prices = _load_returns(job)
-        warmup = _resolve_warmup(job, returns)
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    _check_features(job, returns)
+def _run_grid(job: BacktestJob):
+    """Yield ``(delta, ledger, path, report)`` for each delta of the job.
 
-    results = []
+    Shared by ``backtest`` and ``sweep-sharpe``.  The data and the feature
+    pass do not depend on delta, so both run once and every delta's
+    regression reads the same regressors.  Bad data raises ``DataError``,
+    which ``main`` reports as a data error; callers collect every result
+    before opening an output file, so a failing run leaves no outputs.
+    """
+    returns, index_prices = _load_returns(job)
+    warmup = _resolve_warmup(job, returns)
+    _check_features(job, returns)
+    regressors = compute_features(returns, job.features)
     for delta in job.deltas:
         ledger, path = run_backtest(
             returns,
             index_prices,
             job.estimator_config(delta),
-            job.features,
+            regressors,
             job.sizing,
             warmup=warmup,
             rule=job.rule,
@@ -410,10 +416,22 @@ def _cmd_backtest(args) -> int:
             ledger, job.sizing.endowment, split=warmup,
             trading_days_per_year=job.trading_days,
         )
-        results.append((delta, ledger, path, report))
+        yield delta, ledger, path, report
 
+
+def _prepare_out_dir(job: BacktestJob) -> Path:
+    """Create the job's output directory and write its effective config."""
     out = Path(job.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "effective_config.txt").write_text(job.effective_text())
+    return out
+
+
+def _cmd_backtest(args) -> int:
+    job = _load_job_config(args, need_grid=False)
+    results = list(_run_grid(job))
+
+    out = _prepare_out_dir(job)
     for delta, ledger, path, _ in results:
         write_ledger_csv(out / f"ledger_{delta!r}.csv", ledger)
         if job.engine == "kalman":
@@ -426,40 +444,15 @@ def _cmd_backtest(args) -> int:
         else:
             write_coefficient_csv(out / f"coefficients_{delta!r}.csv", path.betas)
     write_report_csv(out / "report.csv", [(d, r) for d, _, _, r in results])
-    (out / "effective_config.txt").write_text(job.effective_text())
     print(format_report_table([(d, r) for d, _, _, r in results]))
     return EXIT_OK
 
 
 def _cmd_sweep_sharpe(args) -> int:
     job = _load_job_config(args, need_grid=True)
-    try:
-        returns, index_prices = _load_returns(job)
-        warmup = _resolve_warmup(job, returns)
-    except (DataError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    _check_features(job, returns)
+    curve = [(delta, report.sharpe) for delta, _, _, report in _run_grid(job)]
 
-    curve = []
-    for delta in job.deltas:
-        ledger, _ = run_backtest(
-            returns,
-            index_prices,
-            job.estimator_config(delta),
-            job.features,
-            job.sizing,
-            warmup=warmup,
-            rule=job.rule,
-        )
-        report = summarize(
-            ledger, job.sizing.endowment, split=warmup,
-            trading_days_per_year=job.trading_days,
-        )
-        curve.append((delta, report.sharpe))
-
-    out = Path(job.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _prepare_out_dir(job)
     write_rows(
         out / "sweep_sharpe.csv",
         ["delta", "sharpe"],
@@ -468,7 +461,6 @@ def _cmd_sweep_sharpe(args) -> int:
             for d, s in curve
         ),
     )
-    (out / "effective_config.txt").write_text(job.effective_text())
     width = max(len("delta"), *(len(f"{d:g}") for d, _ in curve))
     print("delta".rjust(width) + "  sharpe")
     for d, s in curve:
@@ -580,6 +572,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err.field}: {err.message}", file=sys.stderr)
         return EXIT_CONFIG
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

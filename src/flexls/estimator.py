@@ -396,17 +396,26 @@ class KalmanEstimator:
         return cls(p, vomega=vom, veps=1.0, P0=np.eye(p) * p0)
 
     def update(self, x, y: float) -> KfDiagnostics:
-        """Consume one observation; returns the step diagnostics."""
+        """Consume one observation; returns the step diagnostics.
+
+        Raises ``ValueError``, leaving the state untouched, when ``x`` or
+        ``y`` is not finite or the step would leave a non-finite state or a
+        forecast variance that is not positive.
+        """
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.p,):
             raise ValueError(f"x must have shape ({self.p},), got {x.shape}")
+        y = float(y)
+        if not (math.isfinite(y) and np.isfinite(x).all()):
+            raise ValueError("x and y must be finite")
         beta_new, P_new, e, q, K = _kf_step(
-            self.P, self.beta, x, float(y), self.veps, self._vom
+            self.P, self.beta, x, y, self.veps, self._vom
         )
-        # q and e are derived from every input, so two checks cover them all.
+        # Finite inputs can still overflow against a badly scaled state.
         if not (math.isfinite(q) and math.isfinite(e)):
-            raise ValueError("non-finite update: check x, y and the state")
-        assert q > 0.0, "forecast variance must stay positive"
+            raise ValueError("non-finite update: check the scale of x and the state")
+        if not q > 0.0:
+            raise ValueError(f"forecast variance must stay positive, got {q}")
         self.beta = beta_new
         self.P = P_new
         self.t += 1

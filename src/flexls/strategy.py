@@ -24,7 +24,7 @@ from .estimator import (
     KalmanEstimator,
     Smoothing,
 )
-from .ingest import ReturnMatrix
+from .ingest import DataError, ReturnMatrix
 from .util import fmt_g17, write_rows
 
 RULES = ("mean-reversion", "buy-hold")
@@ -157,30 +157,67 @@ class SpreadPath:
         return len(self.spreads)
 
 
+@dataclass
+class Regressors:
+    """Regressor rows of one feature pass over the returns.
+
+    ``values`` row ``i`` is what the regression consumes at return row
+    ``i``; ``ready`` marks the rows where it exists (in ``svd`` mode, rows
+    after the tracker has seeded all its components).  Nothing here depends
+    on the smoothing weight, so one pass serves a whole delta grid.
+    """
+
+    values: NDArray[np.float64]
+    ready: NDArray[np.bool_]
+
+
+def compute_features(
+    returns: ReturnMatrix, features: FeatureConfig = FeatureConfig()
+) -> Regressors:
+    """Run the feature pipeline once over the return rows.
+
+    ``raw`` mode passes ``returns.features`` through without a copy, so it
+    adds no memory however wide the market.  ``svd`` mode updates the
+    tracker with each row, then projects that row on the updated
+    components.
+    """
+    n, n_raw = returns.features.shape
+    if features.mode == "raw":
+        return Regressors(values=returns.features, ready=np.ones(n, dtype=bool))
+    if features.k > n_raw:
+        raise ValueError(f"k={features.k} factor scores from {n_raw} streams")
+    tracker = EigenTracker(n_raw, features.k, amnesia=features.amnesia)
+    values = np.full((n, features.k), np.nan)
+    ready = np.zeros(n, dtype=bool)
+    for i, raw in enumerate(returns.features):
+        tracker.update(raw)
+        if tracker.ready:
+            values[i] = tracker.project(raw)
+            ready[i] = True
+    return Regressors(values=values, ready=ready)
+
+
 def estimate_spreads(
     returns: ReturnMatrix,
     estimator: EstimatorConfig,
-    features: FeatureConfig = FeatureConfig(),
+    features: FeatureConfig | Regressors = FeatureConfig(),
 ) -> SpreadPath:
     """Run the regression over the return rows and record the residuals.
 
-    Each row first updates the feature pipeline, then the estimator with
-    that row's feature vector and target return; the residual uses the
-    just-updated coefficients.  Everything consumed at row ``i`` is known
-    at row ``i``, so downstream trading sees no future data.
+    ``features`` is either a feature configuration, run here, or the
+    :class:`Regressors` of an earlier :func:`compute_features` pass over
+    the same returns.  Each row's estimator update uses that row's
+    regressors and target return; the residual uses the just-updated
+    coefficients.  Everything consumed at row ``i`` is known at row ``i``,
+    so downstream trading sees no future data.  Rows without regressors
+    keep the raw target return as their residual.
     """
+    if isinstance(features, FeatureConfig):
+        features = compute_features(returns, features)
     n = len(returns)
-    n_raw = returns.features.shape[1]
-    if features.mode == "svd":
-        if features.k > n_raw:
-            raise ValueError(
-                f"k={features.k} factor scores from {n_raw} streams"
-            )
-        dim = features.k
-        tracker = EigenTracker(n_raw, features.k, amnesia=features.amnesia)
-    else:
-        dim = n_raw
-        tracker = None
+    if features.ready.shape != (n,) or len(features.values) != n:
+        raise ValueError(f"regressors must have {n} rows, one per return row")
+    dim = features.values.shape[1]
 
     smoothing = Smoothing(estimator.delta)
     if estimator.engine == "kalman":
@@ -194,19 +231,13 @@ def estimate_spreads(
     betas = np.full((n, dim), np.nan)
     innovations = np.full(n, np.nan)
     forecast_vars = np.full(n, np.nan)
-    active = np.zeros(n, dtype=bool)
 
     for i in range(n):
-        raw = returns.features[i]
         a = float(returns.target[i])
-        if tracker is not None:
-            tracker.update(raw)
-            if not tracker.ready:
-                spreads[i] = a
-                continue
-            f = tracker.project(raw)
-        else:
-            f = raw
+        if not features.ready[i]:
+            spreads[i] = a
+            continue
+        f = features.values[i]
         if isinstance(engine, KalmanEstimator):
             diag = engine.update(f, a)
             innovations[i] = diag.innovation
@@ -216,14 +247,13 @@ def estimate_spreads(
             beta = engine.update(f, a)
         betas[i] = beta
         spreads[i] = a - float(f @ beta)
-        active[i] = True
 
     return SpreadPath(
         spreads=spreads,
         betas=betas,
         innovations=innovations,
         forecast_vars=forecast_vars,
-        active=active,
+        active=features.ready.copy(),
     )
 
 
@@ -274,6 +304,8 @@ def simulate_trading(
     anchors the first day's move.  Rows before ``warmup`` (and rows flagged
     inactive) are forced flat.  ``rule`` is ``mean-reversion`` (trade
     against the residual) or ``buy-hold`` (always long, the baseline).
+    A price so low that the day's order no longer fits in an int64 contract
+    count raises :class:`~flexls.ingest.DataError`.
     """
     if rule not in RULES:
         raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
@@ -306,14 +338,20 @@ def simulate_trading(
             sig = signal(float(spreads[i]))
         price = float(index_prices[i + 1])
         suggested = position(sig, price, sizing)
-        traded = order_size(suggested, held)
+        try:
+            traded = order_size(suggested, held)
+            orders[i] = traded
+        except OverflowError:
+            raise DataError(
+                f"index price {price!r} on {dates[i]} sizes an order of more "
+                "contracts than an int64 holds"
+            ) from None
         held += traded
         day = daily_pnl(price, float(index_prices[i]), prev_suggested, sizing)
         if sizing.cost_per_contract:
             day -= sizing.cost_per_contract * abs(traded)
         signals[i] = sig
         positions[i] = suggested
-        orders[i] = traded
         pnl[i] = day
         prev_suggested = suggested
 
@@ -332,7 +370,7 @@ def run_backtest(
     returns: ReturnMatrix,
     index_prices,
     estimator: EstimatorConfig,
-    features: FeatureConfig = FeatureConfig(),
+    features: FeatureConfig | Regressors = FeatureConfig(),
     sizing: SizingConfig = SizingConfig(),
     warmup: int = 0,
     rule: str = "mean-reversion",
@@ -340,7 +378,9 @@ def run_backtest(
     """Estimate residuals, then trade them.  Returns (ledger, spread path).
 
     ``index_prices`` must align with the return rows plus a leading anchor
-    price (length ``len(returns) + 1``).
+    price (length ``len(returns) + 1``).  ``features`` is passed to
+    :func:`estimate_spreads`: give the :class:`Regressors` of one
+    :func:`compute_features` pass to run several deltas over one dataset.
     """
     path = estimate_spreads(returns, estimator, features)
     ledger = simulate_trading(

@@ -17,6 +17,7 @@ from flexls.cli import (
     main,
     parse_config_text,
 )
+from flexls.eigentrack import EigenTracker
 from flexls.ingest import write_csv
 from flexls.synth import MarketConfig, gen_market
 
@@ -160,6 +161,47 @@ class TestBacktestCommand:
         assert len(report) == 2
 
 
+class TestGridRunner:
+    def test_svd_sweep_tracks_each_return_row_once(
+        self, tmp_path, market_csv, monkeypatch
+    ):
+        calls = []
+        update = EigenTracker.update
+
+        def counted(self, r):
+            calls.append(1)
+            return update(self, r)
+
+        monkeypatch.setattr(EigenTracker, "update", counted)
+        out = tmp_path / "sweep"
+        body = (
+            f"data = {market_csv}\ntarget = INDEX\nfeatures = svd:3\n"
+            f"delta_grid = 0.2, 0.5, 0.9\nwarmup = 40\nout_dir = {out}\n"
+        )
+        cfg = write_config(tmp_path, body)
+        assert main(["sweep-sharpe", "--config", str(cfg)]) == EXIT_OK
+        return_rows = len(market_csv.read_text().splitlines()) - 2
+        assert len(calls) == return_rows
+
+    @pytest.mark.parametrize("features", ["raw", "svd:3"])
+    def test_grid_outputs_match_single_delta_runs(
+        self, tmp_path, market_csv, features
+    ):
+        grid = tmp_path / "grid"
+        body = (
+            f"data = {market_csv}\ntarget = INDEX\n"
+            f"delta_grid = 0.2, 0.5, 0.9\nwarmup = 40\nout_dir = {grid}\n"
+        )
+        cfg = write_config(tmp_path, body)
+        argv = ["backtest", "--config", str(cfg), "--features", features]
+        assert main(argv) == EXIT_OK
+        for delta in ("0.2", "0.5", "0.9"):
+            single = tmp_path / f"single_{delta}"
+            assert main(argv + ["--delta", delta, "--out-dir", str(single)]) == EXIT_OK
+            for name in (f"ledger_{delta}.csv", f"coefficients_{delta}.csv"):
+                assert (grid / name).read_bytes() == (single / name).read_bytes()
+
+
 class TestBacktestErrors:
     def run_expecting(self, code, argv, capsys, needle):
         assert main(argv) == code
@@ -232,6 +274,33 @@ class TestBacktestErrors:
             capsys,
             "must leave both training and evaluation",
         )
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep-sharpe"])
+    def test_unrepresentable_order_is_data_error_and_leaves_no_outputs(
+        self, tmp_path, capsys, command
+    ):
+        # 1e8 / (250 * 1e-15) = 4e20 contracts, past the int64 range.
+        rng = np.random.default_rng(0)
+        lines = ["date,INDEX,A,B"]
+        for i in range(12):
+            index = 1e-15 if i == 8 else 100.0 + i
+            a, b = 50.0 + rng.normal(), 70.0 + rng.normal()
+            lines.append(f"2001-01-{i + 1:02d},{index!r},{a!r},{b!r}")
+        prices = tmp_path / "tiny.csv"
+        prices.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "never"
+        cfg = write_config(
+            tmp_path,
+            f"data = {prices}\ntarget = INDEX\ndelta_grid = 0.5, 0.9\n"
+            f"warmup = 2\nrule = buy-hold\nout_dir = {out}\n",
+        )
+        self.run_expecting(
+            EXIT_DATA,
+            [command, "--config", str(cfg)],
+            capsys,
+            "data error: index price 1e-15 on 2001-01-09",
+        )
+        assert not out.exists()
 
     def test_too_many_factor_scores_is_config_error(
         self, tmp_path, market_csv, capsys

@@ -310,6 +310,24 @@ class TestKalmanEstimator:
         with pytest.raises(ValueError):
             KalmanEstimator(2, vomega=1.0, P0=np.eye(3))
 
+    def test_nonpositive_forecast_variance_raises_and_keeps_state(
+        self, monkeypatch
+    ):
+        est = KalmanEstimator(2, vomega=1.0)
+        est.update([1.0, 0.5], 1.0)
+        beta, P, t = est.beta.copy(), est.P.copy(), est.t
+
+        def zero_variance_step(P, beta, x, y, veps, vom_eye):
+            beta_new, P_new, e, _, K = _kf_step_impl(P, beta, x, y, veps, vom_eye)
+            return beta_new, P_new, e, 0.0, K
+
+        monkeypatch.setattr("flexls.estimator._kf_step", zero_variance_step)
+        with pytest.raises(ValueError, match="forecast variance must stay positive"):
+            est.update([0.3, 2.0], -1.0)
+        np.testing.assert_array_equal(est.beta, beta)
+        np.testing.assert_array_equal(est.P, P)
+        assert est.t == t
+
     def test_copy_is_independent(self):
         est = KalmanEstimator(2, vomega=1.0)
         est.update([1.0, 0.0], 1.0)

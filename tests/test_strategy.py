@@ -5,12 +5,13 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from flexls.ingest import to_log_returns
+from flexls.ingest import DataError, to_log_returns
 from flexls.strategy import (
     EstimatorConfig,
     FeatureConfig,
     SizingConfig,
     TradeLedger,
+    compute_features,
     daily_pnl,
     estimate_spreads,
     order_size,
@@ -136,6 +137,33 @@ class TestEstimateSpreads:
         assert path.betas.shape[1] == 3
         # warm-up rows fall back to the raw target return
         np.testing.assert_array_equal(path.spreads[:2], returns.target[:2])
+
+    @pytest.mark.parametrize(
+        "features", [FeatureConfig(), FeatureConfig(mode="svd", k=3)]
+    )
+    def test_precomputed_regressors_give_the_same_path(self, features):
+        returns, _ = make_market(seed=7, steps=90)
+        regressors = compute_features(returns, features)
+        for delta in (0.2, 0.9):
+            config = EstimatorConfig(delta=delta)
+            once = estimate_spreads(returns, config, regressors)
+            fresh = estimate_spreads(returns, config, features)
+            for name in ("spreads", "betas", "innovations", "forecast_vars", "active"):
+                np.testing.assert_array_equal(getattr(once, name), getattr(fresh, name))
+
+    def test_raw_regressors_are_the_return_matrix(self):
+        returns, _ = make_market(seed=8, steps=40)
+        regressors = compute_features(returns)
+        assert regressors.values is returns.features
+        assert regressors.ready.all()
+
+    def test_regressors_of_another_sample_rejected(self):
+        returns, _ = make_market(seed=9, steps=40)
+        shorter, _ = make_market(seed=9, steps=30)
+        with pytest.raises(ValueError, match="one per return row"):
+            estimate_spreads(
+                returns, EstimatorConfig(delta=0.5), compute_features(shorter)
+            )
 
     def test_svd_mode_rejects_too_many_components(self):
         returns, _ = make_market(seed=6, steps=60, n_streams=2)
@@ -265,6 +293,13 @@ class TestSimulateTrading:
             )
         with pytest.raises(ValueError, match="dates"):
             simulate_trading([], np.array([0.1]), np.array([100.0, 101.0]))
+
+    def test_order_beyond_int64_is_data_error(self):
+        # 1e8 / (250 * 1e-15) = 4e20 contracts, past the int64 range.
+        dates = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(3)]
+        prices = np.array([100.0, 90.0, 1e-15, 80.0])
+        with pytest.raises(DataError, match=r"1e-15 on 2001-01-02"):
+            simulate_trading(dates, np.zeros(3), prices, rule="buy-hold")
 
     def test_ledger_column_validation(self):
         with pytest.raises(ValueError, match="misaligned"):
