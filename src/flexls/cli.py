@@ -11,7 +11,8 @@ codes: 0 success, 2 configuration problem (unknown key, bad value, missing
 requirement), 3 data problem (unreadable or malformed input).  All input is
 loaded and every number computed before the first output file is opened, so
 a failing run leaves no partial outputs.  Given equal inputs, outputs are
-byte-identical across reruns.
+byte-identical across reruns.  ``flexls --version`` also names the filter
+kernel that runs: ``numba`` (JIT-compiled) or ``python`` (interpreted).
 """
 
 from __future__ import annotations
@@ -24,7 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import Smoothing, fls_smooth_batch, KalmanEstimator, write_coefficient_csv
+from . import __version__
+from .estimator import (
+    KERNEL_BACKEND,
+    KalmanEstimator,
+    Smoothing,
+    fls_smooth_batch,
+    write_coefficient_csv,
+)
 from .ingest import (
     DataError,
     apply_split_factors,
@@ -539,6 +547,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flexls",
         description="Streaming time-varying regression backtests",
+    )
+    parser.add_argument(
+        "--version",
+        action="version",
+        version=f"flexls {__version__} (kernel: {KERNEL_BACKEND})",
+        help="print the version and the filter kernel in use (numba or python)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -95,8 +95,6 @@ class EigenTracker:
                 self.counts[j] = 0
                 self._active += 1
                 seeded = True
-            elif j > self._active:      # unreachable, guard for clarity
-                break
             hj = self.h[j]
             norm_h = float(np.linalg.norm(hj))
             if norm_h == 0.0:

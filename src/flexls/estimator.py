@@ -28,15 +28,16 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 
-from .util import fmt_g17, write_rows
-
 
 def _kf_step_impl(P, beta, x, y, veps, vom_eye):
     """One filter update; pulled out flat so it can be JIT-compiled.
 
     Returns (beta', P', e, q, K) without touching its inputs.  P' is
-    symmetrized here: floating-point evaluation does not preserve bitwise
-    symmetry on its own and the asymmetry compounds over long streams.
+    symmetric by construction: the covariance is reduced by the rank-1 term
+    g g' with g = R x / sqrt(q), and g[i]*g[j] == g[j]*g[i] exactly, so no
+    symmetrizing pass is needed to stop asymmetry compounding over long
+    streams.  A step whose q is not positive is rejected by the caller, so
+    its P' is left undowndated rather than taking the root of a negative.
     """
     R = P + vom_eye
     Rx = np.dot(R, x)
@@ -44,18 +45,21 @@ def _kf_step_impl(P, beta, x, y, veps, vom_eye):
     e = y - np.dot(x, beta)
     K = Rx / q
     beta_new = beta + e * K
-    M = R - np.outer(Rx, K)
-    P_new = 0.5 * (M + M.T)
-    return beta_new, P_new, e, q, K
+    if q > 0.0:
+        g = Rx / np.sqrt(q)
+        R -= np.outer(g, g)     # R is this call's own array
+    return beta_new, R, e, q, K
 
 
 try:
     from numba import njit
 
     _kf_step = njit(cache=True)(_kf_step_impl)
+    KERNEL_BACKEND = "numba"
 except ImportError:   # pragma: no cover - numba is a declared dependency
     # Same function, interpreted: identical results, slower per update.
     _kf_step = _kf_step_impl
+    KERNEL_BACKEND = "python"
 
 # Reciprocal-condition floor below which a normal-equations solve is
 # treated as underdetermined rather than silently amplified.
@@ -472,10 +476,9 @@ def write_coefficient_csv(
             header.append(name)
             extras.append(col)
 
-    def rows():
-        for t in range(T):
-            row = [str(t + 1)] + [fmt_g17(v) for v in betas[t]]
-            row.extend(fmt_g17(col[t]) for col in extras)
-            yield row
-
-    write_rows(path, header, rows())
+    # "%.17g" gives the same text as util.fmt_g17: lossless, byte-stable.
+    row_fmt = "%d" + ",%.17g" * (p + len(extras)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for t, row in enumerate(np.column_stack([betas, *extras]).tolist(), 1):
+            fh.write(row_fmt % (t, *row))

@@ -97,6 +97,30 @@ class TestEngineEquivalence:
         assert elapsed < 10.0
 
 
+    @pytest.mark.parametrize(
+        "idio_vol", [MarketConfig.idio_vol, 1e-5], ids=["default", "collinear"]
+    )
+    def test_recursion_and_filter_agree_at_p64(self, idio_vol):
+        """Criterion 1 at width: 64 market streams, four deltas.
+
+        With ``idio_vol`` 1e-5 the 64 streams are two factors plus dust, so
+        the regressors are nearly collinear.  Same 1e-9 element-wise gate.
+        """
+        returns, _ = make_market(3, n_streams=64, steps=301, idio_vol=idio_vol)
+        p = returns.features.shape[1]
+        worst = 0.0
+        for delta in [0.2, 0.5, 0.9, 0.98]:
+            sm = Smoothing(delta=delta)
+            fls = FlsEstimator(p, sm, s0_scale=1e-3)
+            kf = KalmanEstimator.fls_equivalent(p, sm, s0_scale=1e-3)
+            for x, y in zip(returns.features, returns.target):
+                bf = fls.update(x, y)
+                kf.update(x, y)
+                dev = float(np.max(np.abs(bf - kf.beta) / (1.0 + np.abs(bf))))
+                worst = max(worst, dev)
+        assert worst <= 1e-9
+
+
 class TestSmootherOracle:
     def test_smoothed_path_matches_direct_minimizer(self):
         """Criterion 2: 50 instances against a dense normal-equation solve.

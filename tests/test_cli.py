@@ -17,7 +17,9 @@ from flexls.cli import (
     main,
     parse_config_text,
 )
+from flexls import __version__
 from flexls.eigentrack import EigenTracker
+from flexls.estimator import KERNEL_BACKEND, _kf_step, _kf_step_impl
 from flexls.ingest import write_csv
 from flexls.synth import MarketConfig, gen_market
 
@@ -67,6 +69,18 @@ class TestConfigParsing:
 
         with pytest.raises(ConfigError, match="frobnicate: unknown key"):
             build_job({"frobnicate": "1"}, Args(), need_grid=False)
+
+
+class TestVersion:
+    def test_prints_version_and_kernel(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == EXIT_OK
+        expected = "python" if _kf_step is _kf_step_impl else "numba"
+        assert KERNEL_BACKEND == expected
+        assert capsys.readouterr().out == (
+            f"flexls {__version__} (kernel: {expected})\n"
+        )
 
 
 class TestBacktestCommand:

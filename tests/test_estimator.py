@@ -17,6 +17,8 @@ from flexls.estimator import (
     ols_fit,
     write_coefficient_csv,
 )
+from flexls.ingest import to_log_returns
+from flexls.synth import MarketConfig, gen_market
 
 from .oracle import penalized_path_direct, path_cost
 
@@ -244,6 +246,43 @@ class TestKalmanEstimator:
             est.update(rng.normal(size=4), rng.normal())
             np.testing.assert_array_equal(est.P, est.P.T)
             assert np.linalg.eigvalsh(est.P).min() >= -1e-12
+
+    def test_covariance_symmetric_psd_at_p432(self):
+        table, _ = gen_market(MarketConfig(seed=3, n_streams=432, steps=201))
+        returns = to_log_returns(table)
+        est = KalmanEstimator.from_smoothing(432, Smoothing(0.98))
+        for x, y in zip(returns.features, returns.target):
+            est.update(x, y)
+        assert est.t == 200
+        np.testing.assert_array_equal(est.P, est.P.T)
+        eig = np.linalg.eigvalsh(est.P)
+        assert eig.min() >= -1e-12 * eig.max()
+
+    @pytest.mark.parametrize(
+        "step", [_kf_step_impl, _kf_step], ids=["impl", "step"]
+    )
+    def test_kernel_leaves_its_inputs_untouched(self, step):
+        rng = np.random.default_rng(16)
+        p = 5
+        a = rng.normal(size=(p, p))
+        P = a @ a.T
+        beta = rng.normal(size=p)
+        x = rng.normal(size=p)
+        vom = np.eye(p) * 0.3
+        before = [v.copy() for v in (P, beta, x, vom)]
+        _, P_new, _, _, _ = step(P, beta, x, 0.7, 1.0, vom)
+        assert not np.array_equal(P_new, P)
+        for now, then in zip((P, beta, x, vom), before):
+            np.testing.assert_array_equal(now, then)
+
+    def test_indefinite_prior_rejected_without_warning(self):
+        # q = x'(P0 + vomega I)x + veps = -9: the step is refused before a
+        # square root of q is taken, so no RuntimeWarning precedes the error.
+        est = KalmanEstimator(1, vomega=0.0, P0=np.array([[-10.0]]))
+        with pytest.raises(ValueError, match="forecast variance must stay positive"):
+            est.update([1.0], 1.0)
+        assert est.t == 0
+        assert est.P[0, 0] == -10.0
 
     def test_forecast_variance_positive(self):
         est = KalmanEstimator(2, vomega=0.0, veps=0.5)
