@@ -58,7 +58,6 @@ from .strategy import (
     run_backtest,
     signal,
     simulate_trading,
-    spread,
     write_ledger_csv,
 )
 from .synth import Fig2Config, MarketConfig, gen_fig2, gen_market
@@ -107,7 +106,6 @@ __all__ = [
     "sharpe",
     "signal",
     "simulate_trading",
-    "spread",
     "summarize",
     "to_log_returns",
     "write_coefficient_csv",

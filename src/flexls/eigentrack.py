@@ -34,9 +34,6 @@ class EigenTracker:
     residual of an incoming sample, so warm-up completes once ``k``
     informative (linearly independent) samples have arrived; ``ready``
     reports that.  ``project`` and ``components`` refuse to run earlier.
-
-    By default components keep adapting forever.  Call :meth:`freeze` to pin
-    the basis (later samples are ignored), :meth:`unfreeze` to resume.
     """
 
     def __init__(self, p: int, k: int, amnesia: float = 0.0) -> None:
@@ -52,7 +49,6 @@ class EigenTracker:
         self.h = np.zeros((self.k, self.p))   # unnormalized components, row j
         self.counts = np.zeros(self.k, dtype=int)  # samples absorbed per row
         self.n = 0                            # samples seen overall
-        self.frozen = False
         self._active = 0                      # rows seeded so far
 
     @property
@@ -66,16 +62,12 @@ class EigenTracker:
         inner product between a deflated residual and the (unit) component
         it was just deflated against.  Exact arithmetic would make it zero;
         it measures only rounding, not component orthogonality.
-
-        Frozen trackers ignore the sample and return 0.0.
         """
         r = np.asarray(r, dtype=float)
         if r.shape != (self.p,):
             raise ValueError(f"sample must have shape ({self.p},), got {r.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("sample contains non-finite values")
-        if self.frozen:
-            return 0.0
         self.n += 1
         u = r.copy()
         # Deflation leaves rounding dust (~eps * sample norm) even when a
@@ -124,12 +116,6 @@ class EigenTracker:
             defect = max(defect, abs(float(u @ g)))
         return defect
 
-    def freeze(self) -> None:
-        self.frozen = True
-
-    def unfreeze(self) -> None:
-        self.frozen = False
-
     @property
     def eigenvalues(self) -> NDArray[np.float64]:
         """Current eigenvalue estimates (component norms), length k."""
@@ -170,7 +156,6 @@ class EigenTracker:
         dup.h = self.h.copy()
         dup.counts = self.counts.copy()
         dup.n = self.n
-        dup.frozen = self.frozen
         dup._active = self._active
         return dup
 

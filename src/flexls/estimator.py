@@ -353,7 +353,17 @@ class KalmanEstimator:
             P0 = np.asarray(P0, dtype=float)
             if P0.shape != (self.p, self.p):
                 raise ValueError(f"P0 must have shape ({p}, {p})")
+            if not np.all(np.isfinite(P0)):
+                raise ValueError("P0 must be finite")
             self.P = 0.5 * (P0 + P0.T)
+            # P0 is a covariance: an eigenvalue below zero, beyond rounding,
+            # makes the forecast variance of some regressor negative.
+            eigs = np.linalg.eigvalsh(self.P)
+            if eigs[0] < -1e-12 * np.abs(eigs).max():
+                raise ValueError(
+                    "P0 must be positive semidefinite, got eigenvalue "
+                    f"{eigs[0]!r}"
+                )
         self.beta = (
             np.zeros(self.p)
             if beta0 is None

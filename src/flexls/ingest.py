@@ -95,6 +95,10 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     stream.  Rows are sorted by date.  Cells may be empty (holes), but a
     stream whose hole fraction exceeds ``max_missing_frac`` is rejected:
     forward-filling that much data would manufacture prices.
+
+    A file without holes or bad cells is parsed in C by ``np.loadtxt``;
+    any other is parsed cell by cell, which gives the same values and
+    names the first bad line.
     """
     if not (0.0 <= max_missing_frac <= 1.0):
         raise ValueError(
@@ -116,9 +120,93 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     if target not in labels:
         raise DataError(f"{path}: target column {target!r} not in header")
 
-    n_cols = len(header)
+    parsed = _parse_clean(lines[1:], len(labels))
+    if parsed is None:
+        parsed = _parse_rows(path, lines[1:], labels)
+    dates, prices = parsed
+
+    if not dates:
+        raise DataError(f"{path}: no data rows")
+    seen: set[dt.date] = set()
+    for day in dates:
+        if day in seen:
+            raise DataError(f"{path}: duplicate date {day.isoformat()}")
+        seen.add(day)
+    by_date = sorted(range(len(dates)), key=dates.__getitem__)
+    dates = [dates[i] for i in by_date]
+    prices = prices[by_date]
+
+    # Put the target first, keep the remaining streams in header order.
+    # Indexing the columns leaves ``prices`` in Fortran order, and the
+    # filter's dot products round by the layout of the rows they read.
+    ti = labels.index(target)
+    order = [ti] + [i for i in range(len(labels)) if i != ti]
+    prices = prices[:, order]
+    labels = [labels[i] for i in order]
+
+    hole_frac = np.isnan(prices).mean(axis=0)
+    for j, frac in enumerate(hole_frac):
+        if frac > max_missing_frac:
+            raise DataError(
+                f"{path}: stream {labels[j]} is {frac:.1%} holes, "
+                f"above the {max_missing_frac:.1%} limit"
+            )
+    return PriceTable(dates=dates, prices=prices, labels=labels)
+
+
+def _parse_clean(
+    lines: list[str], n_streams: int
+) -> tuple[list[dt.date], NDArray[np.float64]] | None:
+    """Parse data lines that hold no hole and no bad cell, in C.
+
+    Returns ``(dates, prices)`` in file order, or None when any line might
+    need :func:`_parse_rows`: an empty cell, a wrong field count, or a cell
+    that ``np.loadtxt`` rejects or reads as infinite.  ``loadtxt`` and
+    ``float()`` share CPython's correctly rounded string-to-double, so the
+    values are the ones ``_parse_rows`` would give; the few spellings only
+    ``float()`` accepts (``1_0``, non-ASCII digits) fall back to it.
+    """
+    body = [line for line in lines if line.strip()]
+    # usecols would drop a surplus field without a word, so count fields;
+    # an empty cell is a hole, which only _parse_rows accepts.
+    if not body or not all(
+        line.count(",") == n_streams and ",," not in line and line[-1] != ","
+        for line in body
+    ):
+        return None
+    try:
+        # comments=None: the default "#" would cut a row short.
+        prices = np.loadtxt(
+            body,
+            delimiter=",",
+            usecols=range(1, n_streams + 1),
+            comments=None,
+            dtype=float,
+            ndmin=2,
+        )
+        dates = [
+            dt.date.fromisoformat(line[: line.index(",")].strip()) for line in body
+        ]
+    except ValueError:
+        return None
+    # loadtxt skips lines it takes for empty, and reads "inf" and "1e999" as
+    # infinite: both are for _parse_rows to report.
+    if prices.shape != (len(body), n_streams) or np.isinf(prices).any():
+        return None
+    return dates, prices
+
+
+def _parse_rows(
+    path: Path, lines: list[str], labels: list[str]
+) -> tuple[list[dt.date], NDArray[np.float64]]:
+    """Parse data lines cell by cell: the only parser that accepts holes.
+
+    Every cell error is raised here, naming the first bad line in file
+    order.  ``lines`` starts at file line 2.
+    """
+    n_cols = len(labels) + 1
     rows: list[tuple[dt.date, list[float]]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         cells = line.split(",")
@@ -148,33 +236,8 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
                 )
             values.append(value)
         rows.append((day, values))
-
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    seen: set[dt.date] = set()
-    for day, _ in rows:
-        if day in seen:
-            raise DataError(f"{path}: duplicate date {day.isoformat()}")
-        seen.add(day)
-    rows.sort(key=lambda item: item[0])
-
-    dates = [day for day, _ in rows]
     prices = np.array([vals for _, vals in rows], dtype=float)
-
-    # Put the target first, keep the remaining streams in header order.
-    ti = labels.index(target)
-    order = [ti] + [i for i in range(len(labels)) if i != ti]
-    prices = prices[:, order]
-    labels = [labels[i] for i in order]
-
-    hole_frac = np.isnan(prices).mean(axis=0)
-    for j, frac in enumerate(hole_frac):
-        if frac > max_missing_frac:
-            raise DataError(
-                f"{path}: stream {labels[j]} is {frac:.1%} holes, "
-                f"above the {max_missing_frac:.1%} limit"
-            )
-    return PriceTable(dates=dates, prices=prices, labels=labels)
+    return [day for day, _ in rows], prices.reshape(len(rows), len(labels))
 
 
 def forward_fill(table: PriceTable) -> PriceTable:

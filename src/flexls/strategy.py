@@ -25,7 +25,6 @@ from .estimator import (
     Smoothing,
 )
 from .ingest import DataError, ReturnMatrix
-from .util import fmt_g17, write_rows
 
 RULES = ("mean-reversion", "buy-hold")
 ENGINES = ("kalman", "fls")
@@ -87,13 +86,6 @@ class FeatureConfig:
             )
         if self.mode == "svd" and self.k < 1:
             raise ValueError("k must be >= 1 in svd mode")
-
-
-def spread(target_return: float, features, beta) -> float:
-    """Residual of the target return against the fitted combination."""
-    features = np.asarray(features, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    return float(target_return) - float(features @ beta)
 
 
 def signal(spread_value: float) -> int:
@@ -396,30 +388,24 @@ def run_backtest(
 
 
 def write_ledger_csv(path, ledger: TradeLedger) -> None:
-    """Write a ledger as CSV with a running cumulative profit column."""
-    header = [
-        "date",
-        "spread",
-        "signal",
-        "position",
-        "order",
-        "pnl",
-        "cum_pnl",
-        "index_price",
-    ]
-    cum = ledger.cum_pnl
+    """Write a ledger as CSV with a running cumulative profit column.
 
-    def rows():
-        for i in range(len(ledger)):
-            yield [
-                ledger.dates[i].isoformat(),
-                fmt_g17(ledger.spread[i]),
-                str(int(ledger.signal[i])),
-                fmt_g17(ledger.position[i]),
-                str(int(ledger.order[i])),
-                fmt_g17(ledger.pnl[i]),
-                fmt_g17(cum[i]),
-                fmt_g17(ledger.index_price[i]),
-            ]
-
-    write_rows(path, header, rows())
+    Floats carry 17 significant digits (the text of ``util.fmt_g17``), so
+    reruns are byte-identical and lossless.
+    """
+    header = "date,spread,signal,position,order,pnl,cum_pnl,index_price\n"
+    row_fmt = "%s,%.17g,%d,%.17g,%d,%.17g,%.17g,%.17g\n"
+    rows = zip(
+        [day.isoformat() for day in ledger.dates],
+        ledger.spread.tolist(),
+        ledger.signal.tolist(),
+        ledger.position.tolist(),
+        ledger.order.tolist(),
+        ledger.pnl.tolist(),
+        ledger.cum_pnl.tolist(),
+        ledger.index_price.tolist(),
+    )
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for row in rows:
+            fh.write(row_fmt % row)

@@ -142,23 +142,6 @@ class TestUpdate:
             tr.update([1.0, np.nan, 0.0])
 
 
-class TestFreeze:
-    def test_frozen_tracker_ignores_samples(self):
-        rng = np.random.default_rng(25)
-        tr = EigenTracker(3, 2)
-        for _ in range(50):
-            tr.update(rng.normal(size=3))
-        tr.freeze()
-        h_before = tr.h.copy()
-        n_before = tr.n
-        assert tr.update(rng.normal(size=3)) == 0.0
-        np.testing.assert_array_equal(tr.h, h_before)
-        assert tr.n == n_before
-        tr.unfreeze()
-        tr.update(rng.normal(size=3))
-        assert tr.n == n_before + 1
-
-
 class TestProjection:
     def _converged_tracker(self, seed=26):
         rng = np.random.default_rng(seed)

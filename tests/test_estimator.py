@@ -1,6 +1,7 @@
 """Unit and property tests for the recursive estimators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,13 +277,38 @@ class TestKalmanEstimator:
             np.testing.assert_array_equal(now, then)
 
     def test_indefinite_prior_rejected_without_warning(self):
-        # q = x'(P0 + vomega I)x + veps = -9: the step is refused before a
-        # square root of q is taken, so no RuntimeWarning precedes the error.
-        est = KalmanEstimator(1, vomega=0.0, P0=np.array([[-10.0]]))
-        with pytest.raises(ValueError, match="forecast variance must stay positive"):
-            est.update([1.0], 1.0)
-        assert est.t == 0
-        assert est.P[0, 0] == -10.0
+        with pytest.raises(ValueError, match="P0 must be positive semidefinite"):
+            KalmanEstimator(1, vomega=0.0, P0=np.array([[-10.0]]))
+        # The kernel handed that prior gets q = x'(P + vomega I)x + veps = -9
+        # and takes no square root of it, so it warns about nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, _, q, _ = _kf_step_impl(
+                np.array([[-10.0]]), np.zeros(1), np.ones(1), 1.0, 1.0,
+                np.zeros((1, 1)),
+            )
+        assert q == -9.0
+
+    @pytest.mark.parametrize(
+        "P0, message",
+        [
+            ([[np.nan]], "P0 must be finite"),
+            ([[-10.0]], "P0 must be positive semidefinite"),
+            ([[1.0, 2.0], [2.0, 1.0]], "P0 must be positive semidefinite"),
+        ],
+        ids=["nan", "negative", "indefinite"],
+    )
+    def test_bad_prior_rejected_at_construction(self, P0, message):
+        P0 = np.array(P0)
+        with pytest.raises(ValueError, match=message):
+            KalmanEstimator(len(P0), vomega=1.0, P0=P0)
+
+    def test_semidefinite_priors_construct(self):
+        KalmanEstimator(2, vomega=1.0)
+        est = KalmanEstimator(2, vomega=1.0, P0=np.zeros((2, 2)))
+        np.testing.assert_array_equal(est.P, np.zeros((2, 2)))
+        est = KalmanEstimator.fls_equivalent(3, Smoothing(0.5), s0_scale=1.0)
+        np.testing.assert_array_equal(est.P, np.zeros((3, 3)))
 
     def test_forecast_variance_positive(self):
         est = KalmanEstimator(2, vomega=0.0, veps=0.5)

@@ -1,10 +1,12 @@
 """Tests for CSV ingestion, hole repair and return computation."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
 
+from flexls import ingest
 from flexls.ingest import (
     DataError,
     PriceTable,
@@ -102,6 +104,8 @@ class TestLoadCsv:
             load_csv(write(tmp_path, ""), target="SPX")
         with pytest.raises(DataError, match="no data rows"):
             load_csv(write(tmp_path, "date,SPX\n"), target="SPX")
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(write(tmp_path, "date,SPX\n\n  \n"), target="SPX")
 
     def test_infinite_price_rejected(self, tmp_path):
         text = "date,SPX\n2001-01-01,inf\n"
@@ -121,6 +125,132 @@ class TestLoadCsv:
             load_csv(f, target="SPX")
         table = load_csv(f, target="SPX", max_missing_frac=0.8)
         assert table.has_holes()
+
+
+def count_loop_calls(monkeypatch):
+    """Wrap the cell-by-cell parser; the list grows by one per call."""
+    calls = []
+    loop = ingest._parse_rows
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(ingest, "_parse_rows", counted)
+    return calls
+
+
+class TestCleanFilesParseInC:
+    """Clean files skip the cell loop and parse to exactly its values."""
+
+    def test_clean_file_is_not_parsed_cell_by_cell(self, tmp_path, monkeypatch):
+        def loop(*args):
+            raise AssertionError("cell-by-cell parser ran on a clean file")
+
+        monkeypatch.setattr(ingest, "_parse_rows", loop)
+        table = load_csv(write(tmp_path, BASIC), target="AAA")
+        assert table.labels == ["AAA", "SPX", "BBB"]
+        assert [d.day for d in table.dates] == [1, 2, 3]
+        np.testing.assert_array_equal(
+            table.prices, [[100, 1400, 50], [101, 1410, 51], [99, 1405, 52]]
+        )
+
+    def test_one_blank_cell_leaves_every_other_cell_bitwise_equal(
+        self, tmp_path, monkeypatch
+    ):
+        # Decimal strings of 17 to 25 significant digits: each one needs
+        # correct rounding to land on the double float() gives.
+        rng = np.random.default_rng(42)
+        T, n = 40, 4
+        cells = [
+            [
+                f"{rng.integers(1, 10**9)}.{rng.integers(0, 10**16):016d}"
+                f"e{rng.integers(-12, 12)}"
+                for _ in range(n)
+            ]
+            for _ in range(T)
+        ]
+        days = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(T)]
+        labels = ["T"] + [f"S{j}" for j in range(1, n)]
+
+        def text(rows):
+            body = (",".join([d.isoformat(), *r]) for d, r in zip(days, rows))
+            return "\n".join(["date," + ",".join(labels), *body]) + "\n"
+
+        calls = count_loop_calls(monkeypatch)
+        clean = load_csv(write(tmp_path, text(cells), "clean.csv"), target="T")
+        assert calls == []
+        expected = np.array([[float(c) for c in r] for r in cells])
+        assert clean.prices.tobytes() == expected.tobytes()
+
+        holed_cells = [list(r) for r in cells]
+        holed_cells[17][2] = ""
+        holed = load_csv(write(tmp_path, text(holed_cells), "holed.csv"), target="T")
+        assert len(calls) == 1
+        mask = np.ones((T, n), dtype=bool)
+        mask[17, 2] = False
+        assert np.isnan(holed.prices[17, 2])
+        assert holed.prices[mask].tobytes() == clean.prices[mask].tobytes()
+
+    @pytest.mark.parametrize(
+        "cell, via_loop",
+        [
+            (" 1.5 ", False),
+            ("+3", False),
+            ("-0.0", False),
+            ("1e-320", False),
+            ("1.7976931348623157e308", False),
+            ("nan", False),
+            ("1_0", True),
+        ],
+    )
+    def test_odd_valid_cells_parse_as_float_does(
+        self, tmp_path, monkeypatch, cell, via_loop
+    ):
+        calls = count_loop_calls(monkeypatch)
+        text = f"date,SPX,AAA\n2001-01-01,{cell},7\n2001-01-02,1410,8\n"
+        table = load_csv(write(tmp_path, text), target="SPX", max_missing_frac=0.5)
+        assert len(calls) == int(via_loop)
+        got = table.prices[0, 0]
+        assert np.float64(got).tobytes() == np.float64(float(cell)).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "date,SPX,AAA\n2001-01-01,1400,100\n2001-01-02,1410,101,7\n",
+                "line 3: expected 3 fields, got 4",
+            ),
+            (
+                "date,SPX\n2001-01-01,1400\n2001-01-02\n",
+                "line 3: expected 2 fields, got 1",
+            ),
+            (
+                "date,SPX,AAA\n2001-01-01,1400,100\n2001-01-02,1e999,101\n",
+                "line 3: non-finite price for SPX",
+            ),
+            (
+                "date,SPX,AAA\n2001-01-01,1400,100\n2001-13-02,1410,101\n",
+                "line 3: bad date '2001-13-02'",
+            ),
+            (
+                "date,SPX,AAA\n2001-01-01,1400,100#7\n",
+                "line 2: bad price '100#7' for AAA",
+            ),
+            (
+                "date,SPX,AAA\n2001-01-01,inf,100\n2001-01-02,1410,abc\n",
+                "line 2: non-finite price for SPX",
+            ),
+        ],
+        ids=[
+            "extra-field", "date-only-row", "overflow", "bad-date", "comment-char",
+            "first-error",
+        ],
+    )
+    def test_cell_errors_keep_their_messages(self, tmp_path, text, message):
+        f = write(tmp_path, text)
+        with pytest.raises(DataError, match=re.escape(f"{f}: {message}") + "$"):
+            load_csv(f, target="SPX")
 
 
 class TestPriceTable:

@@ -19,10 +19,10 @@ from flexls.strategy import (
     run_backtest,
     signal,
     simulate_trading,
-    spread,
     write_ledger_csv,
 )
 from flexls.synth import MarketConfig, gen_market
+from flexls.util import fmt_g17
 
 
 def make_market(seed=0, **kwargs):
@@ -31,10 +31,6 @@ def make_market(seed=0, **kwargs):
 
 
 class TestPureFunctions:
-    def test_spread_is_regression_residual(self):
-        assert spread(0.01, [0.5, 0.5], [0.01, 0.01]) == pytest.approx(0.0)
-        assert spread(0.02, [1.0], [0.01]) == pytest.approx(0.01)
-
     def test_signal_fades_the_residual(self):
         assert signal(0.008) == -1
         assert signal(-0.003) == 1
@@ -350,3 +346,34 @@ class TestLedgerCsv:
         assert float(cells[5]) == ledger.pnl[i]
         assert float(cells[6]) == ledger.cum_pnl[i]
         assert float(cells[7]) == ledger.index_price[i]
+
+    def test_special_values_match_the_per_cell_formatter(self, tmp_path):
+        floats = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+                  -1.5e-310, 1.7976931348623157e308, 0.1, -123456.789]
+        n = len(floats)
+        ledger = TradeLedger(
+            dates=[dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(n)],
+            spread=np.array(floats),
+            signal=np.array([-1, 0, 1] * 3 + [1], dtype=np.int64),
+            position=np.roll(floats, 1),
+            order=np.array([0, -1, 2**62, -(2**62), 7, 0, 3, -3, 1, 0]),
+            pnl=np.roll(floats, 2),
+            index_price=np.roll(floats, 3),
+        )
+        out = tmp_path / "ledger.csv"
+        write_ledger_csv(out, ledger)
+
+        cum = ledger.cum_pnl
+        lines = ["date,spread,signal,position,order,pnl,cum_pnl,index_price"]
+        for i in range(n):
+            lines.append(",".join([
+                ledger.dates[i].isoformat(),
+                fmt_g17(ledger.spread[i]),
+                str(int(ledger.signal[i])),
+                fmt_g17(ledger.position[i]),
+                str(int(ledger.order[i])),
+                fmt_g17(ledger.pnl[i]),
+                fmt_g17(cum[i]),
+                fmt_g17(ledger.index_price[i]),
+            ]))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
