@@ -27,28 +27,22 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
+from scipy.linalg.blas import dger
 
 
-def _kf_step_impl(P, beta, x, y, veps, vom_eye):
-    """One filter update; pulled out flat so it can be JIT-compiled.
+def _kf_step_impl(P, beta, x, y, veps, vomega):
+    """One filter update's arithmetic; pulled out flat so it can be JIT-compiled.
 
-    Returns (beta', P', e, q, K) without touching its inputs.  P' is
-    symmetric by construction: the covariance is reduced by the rank-1 term
-    g g' with g = R x / sqrt(q), and g[i]*g[j] == g[j]*g[i] exactly, so no
-    symmetrizing pass is needed to stop asymmetry compounding over long
-    streams.  A step whose q is not positive is rejected by the caller, so
-    its P' is left undowndated rather than taking the root of a negative.
+    Reads its inputs and writes none of them.  Returns (beta', Rx, e, q, K)
+    with ``Rx = (P + vomega I) x``, formed without building ``P + vomega I``.
+    The covariance itself is downdated in place by the caller, once the step
+    has passed its checks (see :meth:`KalmanEstimator.update`).
     """
-    R = P + vom_eye
-    Rx = np.dot(R, x)
+    Rx = np.dot(P, x) + vomega * x
     q = np.dot(x, Rx) + veps
     e = y - np.dot(x, beta)
     K = Rx / q
-    beta_new = beta + e * K
-    if q > 0.0:
-        g = Rx / np.sqrt(q)
-        R -= np.outer(g, g)     # R is this call's own array
-    return beta_new, R, e, q, K
+    return beta + e * K, Rx, e, q, K
 
 
 try:
@@ -324,7 +318,9 @@ class KalmanEstimator:
     O(p^2) route to the penalized least-squares path (see
     :meth:`fls_equivalent` for the exact correspondence).
 
-    Not thread-safe: ``update`` mutates in place.
+    Not thread-safe: ``update`` mutates in place.  The covariance ``P`` is
+    downdated in its own buffer, so an array read from ``P`` changes with
+    the next update; hold a :meth:`copy` for a snapshot.
     """
 
     def __init__(
@@ -370,8 +366,6 @@ class KalmanEstimator:
             else _as_vector(beta0, self.p, "beta0").copy()
         )
         self.t = 0
-        # vomega * I, prebuilt: the update adds it every step.
-        self._vom = np.eye(self.p) * self.vomega
 
     @classmethod
     def from_smoothing(
@@ -422,16 +416,31 @@ class KalmanEstimator:
         y = float(y)
         if not (math.isfinite(y) and np.isfinite(x).all()):
             raise ValueError("x and y must be finite")
-        beta_new, P_new, e, q, K = _kf_step(
-            self.P, self.beta, x, y, self.veps, self._vom
-        )
+        # ``P`` is C-ordered unless the attribute was replaced; the kernel's
+        # dot products and the in-place downdate below both rely on that.
+        P = np.ascontiguousarray(self.P)
         # Finite inputs can still overflow against a badly scaled state.
-        if not (math.isfinite(q) and math.isfinite(e)):
+        # Such a step is rejected below, so numpy need not warn about it.
+        with np.errstate(all="ignore"):
+            beta_new, Rx, e, q, K = _kf_step(
+                P, self.beta, x, y, self.veps, self.vomega
+            )
+        if not (
+            math.isfinite(q) and math.isfinite(e) and np.isfinite(beta_new).all()
+        ):
             raise ValueError("non-finite update: check the scale of x and the state")
         if not q > 0.0:
             raise ValueError(f"forecast variance must stay positive, got {q}")
+        # P' = P + vomega I - g g' with g = Rx / sqrt(q), written into P's own
+        # buffer: the diagonal first, then one BLAS rank-1 update.  With
+        # alpha = -1 every entry becomes a_ij - g_i*g_j, and the products
+        # commute exactly, so P' stays bitwise symmetric.  P is C-ordered, so
+        # ``ravel`` is a view and ``dger`` writes into ``P.T`` (Fortran-ordered)
+        # in place; P is rebound to its result all the same.
+        P.ravel()[:: self.p + 1] += self.vomega
+        g = Rx / math.sqrt(q)
+        self.P = dger(-1.0, g, g, a=P.T, overwrite_a=1).T
         self.beta = beta_new
-        self.P = P_new
         self.t += 1
         return KfDiagnostics(innovation=e, forecast_var=q, gain=K)
 
@@ -443,7 +452,6 @@ class KalmanEstimator:
         dup.P = self.P.copy()
         dup.beta = self.beta.copy()
         dup.t = self.t
-        dup._vom = self._vom
         return dup
 
 

@@ -137,11 +137,12 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     prices = prices[by_date]
 
     # Put the target first, keep the remaining streams in header order.
-    # Indexing the columns leaves ``prices`` in Fortran order, and the
-    # filter's dot products round by the layout of the rows they read.
+    # ``np.take`` makes its one copy in C order (``prices[:, order]`` would
+    # leave it in Fortran order), so every row the filter, the tracker and
+    # the spread read as a regressor is contiguous.
     ti = labels.index(target)
     order = [ti] + [i for i in range(len(labels)) if i != ti]
-    prices = prices[:, order]
+    prices = np.take(prices, order, axis=1)
     labels = [labels[i] for i in order]
 
     hole_frac = np.isnan(prices).mean(axis=0)

@@ -269,11 +269,13 @@ class TestKalmanEstimator:
         P = a @ a.T
         beta = rng.normal(size=p)
         x = rng.normal(size=p)
-        vom = np.eye(p) * 0.3
-        before = [v.copy() for v in (P, beta, x, vom)]
-        _, P_new, _, _, _ = step(P, beta, x, 0.7, 1.0, vom)
-        assert not np.array_equal(P_new, P)
-        for now, then in zip((P, beta, x, vom), before):
+        before = [v.copy() for v in (P, beta, x)]
+        beta_new, Rx, e, q, K = step(P, beta, x, 0.7, 1.0, 0.3)
+        assert beta_new.shape == Rx.shape == K.shape == (p,)
+        assert np.ndim(e) == np.ndim(q) == 0
+        np.testing.assert_allclose(Rx, (P + 0.3 * np.eye(p)) @ x, rtol=1e-13)
+        assert not np.array_equal(beta_new, beta)
+        for now, then in zip((P, beta, x), before):
             np.testing.assert_array_equal(now, then)
 
     def test_indefinite_prior_rejected_without_warning(self):
@@ -283,10 +285,12 @@ class TestKalmanEstimator:
         # and takes no square root of it, so it warns about nothing.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, _, _, q, _ = _kf_step_impl(
-                np.array([[-10.0]]), np.zeros(1), np.ones(1), 1.0, 1.0,
-                np.zeros((1, 1)),
+            beta_new, Rx, e, q, K = _kf_step_impl(
+                np.array([[-10.0]]), np.zeros(1), np.ones(1), 1.0, 1.0, 0.0
             )
+        assert beta_new.shape == Rx.shape == K.shape == (1,)
+        assert Rx[0] == -10.0
+        assert e == 1.0
         assert q == -9.0
 
     @pytest.mark.parametrize(
@@ -382,9 +386,9 @@ class TestKalmanEstimator:
         est.update([1.0, 0.5], 1.0)
         beta, P, t = est.beta.copy(), est.P.copy(), est.t
 
-        def zero_variance_step(P, beta, x, y, veps, vom_eye):
-            beta_new, P_new, e, _, K = _kf_step_impl(P, beta, x, y, veps, vom_eye)
-            return beta_new, P_new, e, 0.0, K
+        def zero_variance_step(P, beta, x, y, veps, vomega):
+            beta_new, Rx, e, _, K = _kf_step_impl(P, beta, x, y, veps, vomega)
+            return beta_new, Rx, e, 0.0, K
 
         monkeypatch.setattr("flexls.estimator._kf_step", zero_variance_step)
         with pytest.raises(ValueError, match="forecast variance must stay positive"):
@@ -392,6 +396,64 @@ class TestKalmanEstimator:
         np.testing.assert_array_equal(est.beta, beta)
         np.testing.assert_array_equal(est.P, P)
         assert est.t == t
+
+    def test_overflowing_update_raises_without_warning_and_keeps_state(self):
+        est = KalmanEstimator(4, vomega=0.3)
+        est.update([0.1, -0.2, 0.3, 0.4], 0.5)
+        beta, P, t = est.beta.copy(), est.P.copy(), est.t
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite update"):
+                est.update(np.full(4, 1e200), 1.0)
+        np.testing.assert_array_equal(est.beta, beta)
+        np.testing.assert_array_equal(est.P, P)
+        assert est.t == t
+
+    def test_overflowing_coefficients_rejected(self):
+        # e and q are finite here, but e * K overflows: with x = sqrt(veps/P)
+        # the gain is sqrt(P/veps)/2 = 5e7, and the innovation is 1e305.
+        est = KalmanEstimator(1, vomega=0.0, veps=1e-10, prior_scale=1e6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite update"):
+                est.update([1e-8], 1e305)
+        np.testing.assert_array_equal(est.beta, [0.0])
+        np.testing.assert_array_equal(est.P, [[1e6]])
+        assert est.t == 0
+
+    def test_update_downdates_covariance_in_its_own_buffer(self):
+        rng = np.random.default_rng(17)
+        est = KalmanEstimator(6, vomega=0.4)
+        P = est.P
+        for _ in range(3):
+            before = est.P.copy()
+            est.update(rng.normal(size=6), rng.normal())
+            assert np.shares_memory(est.P, P)
+            assert not np.array_equal(est.P, before)
+        assert not np.shares_memory(est.copy().P, est.P)
+
+    def test_fortran_ordered_covariance_gives_the_same_path(self):
+        rng = np.random.default_rng(18)
+        p = 7
+        a = rng.normal(size=(p, p))
+        P0 = a @ a.T
+        xs = rng.normal(size=(40, p))
+        ys = rng.normal(size=40)
+
+        def run(P0, refortran_at=None):
+            est = KalmanEstimator(p, vomega=0.2, P0=P0)
+            betas = []
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                if i == refortran_at:
+                    est.P = np.asfortranarray(est.P)
+                est.update(x, y)
+                betas.append(est.beta)
+            return np.array(betas), est.P
+
+        betas_c, P_c = run(np.ascontiguousarray(P0))
+        for betas, P in (run(np.asfortranarray(P0)), run(P0, refortran_at=20)):
+            np.testing.assert_array_equal(betas, betas_c)
+            np.testing.assert_array_equal(P, P_c)
 
     def test_copy_is_independent(self):
         est = KalmanEstimator(2, vomega=1.0)
@@ -408,17 +470,18 @@ class TestKalmanEstimator:
         p = 4
         P = np.eye(p) * 5.0
         beta = np.zeros(p)
-        vom = np.eye(p) * 0.7
         for _ in range(50):
             x = rng.normal(size=p)
             y = float(rng.normal())
-            b1, P1, e1, q1, K1 = _kf_step(P, beta, x, y, 1.0, vom)
-            b2, P2, e2, q2, K2 = _kf_step_impl(P, beta, x, y, 1.0, vom)
+            b1, Rx1, e1, q1, K1 = _kf_step(P, beta, x, y, 1.0, 0.7)
+            b2, Rx2, e2, q2, K2 = _kf_step_impl(P, beta, x, y, 1.0, 0.7)
+            assert b1.shape == Rx1.shape == K1.shape == (p,)
             assert np.array_equal(b1, b2)
-            assert np.array_equal(P1, P2)
+            assert np.array_equal(Rx1, Rx2)
             assert np.array_equal(K1, K2)
             assert e1 == e2 and q1 == q2
-            beta, P = b1, P1
+            g = Rx1 / math.sqrt(q1)
+            beta, P = b1, P + 0.7 * np.eye(p) - np.outer(g, g)
 
 
 class TestOlsFit:

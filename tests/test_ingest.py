@@ -299,6 +299,19 @@ class TestForwardFill:
 
 
 class TestToLogReturns:
+    @pytest.mark.parametrize(
+        "text",
+        [BASIC, BASIC.replace("2001-01-02,1410,101,51", "2001-01-02,1410,,51")],
+        ids=["clean", "holes"],
+    )
+    def test_regressor_rows_are_contiguous(self, tmp_path, text):
+        # The filter reads each features row as its regressor vector; a
+        # strided row would be copied on every update and rounds differently.
+        loaded = load_csv(write(tmp_path, text), target="AAA", max_missing_frac=0.5)
+        returns = to_log_returns(forward_fill(loaded))
+        assert returns.features.shape == (2, 2)
+        assert returns.features.strides[1] == returns.features.itemsize
+
     def test_computes_log_price_differences(self, tmp_path):
         table = load_csv(write(tmp_path, BASIC), target="SPX")
         rets = to_log_returns(table)
