@@ -29,29 +29,105 @@ from numpy.typing import NDArray
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
 from scipy.linalg.blas import dger
 
+# Outcome of a filter step.  A rejected step writes nothing.
+_ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
 
+
+def _dger_is_symmetric() -> bool:
+    """Whether this BLAS's ``dger`` rounds ``a_ij - g_i*g_j`` and
+    ``a_ji - g_j*g_i`` alike.
+
+    The BLAS interface does not promise it: a kernel may fuse the multiply
+    and the add in its vector body but not in its scalar tail.  47 rows
+    leave a tail after any vector width up to 32.
+    """
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((47, 47))
+    a = np.asfortranarray(a + a.T)
+    g = rng.standard_normal(47)
+    dger(-1.0, g, g, a=a, overwrite_a=1)
+    return bool(np.array_equal(a, a.T))
+
+
+_DGER_SYMMETRIC = _dger_is_symmetric()
+
+
+# Finite inputs can still overflow against a badly scaled state.  Such a
+# step is rejected, so numpy need not warn about it.
+@np.errstate(all="ignore")
 def _kf_step_impl(P, beta, x, y, veps, vomega):
-    """One filter update's arithmetic; pulled out flat so it can be JIT-compiled.
+    """One filter update, interpreted: numpy for the forecast, BLAS for P.
 
-    Reads its inputs and writes none of them.  Returns (beta', Rx, e, q, K)
-    with ``Rx = (P + vomega I) x``, formed without building ``P + vomega I``.
-    The covariance itself is downdated in place by the caller, once the step
-    has passed its checks (see :meth:`KalmanEstimator.update`).
+    Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
+    ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
+    ``P``, which must be C-ordered, in its own buffer:
+    ``P <- P + vomega I - g g'`` with ``g = (P + vomega I) x / sqrt(q)``.
+    A rejected step leaves every input as it was.
+
+    The rank-1 term is one ``dger`` call.  P stays bitwise symmetric only
+    where this BLAS rounds both triangles alike (:func:`_dger_is_symmetric`,
+    true of the OpenBLAS this was tested with); elsewhere the step
+    subtracts ``np.outer(g, g)``, symmetric by construction and several
+    times slower at large p.
     """
     Rx = np.dot(P, x) + vomega * x
     q = np.dot(x, Rx) + veps
     e = y - np.dot(x, beta)
     K = Rx / q
-    return beta + e * K, Rx, e, q, K
+    beta_new = beta + e * K
+    if not (math.isfinite(q) and math.isfinite(e)):
+        return _NONFINITE, beta, e, q, K
+    if not q > 0.0:
+        return _NONPOSITIVE, beta, e, q, K
+    if not np.isfinite(beta_new).all():
+        return _NONFINITE, beta, e, q, K
+    P.ravel()[:: P.shape[0] + 1] += vomega
+    g = Rx / math.sqrt(q)
+    if _DGER_SYMMETRIC:
+        dger(-1.0, g, g, a=P.T, overwrite_a=1)     # P.T is Fortran-ordered
+    else:
+        P -= np.outer(g, g)
+    return _ACCEPTED, beta_new, e, q, K
+
+
+def _kf_step_loops(P, beta, x, y, veps, vomega):
+    """The update of :func:`_kf_step_impl`, written for numba to compile.
+
+    Same contract and checks in one compiled call, with nothing allocated
+    at p x p.  The downdate walks the upper triangle and mirrors each
+    entry, so P stays symmetric by construction on any BLAS.
+    """
+    Rx = np.dot(P, x) + vomega * x
+    q = np.dot(x, Rx) + veps
+    e = y - np.dot(x, beta)
+    if not (math.isfinite(q) and math.isfinite(e)):
+        return _NONFINITE, beta, e, q, Rx
+    if not q > 0.0:
+        return _NONPOSITIVE, beta, e, q, Rx
+    K = Rx / q
+    beta_new = beta + e * K
+    for b in beta_new:
+        if not math.isfinite(b):
+            return _NONFINITE, beta, e, q, K
+    g = Rx / math.sqrt(q)
+    p = x.shape[0]
+    for i in range(p):
+        gi = g[i]
+        P[i, i] = (P[i, i] + vomega) - gi * gi
+        for j in range(i + 1, p):
+            v = P[i, j] - gi * g[j]
+            P[i, j] = v
+            P[j, i] = v
+    return _ACCEPTED, beta_new, e, q, K
 
 
 try:
     from numba import njit
 
-    _kf_step = njit(cache=True)(_kf_step_impl)
+    _kf_step = njit(cache=True)(_kf_step_loops)
     KERNEL_BACKEND = "numba"
 except ImportError:   # pragma: no cover - numba is a declared dependency
-    # Same function, interpreted: identical results, slower per update.
+    # Interpreted, the loops would cost a Python step per entry of P.
     _kf_step = _kf_step_impl
     KERNEL_BACKEND = "python"
 
@@ -416,30 +492,16 @@ class KalmanEstimator:
         y = float(y)
         if not (math.isfinite(y) and np.isfinite(x).all()):
             raise ValueError("x and y must be finite")
-        # ``P`` is C-ordered unless the attribute was replaced; the kernel's
-        # dot products and the in-place downdate below both rely on that.
-        P = np.ascontiguousarray(self.P)
-        # Finite inputs can still overflow against a badly scaled state.
-        # Such a step is rejected below, so numpy need not warn about it.
-        with np.errstate(all="ignore"):
-            beta_new, Rx, e, q, K = _kf_step(
-                P, self.beta, x, y, self.veps, self.vomega
-            )
-        if not (
-            math.isfinite(q) and math.isfinite(e) and np.isfinite(beta_new).all()
-        ):
+        # The step downdates P in its own buffer, which must be C-ordered;
+        # it is, unless the attribute was replaced with another layout.
+        self.P = P = np.ascontiguousarray(self.P)
+        status, beta_new, e, q, K = _kf_step(
+            P, self.beta, x, y, self.veps, self.vomega
+        )
+        if status != _ACCEPTED:
+            if status == _NONPOSITIVE:
+                raise ValueError(f"forecast variance must stay positive, got {q}")
             raise ValueError("non-finite update: check the scale of x and the state")
-        if not q > 0.0:
-            raise ValueError(f"forecast variance must stay positive, got {q}")
-        # P' = P + vomega I - g g' with g = Rx / sqrt(q), written into P's own
-        # buffer: the diagonal first, then one BLAS rank-1 update.  With
-        # alpha = -1 every entry becomes a_ij - g_i*g_j, and the products
-        # commute exactly, so P' stays bitwise symmetric.  P is C-ordered, so
-        # ``ravel`` is a view and ``dger`` writes into ``P.T`` (Fortran-ordered)
-        # in place; P is rebound to its result all the same.
-        P.ravel()[:: self.p + 1] += self.vomega
-        g = Rx / math.sqrt(q)
-        self.P = dger(-1.0, g, g, a=P.T, overwrite_a=1).T
         self.beta = beta_new
         self.t += 1
         return KfDiagnostics(innovation=e, forecast_var=q, gain=K)

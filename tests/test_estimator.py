@@ -1,11 +1,11 @@
 """Unit and property tests for the recursive estimators."""
 
-import math
 import warnings
 
 import numpy as np
 import pytest
 
+import flexls.estimator as estimator_module
 from flexls.estimator import (
     DEFAULT_PRIOR_SCALE,
     FlsEstimator,
@@ -14,6 +14,7 @@ from flexls.estimator import (
     UnderdeterminedError,
     _kf_step,
     _kf_step_impl,
+    _kf_step_loops,
     fls_smooth_batch,
     ols_fit,
     write_coefficient_csv,
@@ -241,12 +242,44 @@ class TestKalmanEstimator:
         np.testing.assert_array_equal(est.beta, before)
 
     def test_covariance_stays_symmetric_psd(self):
+        # Odd p leaves the BLAS downdate a scalar tail after its vector
+        # body; 433 does so after any vector width.
         rng = np.random.default_rng(10)
-        est = KalmanEstimator(4, vomega=2.0)
-        for _ in range(200):
-            est.update(rng.normal(size=4), rng.normal())
-            np.testing.assert_array_equal(est.P, est.P.T)
-            assert np.linalg.eigvalsh(est.P).min() >= -1e-12
+        for p in (3, 4, 7, 433):
+            est = KalmanEstimator(p, vomega=2.0)
+            for t in range(200):
+                est.update(rng.normal(size=p), rng.normal())
+                np.testing.assert_array_equal(est.P, est.P.T)
+                if p < 10 or t == 199:
+                    assert np.linalg.eigvalsh(est.P).min() >= -1e-12
+
+    def test_covariance_symmetric_where_dger_is_not(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        p = 7
+        xs, ys = rng.normal(size=(100, p)), rng.normal(size=100)
+        paths = []
+        for symmetric in (True, False):
+            monkeypatch.setattr(estimator_module, "_DGER_SYMMETRIC", symmetric)
+            est = KalmanEstimator(p, vomega=0.5, prior_scale=1.0)
+            betas = []
+            for x, y in zip(xs, ys):
+                est.update(x, y)
+                np.testing.assert_array_equal(est.P, est.P.T)
+                betas.append(est.beta)
+            paths.append(np.array(betas))
+        np.testing.assert_allclose(paths[1], paths[0], rtol=1e-12, atol=1e-14)
+
+    def test_dger_probe_catches_asymmetric_rounding(self, monkeypatch):
+        real_dger = estimator_module.dger
+
+        def lopsided_dger(alpha, x, y, a, overwrite_a):
+            real_dger(alpha, x, y, a=a, overwrite_a=overwrite_a)
+            a[-1, 0] = np.nextafter(a[-1, 0], np.inf)   # one tail entry
+            return a
+
+        assert estimator_module._dger_is_symmetric() == estimator_module._DGER_SYMMETRIC
+        monkeypatch.setattr(estimator_module, "dger", lopsided_dger)
+        assert not estimator_module._dger_is_symmetric()
 
     def test_covariance_symmetric_psd_at_p432(self):
         table, _ = gen_market(MarketConfig(seed=3, n_streams=432, steps=201))
@@ -260,38 +293,71 @@ class TestKalmanEstimator:
         assert eig.min() >= -1e-12 * eig.max()
 
     @pytest.mark.parametrize(
-        "step", [_kf_step_impl, _kf_step], ids=["impl", "step"]
+        "step",
+        [_kf_step_impl, _kf_step, _kf_step_loops],
+        ids=["impl", "step", "loops"],
     )
-    def test_kernel_leaves_its_inputs_untouched(self, step):
+    def test_kernel_downdates_only_the_covariance(self, step):
         rng = np.random.default_rng(16)
         p = 5
         a = rng.normal(size=(p, p))
         P = a @ a.T
         beta = rng.normal(size=p)
         x = rng.normal(size=p)
-        before = [v.copy() for v in (P, beta, x)]
-        beta_new, Rx, e, q, K = step(P, beta, x, 0.7, 1.0, 0.3)
-        assert beta_new.shape == Rx.shape == K.shape == (p,)
+        P_then, beta_then, x_then = P.copy(), beta.copy(), x.copy()
+        status, beta_new, e, q, K = step(P, beta, x, 0.7, 1.0, 0.3)
+        assert status == estimator_module._ACCEPTED
+        assert beta_new.shape == K.shape == (p,)
         assert np.ndim(e) == np.ndim(q) == 0
-        np.testing.assert_allclose(Rx, (P + 0.3 * np.eye(p)) @ x, rtol=1e-13)
-        assert not np.array_equal(beta_new, beta)
-        for now, then in zip((P, beta, x), before):
-            np.testing.assert_array_equal(now, then)
+        R = P_then + 0.3 * np.eye(p)
+        Rx = R @ x
+        np.testing.assert_allclose(q, x @ Rx + 1.0, rtol=1e-13)
+        np.testing.assert_allclose(e, 0.7 - x @ beta_then, rtol=1e-13)
+        np.testing.assert_allclose(K, Rx / q, rtol=1e-13)
+        np.testing.assert_allclose(beta_new, beta_then + e * K, rtol=1e-13)
+        np.testing.assert_allclose(P, R - np.outer(Rx, Rx) / q, rtol=1e-12)
+        np.testing.assert_array_equal(P, P.T)
+        np.testing.assert_array_equal(beta, beta_then)
+        np.testing.assert_array_equal(x, x_then)
+
+    @pytest.mark.parametrize(
+        "step",
+        [_kf_step_impl, _kf_step, _kf_step_loops],
+        ids=["impl", "step", "loops"],
+    )
+    def test_kernel_leaves_its_inputs_untouched(self, step):
+        """A rejected step writes none of its inputs."""
+        P = np.array([[2.0, 0.5], [0.5, 1.0]])
+        cases = [
+            (estimator_module._NONFINITE, P, np.full(2, 1e200), 1.0, 1.0),
+            (estimator_module._NONFINITE, P, np.full(2, 1e-8), 1e305, 1e-14),
+            (estimator_module._NONPOSITIVE, -10.0 * P, np.ones(2), 1.0, 1.0),
+        ]
+        for expected, P0, x, y, veps in cases:
+            P, beta = P0.copy(), np.array([0.1, -0.2])
+            before = [v.copy() for v in (P, beta, x)]
+            with np.errstate(all="ignore"):   # the interpreted loops warn
+                status = step(P, beta, x, y, veps, 0.3)[0]
+            assert status == expected
+            for now, then in zip((P, beta, x), before):
+                np.testing.assert_array_equal(now, then)
 
     def test_indefinite_prior_rejected_without_warning(self):
         with pytest.raises(ValueError, match="P0 must be positive semidefinite"):
             KalmanEstimator(1, vomega=0.0, P0=np.array([[-10.0]]))
         # The kernel handed that prior gets q = x'(P + vomega I)x + veps = -9
         # and takes no square root of it, so it warns about nothing.
+        P = np.array([[-10.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            beta_new, Rx, e, q, K = _kf_step_impl(
-                np.array([[-10.0]]), np.zeros(1), np.ones(1), 1.0, 1.0, 0.0
+            status, beta_new, e, q, K = _kf_step_impl(
+                P, np.zeros(1), np.ones(1), 1.0, 1.0, 0.0
             )
-        assert beta_new.shape == Rx.shape == K.shape == (1,)
-        assert Rx[0] == -10.0
+        assert status == estimator_module._NONPOSITIVE
+        assert beta_new.shape == K.shape == (1,)
         assert e == 1.0
         assert q == -9.0
+        np.testing.assert_array_equal(P, [[-10.0]])
 
     @pytest.mark.parametrize(
         "P0, message",
@@ -379,20 +445,18 @@ class TestKalmanEstimator:
         with pytest.raises(ValueError):
             KalmanEstimator(2, vomega=1.0, P0=np.eye(3))
 
-    def test_nonpositive_forecast_variance_raises_and_keeps_state(
-        self, monkeypatch
-    ):
+    def test_nonpositive_forecast_variance_raises_and_keeps_state(self):
         est = KalmanEstimator(2, vomega=1.0)
         est.update([1.0, 0.5], 1.0)
+        # A covariance set by hand can be indefinite: q = -10.25 here.
+        est.P = np.array([[-10.0, 0.0], [0.0, -10.0]])
         beta, P, t = est.beta.copy(), est.P.copy(), est.t
-
-        def zero_variance_step(P, beta, x, y, veps, vomega):
-            beta_new, Rx, e, _, K = _kf_step_impl(P, beta, x, y, veps, vomega)
-            return beta_new, Rx, e, 0.0, K
-
-        monkeypatch.setattr("flexls.estimator._kf_step", zero_variance_step)
-        with pytest.raises(ValueError, match="forecast variance must stay positive"):
-            est.update([0.3, 2.0], -1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="forecast variance must stay positive"
+            ):
+                est.update([1.0, 0.5], -1.0)
         np.testing.assert_array_equal(est.beta, beta)
         np.testing.assert_array_equal(est.P, P)
         assert est.t == t
@@ -463,25 +527,42 @@ class TestKalmanEstimator:
         assert est.t == 1 and dup.t == 2
         assert not np.array_equal(est.beta, dup.beta)
 
+    def test_loops_kernel_tracks_blas_kernel(self):
+        # The two forms round differently (dger may fuse multiply and add),
+        # so they agree to rounding, not bitwise.
+        rng = np.random.default_rng(20)
+        p = 6
+        P1, P2 = np.eye(p) * 5.0, np.eye(p) * 5.0
+        b1 = b2 = np.zeros(p)
+        for _ in range(100):
+            x = rng.normal(size=p)
+            y = float(rng.normal())
+            s1, b1, e1, q1, K1 = _kf_step_impl(P1, b1, x, y, 1.0, 0.7)
+            s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 1.0, 0.7)
+            assert s1 == s2 == estimator_module._ACCEPTED
+            np.testing.assert_array_equal(P2, P2.T)
+            np.testing.assert_allclose(b2, b1, rtol=1e-12, atol=1e-14)
+            np.testing.assert_allclose(P2, P1, rtol=1e-12, atol=1e-14)
+            assert e2 == pytest.approx(e1, rel=1e-12, abs=1e-14)
+
     def test_jit_kernel_matches_plain_python_bitwise(self):
         if _kf_step is _kf_step_impl:
-            pytest.skip("JIT compiler unavailable; kernels are the same object")
+            pytest.skip("JIT compiler unavailable; the interpreted kernel runs")
         rng = np.random.default_rng(13)
         p = 4
-        P = np.eye(p) * 5.0
-        beta = np.zeros(p)
+        P1, P2 = np.eye(p) * 5.0, np.eye(p) * 5.0
+        b1 = b2 = np.zeros(p)
         for _ in range(50):
             x = rng.normal(size=p)
             y = float(rng.normal())
-            b1, Rx1, e1, q1, K1 = _kf_step(P, beta, x, y, 1.0, 0.7)
-            b2, Rx2, e2, q2, K2 = _kf_step_impl(P, beta, x, y, 1.0, 0.7)
-            assert b1.shape == Rx1.shape == K1.shape == (p,)
+            s1, b1, e1, q1, K1 = _kf_step(P1, b1, x, y, 1.0, 0.7)
+            s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 1.0, 0.7)
+            assert s1 == s2 == estimator_module._ACCEPTED
+            assert b1.shape == K1.shape == (p,)
             assert np.array_equal(b1, b2)
-            assert np.array_equal(Rx1, Rx2)
             assert np.array_equal(K1, K2)
+            assert np.array_equal(P1, P2)
             assert e1 == e2 and q1 == q2
-            g = Rx1 / math.sqrt(q1)
-            beta, P = b1, P + 0.7 * np.eye(p) - np.outer(g, g)
 
 
 class TestOlsFit:
