@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +43,6 @@ from .ingest import (
 )
 from .metrics import format_report_table, summarize, write_report_csv
 from .strategy import (
-    ENGINES,
     RULES,
     EstimatorConfig,
     FeatureConfig,
@@ -93,7 +92,6 @@ _JOB_DEFAULTS = {
     "features": "raw",
     "k": "3",
     "amnesia": "0",
-    "engine": "kalman",
     "prior_scale": "1e6",
     "veps": "1",
     "multiplier": "250",
@@ -124,9 +122,7 @@ class BacktestJob:
     deltas: tuple[float, ...]
     single_delta: bool           # config gave 'delta' rather than 'delta_grid'
     features: FeatureConfig
-    engine: str
-    prior_scale: float
-    veps: float
+    estimator: EstimatorConfig   # prior_scale and veps; delta is deltas[0]
     sizing: SizingConfig
     rule: str
     warmup: int | None
@@ -137,12 +133,7 @@ class BacktestJob:
     trading_days: int
 
     def estimator_config(self, delta: float) -> EstimatorConfig:
-        return EstimatorConfig(
-            delta=delta,
-            prior_scale=self.prior_scale,
-            veps=self.veps,
-            engine=self.engine,
-        )
+        return replace(self.estimator, delta=delta)
 
     def effective_text(self) -> str:
         """Config text that reproduces this job exactly when re-parsed."""
@@ -162,9 +153,8 @@ class BacktestJob:
         else:
             lines.append("features = raw")
         lines.append(f"amnesia = {self.features.amnesia!r}")
-        lines.append(f"engine = {self.engine}")
-        lines.append(f"prior_scale = {self.prior_scale!r}")
-        lines.append(f"veps = {self.veps!r}")
+        lines.append(f"prior_scale = {self.estimator.prior_scale!r}")
+        lines.append(f"veps = {self.estimator.veps!r}")
         lines.append(f"multiplier = {self.sizing.multiplier!r}")
         lines.append(f"endowment = {self.sizing.endowment!r}")
         lines.append(f"cost_per_contract = {self.sizing.cost_per_contract!r}")
@@ -221,6 +211,14 @@ def _parse_delta_list(key: str, text: str) -> tuple[float, ...]:
     return tuple(deduped)
 
 
+def _library_config(field: str, cls, **values):
+    """``cls(**values)``, with the library's ``ValueError`` as a config error."""
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
 def _parse_features(raw: dict[str, str], mode_text: str) -> FeatureConfig:
     """Feature settings from 'raw', 'svd' (k from its own key), or 'svd:<k>'."""
     amnesia = _parse_float(raw, "amnesia")
@@ -238,10 +236,9 @@ def _parse_features(raw: dict[str, str], mode_text: str) -> FeatureConfig:
         raise ConfigError(
             "features", f"expected 'raw', 'svd' or 'svd:<k>', got {text!r}"
         )
-    try:
-        return FeatureConfig(mode="svd", k=k, amnesia=amnesia)
-    except ValueError as exc:
-        raise ConfigError("features", str(exc)) from None
+    return _library_config(
+        "features", FeatureConfig, mode="svd", k=k, amnesia=amnesia
+    )
 
 
 def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
@@ -283,28 +280,24 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
     features_text = getattr(args, "features", None) or merged["features"]
     features = _parse_features(merged, features_text)
 
-    engine = merged["engine"]
-    if engine not in ENGINES:
-        raise ConfigError("engine", f"must be one of {ENGINES}, got {engine!r}")
     rule = merged["rule"]
     if rule not in RULES:
         raise ConfigError("rule", f"must be one of {RULES}, got {rule!r}")
 
-    prior_scale = _parse_float(merged, "prior_scale")
-    if not prior_scale > 0.0:
-        raise ConfigError("prior_scale", "must be positive")
-    veps = _parse_float(merged, "veps")
-    if not veps > 0.0:
-        raise ConfigError("veps", "must be positive")
-
-    try:
-        sizing = SizingConfig(
-            multiplier=_parse_float(merged, "multiplier"),
-            endowment=_parse_float(merged, "endowment"),
-            cost_per_contract=_parse_float(merged, "cost_per_contract"),
-        )
-    except ValueError as exc:
-        raise ConfigError("multiplier/endowment/cost_per_contract", str(exc)) from None
+    estimator = _library_config(
+        "prior_scale/veps",
+        EstimatorConfig,
+        delta=deltas[0],
+        prior_scale=_parse_float(merged, "prior_scale"),
+        veps=_parse_float(merged, "veps"),
+    )
+    sizing = _library_config(
+        "multiplier/endowment/cost_per_contract",
+        SizingConfig,
+        multiplier=_parse_float(merged, "multiplier"),
+        endowment=_parse_float(merged, "endowment"),
+        cost_per_contract=_parse_float(merged, "cost_per_contract"),
+    )
 
     warmup: int | None = None
     warmup_end: dt.date | None = None
@@ -339,9 +332,7 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
         deltas=deltas,
         single_delta=single,
         features=features,
-        engine=engine,
-        prior_scale=prior_scale,
-        veps=veps,
+        estimator=estimator,
         sizing=sizing,
         rule=rule,
         warmup=warmup,
@@ -442,15 +433,12 @@ def _cmd_backtest(args) -> int:
     out = _prepare_out_dir(job)
     for delta, ledger, path, _ in results:
         write_ledger_csv(out / f"ledger_{delta!r}.csv", ledger)
-        if job.engine == "kalman":
-            write_coefficient_csv(
-                out / f"coefficients_{delta!r}.csv",
-                path.betas,
-                innovations=path.innovations,
-                forecast_vars=path.forecast_vars,
-            )
-        else:
-            write_coefficient_csv(out / f"coefficients_{delta!r}.csv", path.betas)
+        write_coefficient_csv(
+            out / f"coefficients_{delta!r}.csv",
+            path.betas,
+            path.innovations,
+            path.forecast_vars,
+        )
     write_report_csv(out / "report.csv", [(d, r) for d, _, _, r in results])
     print(format_report_table([(d, r) for d, _, _, r in results]))
     return EXIT_OK

@@ -19,8 +19,6 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
-from .util import fmt_g17, write_rows
-
 
 class NotReadyError(RuntimeError):
     """Projection requested before every component has been seeded."""
@@ -147,42 +145,3 @@ class EigenTracker:
         if r.shape != (self.p,):
             raise ValueError(f"sample must have shape ({self.p},), got {r.shape}")
         return self.components() @ r
-
-    def copy(self) -> "EigenTracker":
-        dup = EigenTracker.__new__(EigenTracker)
-        dup.p = self.p
-        dup.k = self.k
-        dup.amnesia = self.amnesia
-        dup.h = self.h.copy()
-        dup.counts = self.counts.copy()
-        dup.n = self.n
-        dup._active = self._active
-        return dup
-
-
-def write_eigenvalue_csv(path, history) -> None:
-    """Write an eigenvalue history as CSV: ``t`` (1-based) then lambda_j."""
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 2:
-        raise ValueError("history must be (T, k)")
-    T, k = history.shape
-    header = ["t"] + [f"lambda_{j + 1}" for j in range(k)]
-    write_rows(
-        path,
-        header,
-        ([str(t + 1)] + [fmt_g17(v) for v in history[t]] for t in range(T)),
-    )
-
-
-def write_component_csv(path, history) -> None:
-    """Write one component's path as CSV: ``t`` (1-based) then g_1..g_p."""
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 2:
-        raise ValueError("history must be (T, p)")
-    T, p = history.shape
-    header = ["t"] + [f"g_{i + 1}" for i in range(p)]
-    write_rows(
-        path,
-        header,
-        ([str(t + 1)] + [fmt_g17(v) for v in history[t]] for t in range(T)),
-    )

@@ -6,16 +6,15 @@ Two routes to the same coefficient path:
   at a time.  The running state is a quadratic cost surface; each update
   folds in one observation and one smoothness penalty, and the estimate is
   the minimizer of the updated surface.  Costs two symmetric solves per step.
+  It is the reference the filter is checked against.
 * ``KalmanEstimator`` is the inversion-free form of the same recursion.
   With state noise ``1/mu`` per coefficient and unit observation noise it
-  reproduces the penalized path to rounding error, at O(p^2) per step, so it
-  is the preferred engine for wide regressions.
+  reproduces the penalized path to rounding error, at O(p^2) per step.  The
+  backtest runs it.
 
 ``fls_smooth_batch`` runs the penalized recursion over a whole sample and
 then sweeps backward, re-estimating every coefficient with hindsight.  The
-smoothed path is the global minimizer of the full objective.  ``ols_fit``
-is the constant-coefficient reference the penalized path collapses to as
-the smoothness weight grows.
+smoothed path is the global minimizer of the full objective.
 """
 
 from __future__ import annotations
@@ -167,12 +166,6 @@ class Smoothing:
             )
         object.__setattr__(self, "mu", (1.0 - self.delta) / self.delta)
 
-    @classmethod
-    def from_mu(cls, mu: float) -> "Smoothing":
-        if not (mu > 0.0) or not math.isfinite(mu):
-            raise ValueError(f"mu must be finite and positive, got {mu}")
-        return cls(delta=1.0 / (1.0 + mu))
-
 
 def _as_vector(x, p: int, name: str) -> NDArray[np.float64]:
     v = np.asarray(x, dtype=float)
@@ -238,8 +231,7 @@ class FlsEstimator:
     :class:`UnderdeterminedError` until the observed regressors span the
     coefficient space.  The default diffuse prior avoids that.
 
-    Not thread-safe: ``update`` mutates in place.  Use :meth:`copy` to
-    branch a stream.
+    Not thread-safe: ``update`` mutates in place.
     """
 
     def __init__(
@@ -278,23 +270,6 @@ class FlsEstimator:
         self.beta = beta
         self.t += 1
         return beta.copy()
-
-    def minimized_cost(self) -> float:
-        """Objective value attained by the best coefficient path so far."""
-        return self.r + float(self.beta @ self.S @ self.beta) - 2.0 * float(
-            self.beta @ self.s
-        )
-
-    def copy(self) -> "FlsEstimator":
-        dup = FlsEstimator.__new__(FlsEstimator)
-        dup.p = self.p
-        dup.smoothing = self.smoothing
-        dup.S = self.S.copy()
-        dup.s = self.s.copy()
-        dup.r = self.r
-        dup.beta = self.beta.copy()
-        dup.t = self.t
-        return dup
 
 
 @dataclass
@@ -418,8 +393,10 @@ class KalmanEstimator:
         self.vomega = float(vomega)
         self.veps = float(veps)
         if P0 is None:
-            if not (prior_scale > 0.0):
-                raise ValueError(f"prior_scale must be positive, got {prior_scale}")
+            if not (prior_scale > 0.0) or not math.isfinite(prior_scale):
+                raise ValueError(
+                    f"prior_scale must be finite and positive, got {prior_scale}"
+                )
             self.P = np.eye(self.p) * float(prior_scale)
         else:
             P0 = np.asarray(P0, dtype=float)
@@ -517,47 +494,29 @@ class KalmanEstimator:
         return dup
 
 
-def ols_fit(xs, ys) -> NDArray[np.float64]:
-    """Ordinary least squares over the whole sample.
-
-    The constant-coefficient limit of the penalized path; used as a
-    reference in tests and available for baseline comparisons.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 2 or ys.shape != (xs.shape[0],):
-        raise ValueError("xs must be (T, p) with matching ys of length T")
-    return _solve_checked(xs.T @ xs, xs.T @ ys)
-
-
 def write_coefficient_csv(
     path,
     betas,
-    innovations: Sequence[float] | None = None,
-    forecast_vars: Sequence[float] | None = None,
+    innovations: Sequence[float],
+    forecast_vars: Sequence[float],
 ) -> None:
-    """Write a coefficient path as CSV.
+    """Write a coefficient path and the filter's diagnostics as CSV.
 
-    Columns are ``t`` (1-based), one ``beta_i`` per coefficient, then
-    optional ``e`` and ``Q`` diagnostic columns.  Floats carry 17
+    Columns are ``t`` (1-based), one ``beta_i`` per coefficient, then the
+    innovation ``e`` and its forecast variance ``Q``.  Floats carry 17
     significant digits so reruns are byte-identical and lossless.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 2:
         raise ValueError("betas must be (T, p)")
     T, p = betas.shape
-    header = ["t"] + [f"beta_{i + 1}" for i in range(p)]
-    extras = []
-    for name, col in (("e", innovations), ("Q", forecast_vars)):
-        if col is not None:
-            col = np.asarray(col, dtype=float)
-            if col.shape != (T,):
-                raise ValueError(f"{name} column must have length {T}")
-            header.append(name)
-            extras.append(col)
+    extras = [np.asarray(col, dtype=float) for col in (innovations, forecast_vars)]
+    if any(col.shape != (T,) for col in extras):
+        raise ValueError(f"e and Q columns must have length {T}")
+    header = ["t"] + [f"beta_{i + 1}" for i in range(p)] + ["e", "Q"]
 
     # "%.17g" gives the same text as util.fmt_g17: lossless, byte-stable.
-    row_fmt = "%d" + ",%.17g" * (p + len(extras)) + "\n"
+    row_fmt = "%d" + ",%.17g" * (p + 2) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for t, row in enumerate(np.column_stack([betas, *extras]).tolist(), 1):

@@ -18,17 +18,20 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .eigentrack import EigenTracker
-from .estimator import (
-    DEFAULT_PRIOR_SCALE,
-    FlsEstimator,
-    KalmanEstimator,
-    Smoothing,
-)
+from .estimator import DEFAULT_PRIOR_SCALE, KalmanEstimator, Smoothing
 from .ingest import DataError, ReturnMatrix
 
 RULES = ("mean-reversion", "buy-hold")
-ENGINES = ("kalman", "fls")
 FEATURE_MODES = ("raw", "svd")
+
+
+def _check_finite(config, name: str, positive: bool) -> None:
+    """Raise ``ValueError`` unless the field is finite and > 0 (or >= 0)."""
+    value = getattr(config, name)
+    ok = value > 0.0 if positive else value >= 0.0
+    if not (ok and math.isfinite(value)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -44,31 +47,23 @@ class SizingConfig:
     cost_per_contract: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.multiplier > 0.0):
-            raise ValueError(f"multiplier must be positive, got {self.multiplier}")
-        if not (self.endowment > 0.0):
-            raise ValueError(f"endowment must be positive, got {self.endowment}")
-        if self.cost_per_contract < 0.0:
-            raise ValueError("cost_per_contract must be >= 0")
+        _check_finite(self, "multiplier", positive=True)
+        _check_finite(self, "endowment", positive=True)
+        _check_finite(self, "cost_per_contract", positive=False)
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Regression engine selection for the backtest."""
+    """Settings of the backtest's regression filter."""
 
     delta: float
     prior_scale: float = DEFAULT_PRIOR_SCALE
     veps: float = 1.0
-    engine: str = "kalman"
 
     def __post_init__(self) -> None:
         Smoothing(self.delta)   # validates the range
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        if not (self.prior_scale > 0.0):
-            raise ValueError("prior_scale must be positive")
-        if not (self.veps > 0.0):
-            raise ValueError("veps must be positive")
+        _check_finite(self, "prior_scale", positive=True)
+        _check_finite(self, "veps", positive=True)
 
 
 @dataclass(frozen=True)
@@ -86,6 +81,7 @@ class FeatureConfig:
             )
         if self.mode == "svd" and self.k < 1:
             raise ValueError("k must be >= 1 in svd mode")
+        _check_finite(self, "amnesia", positive=False)
 
 
 def signal(spread_value: float) -> int:
@@ -135,8 +131,8 @@ class SpreadPath:
 
     ``active`` marks rows where the estimator actually ran; during feature
     warm-up the residual falls back to the raw target return and the
-    coefficient row stays NaN.  ``innovations`` and ``forecast_vars`` are
-    filled only by the Kalman engine.
+    coefficient row stays NaN, as do that row's filter ``innovations`` and
+    ``forecast_vars``.
     """
 
     spreads: NDArray[np.float64]
@@ -211,13 +207,12 @@ def estimate_spreads(
         raise ValueError(f"regressors must have {n} rows, one per return row")
     dim = features.values.shape[1]
 
-    smoothing = Smoothing(estimator.delta)
-    if estimator.engine == "kalman":
-        engine = KalmanEstimator.from_smoothing(
-            dim, smoothing, veps=estimator.veps, prior_scale=estimator.prior_scale
-        )
-    else:
-        engine = FlsEstimator(dim, smoothing, s0_scale=1.0 / estimator.prior_scale)
+    kf = KalmanEstimator.from_smoothing(
+        dim,
+        Smoothing(estimator.delta),
+        veps=estimator.veps,
+        prior_scale=estimator.prior_scale,
+    )
 
     spreads = np.empty(n)
     betas = np.full((n, dim), np.nan)
@@ -230,15 +225,11 @@ def estimate_spreads(
             spreads[i] = a
             continue
         f = features.values[i]
-        if isinstance(engine, KalmanEstimator):
-            diag = engine.update(f, a)
-            innovations[i] = diag.innovation
-            forecast_vars[i] = diag.forecast_var
-            beta = engine.beta
-        else:
-            beta = engine.update(f, a)
-        betas[i] = beta
-        spreads[i] = a - float(f @ beta)
+        diag = kf.update(f, a)
+        innovations[i] = diag.innovation
+        forecast_vars[i] = diag.forecast_var
+        betas[i] = kf.beta
+        spreads[i] = a - float(f @ kf.beta)
 
     return SpreadPath(
         spreads=spreads,

@@ -68,6 +68,16 @@ def path_cost(xs, ys, mu, path, S0=None, s0=None):
     return cost
 
 
+def ols_fit(xs, ys):
+    """Ordinary least squares over the whole sample, by the normal equations.
+
+    The constant-coefficient limit of the penalized path.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    return np.linalg.solve(xs.T @ xs, xs.T @ ys)
+
+
 def batch_eigh_basis(samples, k):
     """Top-k eigenvectors of the empirical second-moment matrix, as rows."""
     samples = np.asarray(samples, dtype=float)

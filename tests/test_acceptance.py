@@ -29,7 +29,6 @@ from flexls.estimator import (
     KalmanEstimator,
     Smoothing,
     fls_smooth_batch,
-    ols_fit,
 )
 from flexls.eigentrack import EigenTracker
 from flexls.ingest import ReturnMatrix, to_log_returns, write_csv
@@ -43,7 +42,7 @@ from flexls.strategy import (
 )
 from flexls.synth import Fig2Config, MarketConfig, gen_fig2, gen_market
 
-from .oracle import penalized_path_direct, path_cost
+from .oracle import ols_fit, penalized_path_direct, path_cost
 
 
 def warm_filter_kernel():

@@ -5,6 +5,10 @@ exit codes, outputs on disk, and the promise that failing runs leave
 nothing behind.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -331,6 +335,51 @@ class TestBacktestErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param("veps = inf\n", id="veps=inf"),
+            pytest.param("prior_scale = inf\n", id="prior_scale=inf"),
+            pytest.param("prior_scale = 1e400\n", id="prior_scale=1e400"),
+            pytest.param("endowment = inf\n", id="endowment=inf"),
+            pytest.param("features = svd\namnesia = inf\n", id="svd-amnesia=inf"),
+            pytest.param("features = svd\namnesia = -1\n", id="svd-amnesia=-1"),
+            pytest.param("multiplier = inf\n", id="multiplier=inf"),
+            pytest.param("cost_per_contract = nan\n", id="cost_per_contract=nan"),
+            pytest.param("cost_per_contract = inf\n", id="cost_per_contract=inf"),
+        ],
+    )
+    def test_non_finite_setting_is_config_error_and_leaves_no_outputs(
+        self, tmp_path, market_csv, capsys, extra
+    ):
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path, base_config(market_csv, out, extra))
+        key = extra.splitlines()[-1].split("=")[0].strip()
+        err = self.run_expecting(
+            EXIT_CONFIG, ["backtest", "--config", str(cfg)], capsys, "config error: "
+        )
+        assert f"{key} must be finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["fls", "kalman"])
+    def test_engine_setting_is_unknown_key(
+        self, tmp_path, market_csv, capsys, engine
+    ):
+        # Configs and effective_config.txt files written while an engine could
+        # be chosen name one; the filter is now the only engine, and such a
+        # config fails before any output.
+        out = tmp_path / "never"
+        cfg = write_config(
+            tmp_path, base_config(market_csv, out, f"engine = {engine}\n")
+        )
+        self.run_expecting(
+            EXIT_CONFIG,
+            ["backtest", "--config", str(cfg)],
+            capsys,
+            "config error: engine: unknown key",
+        )
+        assert not out.exists()
+
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):
         self.run_expecting(
             EXIT_CONFIG,
@@ -439,3 +488,30 @@ class TestSimFig2Command:
         assert main(["sim-fig2", "--seed", "7", "--out-dir", str(out)]) == EXIT_OK
         text = (out / "effective_config.txt").read_text()
         assert "seed = 7" in text and "delta = 0.98" in text
+
+
+class TestBenchmarkTraceTargets:
+    """Every name the benchmark's tracer wraps must still exist.
+
+    A name that lookup cannot find makes the tracer drop the per-layer
+    metrics built from it without failing the run, so a rename or move in
+    the package would go unnoticed there.
+    """
+
+    SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+    def load_spans(self, monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)   # read-only
+        spec = importlib.util.spec_from_file_location("perfbench_spans", self.SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        return spans
+
+    def test_every_target_resolves(self, monkeypatch):
+        spans = self.load_spans(monkeypatch)
+        assert spans.TARGETS
+        for target in spans.TARGETS:
+            owner = importlib.import_module(target.module)
+            if target.cls is not None:
+                owner = getattr(owner, target.cls)
+            assert callable(getattr(owner, target.attr, None)), target

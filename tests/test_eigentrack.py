@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from flexls.eigentrack import (
-    EigenTracker,
-    NotReadyError,
-    write_component_csv,
-    write_eigenvalue_csv,
-)
+from flexls.eigentrack import EigenTracker, NotReadyError
 
 from .oracle import batch_eigh_basis
 
@@ -183,40 +178,3 @@ class TestProjection:
         tr = self._converged_tracker()
         with pytest.raises(ValueError):
             tr.project([1.0, 2.0])
-
-
-class TestCopy:
-    def test_copy_is_independent(self):
-        rng = np.random.default_rng(27)
-        tr = EigenTracker(3, 2)
-        for _ in range(10):
-            tr.update(rng.normal(size=3))
-        dup = tr.copy()
-        dup.update(rng.normal(size=3))
-        assert dup.n == tr.n + 1
-        assert not np.array_equal(dup.h, tr.h)
-
-
-class TestCsv:
-    def test_eigenvalue_history_round_trip(self, tmp_path):
-        hist = np.array([[4.0, 1.0], [4.1, 0.9]])
-        out = tmp_path / "eig.csv"
-        write_eigenvalue_csv(out, hist)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,lambda_1,lambda_2"
-        assert lines[1].split(",")[0] == "1"
-        assert float(lines[2].split(",")[2]) == 0.9
-
-    def test_component_history_round_trip(self, tmp_path):
-        hist = np.array([[0.6, 0.8, 0.0]])
-        out = tmp_path / "comp.csv"
-        write_component_csv(out, hist)
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,g_1,g_2,g_3"
-        assert [float(v) for v in lines[1].split(",")[1:]] == [0.6, 0.8, 0.0]
-
-    def test_shape_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_eigenvalue_csv(tmp_path / "x.csv", np.zeros(3))
-        with pytest.raises(ValueError):
-            write_component_csv(tmp_path / "y.csv", np.zeros((2, 2, 2)))

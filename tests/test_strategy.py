@@ -81,13 +81,29 @@ class TestPureFunctions:
         with pytest.raises(ValueError):
             EstimatorConfig(delta=1.0)
         with pytest.raises(ValueError):
-            EstimatorConfig(delta=0.5, engine="magic")
-        with pytest.raises(ValueError):
             EstimatorConfig(delta=0.5, prior_scale=0.0)
         with pytest.raises(ValueError):
             FeatureConfig(mode="pca")
         with pytest.raises(ValueError):
             FeatureConfig(mode="svd", k=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda v: EstimatorConfig(delta=0.5, prior_scale=v),
+            lambda v: EstimatorConfig(delta=0.5, veps=v),
+            lambda v: SizingConfig(multiplier=v),
+            lambda v: SizingConfig(endowment=v),
+            lambda v: SizingConfig(cost_per_contract=v),
+            lambda v: FeatureConfig(mode="svd", amnesia=v),
+        ],
+        ids=["prior_scale", "veps", "multiplier", "endowment",
+             "cost_per_contract", "amnesia"],
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_config_rejects_non_finite_values(self, make, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            make(value)
 
 
 class TestEstimateSpreads:
@@ -110,16 +126,9 @@ class TestEstimateSpreads:
 
     def test_kalman_engine_records_diagnostics(self):
         returns, _ = make_market(seed=3, steps=60)
-        path = estimate_spreads(returns, EstimatorConfig(delta=0.5, engine="kalman"))
+        path = estimate_spreads(returns, EstimatorConfig(delta=0.5))
         assert np.all(np.isfinite(path.innovations))
         assert np.all(path.forecast_vars > 0.0)
-
-    def test_fls_engine_matches_kalman_closely(self):
-        returns, _ = make_market(seed=4, steps=100)
-        kal = estimate_spreads(returns, EstimatorConfig(delta=0.5, engine="kalman"))
-        fls = estimate_spreads(returns, EstimatorConfig(delta=0.5, engine="fls"))
-        assert np.all(np.isnan(fls.innovations))   # diagnostics are kalman-only
-        np.testing.assert_allclose(fls.spreads, kal.spreads, atol=1e-6)
 
     def test_svd_mode_warms_up_then_projects(self):
         returns, _ = make_market(seed=5, steps=100)
