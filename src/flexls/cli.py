@@ -220,14 +220,16 @@ def _library_config(field: str, cls, **values):
 
 
 def _parse_features(raw: dict[str, str], mode_text: str) -> FeatureConfig:
-    """Feature settings from 'raw', 'svd' (k from its own key), or 'svd:<k>'."""
+    """Feature settings from 'raw', 'svd' (k from its own key), or 'svd:<k>'.
+
+    ``k`` and ``amnesia`` are checked in every mode, though only svd uses them.
+    """
     amnesia = _parse_float(raw, "amnesia")
     text = mode_text.strip()
-    if text == "raw":
-        return FeatureConfig(mode="raw")
-    if text == "svd":
-        k = _parse_int(raw, "k")
+    if text in ("raw", "svd"):
+        mode, k = text, _parse_int(raw, "k")
     elif text.startswith("svd:"):
+        mode = "svd"
         try:
             k = int(text[4:])
         except ValueError:
@@ -237,7 +239,7 @@ def _parse_features(raw: dict[str, str], mode_text: str) -> FeatureConfig:
             "features", f"expected 'raw', 'svd' or 'svd:<k>', got {text!r}"
         )
     return _library_config(
-        "features", FeatureConfig, mode="svd", k=k, amnesia=amnesia
+        "features", FeatureConfig, mode=mode, k=k, amnesia=amnesia
     )
 
 
@@ -346,8 +348,8 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
 
 def _load_job_config(args, need_grid: bool) -> BacktestJob:
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("--config", f"cannot read {args.config}: {exc}") from None
     return build_job(parse_config_text(text), args, need_grid)
 
@@ -361,7 +363,8 @@ def _load_returns(job: BacktestJob):
         raise DataError(str(exc)) from exc
     table = forward_fill(table)
     returns = to_log_returns(table)
-    index_prices = table.prices[:, 0]
+    # A copy, so the price table is freed once the returns are taken.
+    index_prices = table.prices[:, 0].copy()
     return returns, index_prices
 
 
@@ -422,7 +425,9 @@ def _prepare_out_dir(job: BacktestJob) -> Path:
     """Create the job's output directory and write its effective config."""
     out = Path(job.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "effective_config.txt").write_text(job.effective_text())
+    (out / "effective_config.txt").write_text(
+        job.effective_text(), encoding="utf-8"
+    )
     return out
 
 
@@ -525,7 +530,8 @@ def _cmd_sim_fig2(args) -> int:
     write_rows(out / "fig2_summary.csv", ["mode", "segment", "t_start", "t_end", "mse"], seg_rows())
     (out / "effective_config.txt").write_text(
         f"seed = {args.seed}\ndelta = {args.delta!r}\nmode = {args.mode}\n"
-        f"out_dir = {args.out_dir}\n"
+        f"out_dir = {args.out_dir}\n",
+        encoding="utf-8",
     )
     print(f"wrote {out / 'fig2_paths.csv'} and {out / 'fig2_summary.csv'}")
     return EXIT_OK

@@ -494,17 +494,24 @@ class KalmanEstimator:
         return dup
 
 
+# Rows of a coefficient path turned into Python floats and text at a time:
+# at p=432 one block holds under 1 MB of them.
+COEFFICIENT_BLOCK_ROWS = 64
+
+
 def write_coefficient_csv(
     path,
     betas,
     innovations: Sequence[float],
     forecast_vars: Sequence[float],
 ) -> None:
-    """Write a coefficient path and the filter's diagnostics as CSV.
+    """Write a coefficient path and the filter's diagnostics as UTF-8 CSV.
 
     Columns are ``t`` (1-based), one ``beta_i`` per coefficient, then the
     innovation ``e`` and its forecast variance ``Q``.  Floats carry 17
-    significant digits so reruns are byte-identical and lossless.
+    significant digits so reruns are byte-identical and lossless.  Rows are
+    formatted ``COEFFICIENT_BLOCK_ROWS`` at a time, so the Python floats and
+    text held at once stay small however long the path is.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 2:
@@ -517,7 +524,10 @@ def write_coefficient_csv(
 
     # "%.17g" gives the same text as util.fmt_g17: lossless, byte-stable.
     row_fmt = "%d" + ",%.17g" * (p + 2) + "\n"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for t, row in enumerate(np.column_stack([betas, *extras]).tolist(), 1):
-            fh.write(row_fmt % (t, *row))
+        for start in range(0, T, COEFFICIENT_BLOCK_ROWS):
+            rows = slice(start, start + COEFFICIENT_BLOCK_ROWS)
+            block = np.column_stack([betas[rows], *(col[rows] for col in extras)])
+            for t, row in enumerate(block.tolist(), start + 1):
+                fh.write(row_fmt % (t, *row))

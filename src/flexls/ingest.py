@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,41 +90,38 @@ class ReturnMatrix:
 
 
 def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
-    """Load a price CSV and put ``target`` in column 0.
+    """Load a UTF-8 price CSV and put ``target`` in column 0.
 
     The header must start with ``date``; every other header cell names a
     stream.  Rows are sorted by date.  Cells may be empty (holes), but a
     stream whose hole fraction exceeds ``max_missing_frac`` is rejected:
     forward-filling that much data would manufacture prices.
 
-    A file without holes or bad cells is parsed in C by ``np.loadtxt``;
-    any other is parsed cell by cell, which gives the same values and
-    names the first bad line.
+    A file without holes or bad cells is parsed in C by one ``np.loadtxt``
+    call that reads the open file line by line, so the text is never held
+    whole; the one copy made after that is the C-ordered, target-first
+    price array.  Any other file is read again, whole, and parsed cell by
+    cell, which gives the same values and names the first bad line.
     """
     if not (0.0 <= max_missing_frac <= 1.0):
         raise ValueError(
             f"max_missing_frac must lie in [0, 1], got {max_missing_frac}"
         )
     path = Path(path)
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    header = [cell.strip() for cell in lines[0].split(",")]
-    if len(header) < 2 or header[0].lower() != "date":
-        raise DataError(
-            f"{path}: header must be 'date,<stream>,...', got {lines[0]!r}"
-        )
-    labels = header[1:]
-    if len(set(labels)) != len(labels):
-        raise DataError(f"{path}: duplicate stream labels in header")
-    if target not in labels:
-        raise DataError(f"{path}: target column {target!r} not in header")
-
-    parsed = _parse_clean(lines[1:], len(labels))
-    if parsed is None:
-        parsed = _parse_rows(path, lines[1:], labels)
-    dates, prices = parsed
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            # str.splitlines() may cut the first line further; then the
+            # whole file takes the cell-by-cell path, which cuts lines so.
+            head = fh.readline().splitlines()
+            labels = _parse_header(path, head[0] if head else None)
+            if target not in labels:
+                raise DataError(f"{path}: target column {target!r} not in header")
+            parsed = _parse_clean(fh, len(labels)) if len(head) == 1 else None
+        if parsed is None:
+            parsed = _parse_rows(path, _read_lines(path)[1:], labels)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    dates, table = parsed
 
     if not dates:
         raise DataError(f"{path}: no data rows")
@@ -133,16 +131,19 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
             raise DataError(f"{path}: duplicate date {day.isoformat()}")
         seen.add(day)
     by_date = sorted(range(len(dates)), key=dates.__getitem__)
-    dates = [dates[i] for i in by_date]
-    prices = prices[by_date]
+    if by_date != list(range(len(dates))):
+        dates = [dates[i] for i in by_date]
+        table = table[by_date]
 
     # Put the target first, keep the remaining streams in header order.
-    # ``np.take`` makes its one copy in C order (``prices[:, order]`` would
-    # leave it in Fortran order), so every row the filter, the tracker and
-    # the spread read as a regressor is contiguous.
+    # The price columns are the table's last len(labels).  ``np.take`` makes
+    # its one copy in C order (``table[:, order]`` would leave it in Fortran
+    # order), so every row the filter, the tracker and the spread read as a
+    # regressor is contiguous.
+    skip = table.shape[1] - len(labels)
     ti = labels.index(target)
     order = [ti] + [i for i in range(len(labels)) if i != ti]
-    prices = np.take(prices, order, axis=1)
+    prices = np.take(table, [skip + i for i in order], axis=1)
     labels = [labels[i] for i in order]
 
     hole_frac = np.isnan(prices).mean(axis=0)
@@ -155,46 +156,81 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     return PriceTable(dates=dates, prices=prices, labels=labels)
 
 
-def _parse_clean(
-    lines: list[str], n_streams: int
-) -> tuple[list[dt.date], NDArray[np.float64]] | None:
-    """Parse data lines that hold no hole and no bad cell, in C.
+def _read_lines(path: Path) -> list[str]:
+    """The file's lines as ``str.splitlines`` cuts them, terminators dropped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read().splitlines()
 
-    Returns ``(dates, prices)`` in file order, or None when any line might
-    need :func:`_parse_rows`: an empty cell, a wrong field count, or a cell
-    that ``np.loadtxt`` rejects or reads as infinite.  ``loadtxt`` and
-    ``float()`` share CPython's correctly rounded string-to-double, so the
-    values are the ones ``_parse_rows`` would give; the few spellings only
-    ``float()`` accepts (``1_0``, non-ASCII digits) fall back to it.
-    """
-    body = [line for line in lines if line.strip()]
-    # usecols would drop a surplus field without a word, so count fields;
-    # an empty cell is a hole, which only _parse_rows accepts.
-    if not body or not all(
-        line.count(",") == n_streams and ",," not in line and line[-1] != ","
-        for line in body
-    ):
-        return None
-    try:
-        # comments=None: the default "#" would cut a row short.
-        prices = np.loadtxt(
-            body,
-            delimiter=",",
-            usecols=range(1, n_streams + 1),
-            comments=None,
-            dtype=float,
-            ndmin=2,
+
+def _parse_header(path: Path, line: str | None) -> list[str]:
+    """Stream labels from the header line (None for an empty file)."""
+    if line is None:
+        raise DataError(f"{path}: empty file")
+    header = [cell.strip() for cell in line.split(",")]
+    if len(header) < 2 or header[0].lower() != "date":
+        raise DataError(
+            f"{path}: header must be 'date,<stream>,...', got {line!r}"
         )
-        dates = [
-            dt.date.fromisoformat(line[: line.index(",")].strip()) for line in body
-        ]
-    except ValueError:
+    labels = header[1:]
+    if len(set(labels)) != len(labels):
+        raise DataError(f"{path}: duplicate stream labels in header")
+    return labels
+
+
+# str.splitlines() also ends a line at these ASCII characters and at some
+# non-ASCII ones; iterating over a file ends lines only at \n, \r and \r\n.
+_SPLITLINES_ASCII_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+def _file_lines(fh):
+    """Yield the lines of ``fh``; raise ValueError at one ``splitlines`` would cut."""
+    for line in fh:
+        if not line.isascii() or any(c in line for c in _SPLITLINES_ASCII_BREAKS):
+            raise ValueError("line holds a break only str.splitlines() sees")
+        yield line
+
+
+def _date_ordinal(cell: str) -> int:
+    return dt.date.fromisoformat(cell.strip()).toordinal()
+
+
+def _parse_clean(
+    fh, n_streams: int
+) -> tuple[list[dt.date], NDArray[np.float64]] | None:
+    """Parse the rest of an open file in C, if it holds no hole and no bad cell.
+
+    Returns ``(dates, table)`` in file order, ``table`` being (T, 1 +
+    n_streams) with the dates' ordinals in column 0.  Returns None when any
+    line might need :func:`_parse_rows`: an empty cell, a wrong field count,
+    a whitespace-only line, a line ``str.splitlines`` would cut where file
+    iteration does not, a cell ``np.loadtxt`` rejects or reads as infinite,
+    or no data at all.  ``loadtxt`` and ``float()`` share CPython's
+    correctly rounded string-to-double, so the values are the ones
+    ``_parse_rows`` would give; the few spellings only ``float()`` accepts
+    (``1_0``, non-ASCII digits) fall back to it.
+    """
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns, rather than raises, on input with no data rows.
+            warnings.simplefilter("error")
+            # comments=None: the default "#" would cut a row short.  Without
+            # usecols, loadtxt rejects a row whose field count differs from
+            # the first row's; an empty cell fails to convert.
+            table = np.loadtxt(
+                _file_lines(fh),
+                delimiter=",",
+                comments=None,
+                converters={0: _date_ordinal},
+                dtype=float,
+                ndmin=2,
+            )
+    except (ValueError, Warning):
         return None
-    # loadtxt skips lines it takes for empty, and reads "inf" and "1e999" as
-    # infinite: both are for _parse_rows to report.
-    if prices.shape != (len(body), n_streams) or np.isinf(prices).any():
+    # "inf" and "1e999" load as infinite: for _parse_rows to report.
+    if table.shape[1] != 1 + n_streams or np.isinf(table).any():
         return None
-    return dates, prices
+    dates = list(map(dt.date.fromordinal, table[:, 0].astype(np.int64).tolist()))
+    return dates, table
 
 
 def _parse_rows(
@@ -244,7 +280,8 @@ def _parse_rows(
 def forward_fill(table: PriceTable) -> PriceTable:
     """Fill holes with the most recent earlier price.  Idempotent.
 
-    The first row must be complete: there is nothing to fill it from.
+    The first row must be complete: there is nothing to fill it from.  A
+    table with no holes comes back sharing its price array, uncopied.
     """
     prices = table.prices
     first_holes = np.isnan(prices[0])
@@ -254,8 +291,12 @@ def forward_fill(table: PriceTable) -> PriceTable:
             f"stream {table.labels[j]} has no price on the first row "
             f"({table.dates[0].isoformat()}); nothing to fill from"
         )
-    mask = ~np.isnan(prices)
-    idx = np.where(mask, np.arange(len(table.dates))[:, None], 0)
+    holes = np.isnan(prices)
+    if not holes.any():
+        return PriceTable(
+            dates=list(table.dates), prices=prices, labels=list(table.labels)
+        )
+    idx = np.where(holes, 0, np.arange(len(table.dates))[:, None])
     np.maximum.accumulate(idx, axis=0, out=idx)
     filled = prices[idx, np.arange(prices.shape[1])]
     return PriceTable(dates=list(table.dates), prices=filled, labels=list(table.labels))
@@ -265,11 +306,14 @@ def to_log_returns(table: PriceTable) -> ReturnMatrix:
     """Convert a complete price table to daily log returns.
 
     Every price must be present and positive; the error names the first
-    offending stream and date.
+    offending stream and date.  ``target`` and ``features`` are views into
+    one new (T, 1 + n_streams) array, whose first row is unused: the logs
+    are differenced in place from the last row up, which gives bit for bit
+    what ``np.diff`` of the logs gives.
     """
     prices = table.prices
-    bad = ~(prices > 0.0)    # catches NaN and non-positive in one test
-    if bad.any():
+    if not (prices > 0.0).all():    # catches NaN and non-positive in one test
+        bad = ~(prices > 0.0)
         flat = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[flat]))
         value = prices[flat, j]
@@ -278,8 +322,10 @@ def to_log_returns(table: PriceTable) -> ReturnMatrix:
             f"{what} price for stream {table.labels[j]} "
             f"on {table.dates[flat].isoformat()}"
         )
-    logs = np.log(prices)
-    rets = np.diff(logs, axis=0)
+    rets = np.log(prices)
+    for i in range(len(rets) - 1, 0, -1):
+        rets[i] -= rets[i - 1]
+    rets = rets[1:]
     return ReturnMatrix(
         dates=list(table.dates[1:]),
         target=rets[:, 0],
@@ -316,8 +362,10 @@ def apply_split_factors(
 def load_split_file(path) -> list[tuple[dt.date, str, float]]:
     """Read split adjustments from a ``date,stream,factor`` CSV."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
+    try:
+        lines = _read_lines(path)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines or [c.strip().lower() for c in lines[0].split(",")] != [
         "date",
         "stream",

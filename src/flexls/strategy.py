@@ -79,8 +79,8 @@ class FeatureConfig:
             raise ValueError(
                 f"mode must be one of {FEATURE_MODES}, got {self.mode!r}"
             )
-        if self.mode == "svd" and self.k < 1:
-            raise ValueError("k must be >= 1 in svd mode")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k!r}")
         _check_finite(self, "amnesia", positive=False)
 
 
@@ -396,7 +396,7 @@ def write_ledger_csv(path, ledger: TradeLedger) -> None:
         ledger.cum_pnl.tolist(),
         ledger.index_price.tolist(),
     )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         for row in rows:
             fh.write(row_fmt % row)

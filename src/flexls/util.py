@@ -18,7 +18,7 @@ def write_rows(path, header: list[str], rows) -> None:
     ``rows`` yields sequences of already-formatted strings.  No quoting is
     performed; callers must not emit fields containing commas.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")

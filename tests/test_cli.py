@@ -6,6 +6,8 @@ nothing behind.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from flexls.cli import (
     main,
     parse_config_text,
 )
+import flexls
 from flexls import __version__
 from flexls.eigentrack import EigenTracker
 from flexls.estimator import KERNEL_BACKEND, _kf_step, _kf_step_impl
@@ -153,6 +156,37 @@ class TestBacktestCommand:
         text = (out / "effective_config.txt").read_text()
         job = build_job(parse_config_text(text), Args(), need_grid=False)
         assert job.effective_text() == text
+
+    def test_raw_mode_keeps_the_amnesia_it_was_given(self, tmp_path, market_csv):
+        out = tmp_path / "raw"
+        cfg = write_config(
+            tmp_path, base_config(market_csv, out, "features = raw\namnesia = 0.5\n")
+        )
+        assert main(["backtest", "--config", str(cfg)]) == EXIT_OK
+        text = (out / "effective_config.txt").read_text(encoding="utf-8")
+        assert "features = raw\namnesia = 0.5\n" in text
+
+    def test_runs_without_the_locale_encoding(self, tmp_path, market_csv):
+        # Every file is read and written as UTF-8, so no open() falls back
+        # to the locale's encoding, which turns the warning into an error.
+        out = tmp_path / "ausgabe-ü"
+        cfg = write_config(tmp_path, base_config(market_csv, out))
+        src = Path(flexls.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [
+                sys.executable, "-X", "warn_default_encoding",
+                "-W", "error::EncodingWarning",
+                "-m", "flexls.cli", "backtest", "--config", str(cfg),
+            ],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == ""
+        assert (out / "ledger_0.5.csv").is_file()
 
     def test_svd_features_from_command_line(self, tmp_path, market_csv):
         out = tmp_path / "svd"
@@ -361,6 +395,33 @@ class TestBacktestErrors:
         assert f"{key} must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            pytest.param(
+                "amnesia = -1\n", "features: amnesia must be finite and >= 0",
+                id="amnesia=-1",
+            ),
+            pytest.param("k = 0\n", "features: k must be >= 1", id="k=0"),
+        ],
+    )
+    def test_bad_svd_setting_in_raw_mode_is_config_error(
+        self, tmp_path, market_csv, capsys, extra, message
+    ):
+        # Raw features use neither value, but a value no mode accepts is
+        # rejected as it would be in svd mode, not dropped.
+        out = tmp_path / "never"
+        cfg = write_config(
+            tmp_path, base_config(market_csv, out, "features = raw\n" + extra)
+        )
+        self.run_expecting(
+            EXIT_CONFIG,
+            ["backtest", "--config", str(cfg)],
+            capsys,
+            f"config error: {message}",
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("engine", ["fls", "kalman"])
     def test_engine_setting_is_unknown_key(
         self, tmp_path, market_csv, capsys, engine
@@ -386,6 +447,15 @@ class TestBacktestErrors:
             ["backtest", "--config", str(tmp_path / "missing.conf")],
             capsys,
             "cannot read",
+        )
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, market_csv, capsys):
+        cfg = tmp_path / "latin1.conf"
+        cfg.write_bytes(
+            (base_config(market_csv, tmp_path / "o") + "# caf\xe9\n").encode("latin-1")
+        )
+        self.run_expecting(
+            EXIT_CONFIG, ["backtest", "--config", str(cfg)], capsys, "cannot read"
         )
 
     def test_warmup_date_form(self, tmp_path, market_csv):

@@ -1,5 +1,6 @@
 """Unit and property tests for the recursive estimators."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import flexls.estimator as estimator_module
 from flexls.estimator import (
+    COEFFICIENT_BLOCK_ROWS,
     DEFAULT_PRIOR_SCALE,
     FlsEstimator,
     KalmanEstimator,
@@ -574,3 +576,48 @@ class TestCoefficientCsv:
                 innovations=np.zeros(4),
                 forecast_vars=np.zeros(5),
             )
+
+    @pytest.mark.parametrize(
+        "T",
+        [
+            0,
+            1,
+            COEFFICIENT_BLOCK_ROWS - 1,
+            COEFFICIENT_BLOCK_ROWS,
+            COEFFICIENT_BLOCK_ROWS + 1,
+        ],
+    )
+    def test_block_writes_match_one_shot_formatting(self, tmp_path, T):
+        rng = np.random.default_rng(T)
+        betas = rng.normal(size=(T, 3)) * 10.0 ** rng.integers(-300, 300, size=(T, 3))
+        es = rng.normal(size=T)
+        qs = rng.uniform(1.0, 2.0, size=T)
+        # Rows where the regression did not run (svd warm-up) hold NaN.
+        betas[: T // 3] = np.nan
+        es[: T // 3] = np.nan
+        qs[: T // 3] = np.nan
+        out = tmp_path / "coef.csv"
+        write_coefficient_csv(out, betas, innovations=es, forecast_vars=qs)
+        row_fmt = "%d" + ",%.17g" * 5 + "\n"
+        whole = np.column_stack([betas, es, qs]).tolist()
+        expected = "t,beta_1,beta_2,beta_3,e,Q\n" + "".join(
+            row_fmt % (t, *row) for t, row in enumerate(whole, 1)
+        )
+        assert out.read_bytes() == expected.encode("ascii")
+
+    def test_peak_memory_stays_small_on_a_wide_path(self, tmp_path):
+        # 999 x 434 cells as Python floats and text would take over 17 MB;
+        # block by block the writer needs a small fraction of that.
+        rng = np.random.default_rng(5)
+        betas = rng.normal(size=(999, 432))
+        es = rng.normal(size=999)
+        qs = rng.uniform(1.0, 2.0, size=999)
+        tracemalloc.start()
+        try:
+            write_coefficient_csv(
+                tmp_path / "wide.csv", betas, innovations=es, forecast_vars=qs
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

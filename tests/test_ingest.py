@@ -2,6 +2,7 @@
 
 import datetime as dt
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,6 +358,12 @@ class TestSplits:
         f = write(tmp_path, "date,stream,factor\n2001-01-03,AAA,0.5\n\n", "s.csv")
         assert load_split_file(f) == [(dt.date(2001, 1, 3), "AAA", 0.5)]
 
+    def test_non_utf8_split_file_is_a_data_error(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes("date,stream,factor\n2001-01-03,AAA\xe9,0.5\n".encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            load_split_file(f)
+
     def test_split_file_errors(self, tmp_path):
         with pytest.raises(DataError, match="header"):
             load_split_file(write(tmp_path, "a,b,c\n", "s1.csv"))
@@ -387,3 +394,193 @@ class TestWriteCsv:
         )
         mask = ~np.isnan(prices)
         assert np.array_equal(back.prices[mask], table.prices[mask])
+
+
+class TestLoadCsvStreams:
+    """The C path reads the open file, holds one table, and copies no more."""
+
+    def test_forward_fill_shares_a_table_without_holes(self, tmp_path):
+        table = load_csv(write(tmp_path, BASIC), target="SPX")
+        assert forward_fill(table).prices is table.prices
+
+    def test_returns_are_views_into_one_array(self, tmp_path):
+        table = load_csv(write(tmp_path, BASIC), target="SPX")
+        rets = to_log_returns(table)
+        assert rets.target.base is rets.features.base
+        assert rets.target.base is not None
+        # Differencing in place gives what np.diff of the logs gives.
+        expected = np.diff(np.log(table.prices), axis=0)
+        assert rets.target.tobytes() == expected[:, 0].tobytes()
+        assert rets.features.tobytes() == expected[:, 1:].copy().tobytes()
+
+    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
+    def test_breaks_only_splitlines_sees_fall_back(self, tmp_path, brk):
+        # np.loadtxt would read "1<brk>" as 1.0; str.splitlines ends the line
+        # there, and the cell-by-cell parser reports the short row.
+        f = write(tmp_path, f"date,SPX,AAA\n2001-01-01,1400{brk},100\n")
+        with pytest.raises(DataError, match="line 2: expected 3 fields, got 2"):
+            load_csv(f, target="SPX")
+
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        f = tmp_path / "latin1.csv"
+        f.write_bytes("date,SPX\n2001-01-01,1400\xe9\n".encode("latin-1"))
+        with pytest.raises(DataError, match="not UTF-8 text"):
+            load_csv(f, target="SPX")
+
+    def test_non_ascii_labels_load(self, tmp_path):
+        f = tmp_path / "labels.csv"
+        f.write_bytes("date,Zürich,Ōsaka\n2001-01-01,1,2\n".encode("utf-8"))
+        table = load_csv(f, target="Ōsaka")
+        assert table.labels == ["Ōsaka", "Zürich"]
+
+    def test_ingest_peak_memory_near_one_extra_table(self, tmp_path):
+        # A clean 2,500 x 433 file of 17-digit prices is about 20 MB of text;
+        # the chain may hold the parsed table and one more array of its size,
+        # never the text.
+        rng = np.random.default_rng(9)
+        T, n = 2500, 433
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (T, n)), axis=0))
+        days = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(T)]
+        f = tmp_path / "wide.csv"
+        row = "%s" + ",%.17g" * n + "\n"
+        with open(f, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(["date"] + [f"S{j}" for j in range(n)]) + "\n")
+            for day, vals in zip(days, prices.tolist()):
+                fh.write(row % (day.isoformat(), *vals))
+        del prices
+        tracemalloc.start()
+        try:
+            table = forward_fill(load_csv(f, target="S7"))
+            returns = to_log_returns(table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert returns.features.shape == (T - 1, n - 1)
+        assert peak < 2.5 * table.prices.nbytes
+
+
+# The corruption menu of the differential fuzz test: each entry edits the
+# rows (lists of cells, first cell the date) of a clean file in place.
+def _price_cells(rng, rows):
+    """A random row holding at least one price cell, or a throwaway list."""
+    full = [r for r in rows if len(r) > 1]
+    return full[rng.integers(len(full))] if full else [None, None]
+
+
+def _hole(rng, rows):
+    r = _price_cells(rng, rows)
+    r[rng.integers(1, len(r))] = str(rng.choice(["", " ", "\t"]))
+
+
+def _bad_cell(rng, rows):
+    r = _price_cells(rng, rows)
+    r[rng.integers(1, len(r))] = str(rng.choice(
+        ["inf", "-inf", "1e999", "-1e999", "1_0", "1#2", "#", '"1.5"', "'2'",
+         "nan", " 3.5 ", "+4", "0x10", "1e-320", "abc", "1,5", "٣"]
+    ))
+
+
+def _ragged(rng, rows):
+    r = _price_cells(rng, rows)
+    if rng.random() < 0.5 and len(r) > 1:
+        r.pop()
+    else:
+        r.append(str(rng.choice(["", "7"])))
+
+
+def _bad_date(rng, rows):
+    r = _price_cells(rng, rows)
+    r[0] = str(rng.choice(["2001-13-01", "01/02/2001", "", "20010105",
+                           " 2001-01-09 ", "2001-02-30", "x"]))
+
+
+def _duplicate_date(rng, rows):
+    if len(rows) > 1:
+        i, j = rng.choice(len(rows), size=2, replace=False)
+        rows[i][0] = rows[j][0]
+
+
+def _unsorted(rng, rows):
+    order = rng.permutation(len(rows))
+    rows[:] = [rows[i] for i in order]
+
+
+def _blank_or_comment_line(rng, rows):
+    rows.insert(int(rng.integers(len(rows) + 1)),
+                [str(rng.choice(["", "   ", "\t", "# note", "\x0c", " , "]))])
+
+
+def _no_rows(rng, rows):
+    rows[:] = [[""] for _ in range(rng.integers(3))]
+
+
+_CORRUPTIONS = (
+    _hole, _bad_cell, _ragged, _bad_date, _duplicate_date, _unsorted,
+    _blank_or_comment_line, _no_rows,
+)
+_BREAKS = ("\n", "\r\n", "\r", "\x0c", "\x0b", "\x85", "\u2028")
+
+
+def fuzz_csv(rng) -> tuple[str, str, float]:
+    """A small price CSV, often corrupted: ``(text, target, max_missing)``."""
+    n = int(rng.integers(1, 4))
+    labels = [f"S{j}" for j in range(n)]
+    T = int(rng.integers(1, 6))
+    start = dt.date(2001, 1, 1) + dt.timedelta(days=int(rng.integers(0, 40)))
+    rows = [
+        [(start + dt.timedelta(days=i)).isoformat()]
+        + [repr(float(v)) for v in rng.lognormal(3.0, 1.0, size=n)]
+        for i in range(T)
+    ]
+    for _ in range(int(rng.integers(0, 4))):
+        _CORRUPTIONS[rng.integers(len(_CORRUPTIONS))](rng, rows)
+    lines = [",".join(["date", *labels])] + [",".join(r) for r in rows]
+    # Mostly \n; now and then another break, between lines or inside one.
+    breaks = ["\n" if rng.random() < 0.8 else str(rng.choice(_BREAKS))
+              for _ in lines]
+    text = "".join(line + brk for line, brk in zip(lines, breaks))
+    if rng.random() < 0.1:
+        at = int(rng.integers(len(text) + 1))
+        text = text[:at] + str(rng.choice(_BREAKS)) + text[at:]
+    if rng.random() < 0.2:
+        text = text.rstrip("\n")
+    target = labels[rng.integers(n)] if rng.random() < 0.95 else "NOPE"
+    return text, target, float(rng.choice([0.0, 0.5, 1.0]))
+
+
+def load_outcome(path, target, max_missing):
+    """What a load gives: the table, bit for bit and stride for stride, or the error."""
+    try:
+        table = load_csv(path, target=target, max_missing_frac=max_missing)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc).__name__, str(exc)
+    return table.dates, table.labels, table.prices.tobytes(), table.prices.strides
+
+
+class TestLoadCsvFuzz:
+    def test_c_path_matches_cell_by_cell_path(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(20070101)
+        cases = [fuzz_csv(rng) for _ in range(2000)]
+        f = tmp_path / "fuzz.csv"
+        parse_clean = ingest._parse_clean
+        clean = []
+
+        def counted(*args):
+            parsed = parse_clean(*args)
+            clean.append(parsed is not None)
+            return parsed
+
+        def fast(text, target, max_missing):
+            monkeypatch.setattr(ingest, "_parse_clean", counted)
+            f.write_bytes(text.encode("utf-8"))
+            return load_outcome(f, target, max_missing)
+
+        def slow(text, target, max_missing):
+            monkeypatch.setattr(ingest, "_parse_clean", lambda *args: None)
+            f.write_bytes(text.encode("utf-8"))
+            return load_outcome(f, target, max_missing)
+
+        for case in cases:
+            assert fast(*case) == slow(*case), case
+        # Both paths must have run often for the comparison to mean much.
+        assert 0.1 < sum(clean) / len(cases) < 0.9
