@@ -147,11 +147,8 @@ class BacktestJob:
             lines.append(
                 "delta_grid = " + ",".join(repr(d) for d in self.deltas)
             )
-        if self.features.mode == "svd":
-            lines.append("features = svd")
-            lines.append(f"k = {self.features.k}")
-        else:
-            lines.append("features = raw")
+        lines.append(f"features = {self.features.mode}")
+        lines.append(f"k = {self.features.k}")
         lines.append(f"amnesia = {self.features.amnesia!r}")
         lines.append(f"prior_scale = {self.estimator.prior_scale!r}")
         lines.append(f"veps = {self.estimator.veps!r}")
@@ -348,7 +345,7 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
 
 def _load_job_config(args, need_grid: bool) -> BacktestJob:
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("--config", f"cannot read {args.config}: {exc}") from None
     return build_job(parse_config_text(text), args, need_grid)

@@ -12,9 +12,11 @@ Two routes to the same coefficient path:
   reproduces the penalized path to rounding error, at O(p^2) per step.  The
   backtest runs it.
 
-``fls_smooth_batch`` runs the penalized recursion over a whole sample and
-then sweeps backward, re-estimating every coefficient with hindsight.  The
-smoothed path is the global minimizer of the full objective.
+``fls_smooth_batch`` runs the filter kernel once forward over a whole
+sample and then sweeps backward, re-estimating every coefficient with
+hindsight in O(p) per step.  The smoothed path is the global minimizer of
+the full objective; the penalized recursion and a dense solve are only the
+references it is checked against.
 """
 
 from __future__ import annotations
@@ -195,28 +197,6 @@ def _solve_checked(a: NDArray[np.float64], b: NDArray[np.float64]):
     return cho_solve(cf, b, check_finite=False)
 
 
-def _fls_step(S, s, r, x, y, mu, want_gain: bool):
-    """One forward update of the penalized cost surface.
-
-    Returns the new surface (S', s', r') plus the backward-pass pair
-    (d, M) when requested.  Does not touch the coefficient estimate; the
-    surface update is well defined even while the problem is still
-    underdetermined.
-    """
-    p = x.shape[0]
-    B = S + np.outer(x, x)          # curvature seen by the estimate
-    b = s + x * y
-    A = B + mu * np.eye(p)          # curvature seen by the next step
-    cf = cho_factor(A, lower=True, check_finite=False)  # A >= mu*I, always PD
-    d = cho_solve(cf, b, check_finite=False)
-    S_new = mu * cho_solve(cf, B, check_finite=False)
-    S_new = 0.5 * (S_new + S_new.T)
-    s_new = mu * d
-    r_new = r + y * y - float(b @ d)
-    M = mu * cho_solve(cf, np.eye(p), check_finite=False) if want_gain else None
-    return B, b, S_new, s_new, r_new, d, M
-
-
 class FlsEstimator:
     """Penalized recursive estimator for drifting regression coefficients.
 
@@ -262,31 +242,20 @@ class FlsEstimator:
         y = float(y)
         if not math.isfinite(y):
             raise ValueError("y must be finite")
-        B, b, S_new, s_new, r_new, _, _ = _fls_step(
-            self.S, self.s, self.r, x, y, self.smoothing.mu, want_gain=False
-        )
+        mu = self.smoothing.mu
+        B = self.S + np.outer(x, x)     # curvature seen by the estimate
+        b = self.s + x * y
         beta = _solve_checked(B, b)     # raises before any state is committed
-        self.S, self.s, self.r = S_new, s_new, r_new
+        A = B + mu * np.eye(self.p)     # curvature seen by the next step
+        cf = cho_factor(A, lower=True, check_finite=False)  # A >= mu*I, always PD
+        d = cho_solve(cf, b, check_finite=False)
+        S_new = mu * cho_solve(cf, B, check_finite=False)
+        self.S = 0.5 * (S_new + S_new.T)
+        self.s = mu * d
+        self.r += y * y - float(b @ d)
         self.beta = beta
         self.t += 1
         return beta.copy()
-
-
-@dataclass
-class SmootherTape:
-    """Forward-pass record consumed by the backward smoothing sweep.
-
-    ``d[t]`` is the data-driven component of the smoothed estimate at step
-    ``t`` and ``gain[t]`` the matrix weighting the step-``t+1`` estimate;
-    the smoothed path satisfies ``beta[t] = d[t] + gain[t] @ beta[t+1]``.
-    One entry per observation consumed.
-    """
-
-    d: NDArray[np.float64]      # (T, p)
-    gain: NDArray[np.float64]   # (T, p, p)
-
-    def __len__(self) -> int:
-        return self.d.shape[0]
 
 
 def fls_smooth_batch(
@@ -294,21 +263,27 @@ def fls_smooth_batch(
     ys,
     smoothing: Smoothing,
     prior: tuple[NDArray[np.float64], NDArray[np.float64]] | None = None,
-    return_tape: bool = False,
-):
+) -> NDArray[np.float64]:
     """Smoothed (hindsight) coefficient path over a complete sample.
 
     ``xs`` is (T, p), ``ys`` is (T,).  ``prior`` is an optional
     ``(S0, s0)`` pair; by default a diffuse ``S0 = I / DEFAULT_PRIOR_SCALE``
-    with ``s0 = 0`` is used.  Returns the (T, p) path, or the pair
-    ``(path, tape)`` when ``return_tape`` is set.
+    with ``s0 = 0`` is used.  Returns the (T, p) path minimizing
+    ``b_1'S0 b_1 - 2 s0'b_1 + sum (y_t - x_t'b_t)^2
+    + mu sum |b_{t+1} - b_t|^2``.
 
-    Unlike the online estimator, intermediate steps never need their own
-    coefficient solve, so a flat (zero) prior is acceptable as long as the
-    terminal system is nonsingular; a singular terminal system raises
-    :class:`UnderdeterminedError`.
+    One forward pass of the filter kernel (unit observation noise, state
+    noise ``1/mu``) starts with the first coefficient row as an unknown of
+    zero spread, carrying each forecast's derivative ``E_t`` with respect
+    to it (de Jong 1991).  One p x p solve of the first row's normal
+    equations ``E'WE + S0`` is the only place the prior enters, so flat and
+    singular priors are exact; a singular system raises
+    :class:`UnderdeterminedError`.  A backward disturbance sweep (Koopman
+    1993), O(p) per row, gives the steps of the path.  Memory is O(T p);
+    nothing of size T p^2 is kept.  ``FlsEstimator`` and the dense oracle
+    in the tests are the references it is checked against.
     """
-    xs = np.asarray(xs, dtype=float)
+    xs = np.ascontiguousarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2:
         raise ValueError(f"xs must be 2-d (T, p), got shape {xs.shape}")
@@ -319,36 +294,54 @@ def fls_smooth_batch(
         raise ValueError("need at least one observation")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise ValueError("observations contain non-finite values")
-
     if prior is None:
-        S = np.eye(p) / DEFAULT_PRIOR_SCALE
-        s = np.zeros(p)
+        S0 = np.eye(p) / DEFAULT_PRIOR_SCALE
+        s0 = np.zeros(p)
     else:
-        S0, s0 = prior
-        S = np.asarray(S0, dtype=float).copy()
-        s = np.asarray(s0, dtype=float).copy()
-        if S.shape != (p, p) or s.shape != (p,):
+        S0 = np.asarray(prior[0], dtype=float)
+        s0 = np.asarray(prior[1], dtype=float)
+        if S0.shape != (p, p) or s0.shape != (p,):
             raise ValueError("prior shapes must be (p, p) and (p,)")
-    r = 0.0
-    mu = smoothing.mu
+    vomega = 1.0 / smoothing.mu
 
-    ds = np.empty((T, p))
-    gains = np.empty((T, p, p))
-    B_last = None
-    b_last = None
-    for t in range(T):
-        B, b, S, s, r, d, M = _fls_step(S, s, r, xs[t], ys[t], mu, want_gain=True)
-        ds[t] = d
-        gains[t] = M
-        B_last, b_last = B, b
+    # Forward: the filter from a zero mean with the first row taken as
+    # known, and dep = d(forecast mean)/d(first row).
+    P = np.zeros((p, p))
+    beta = np.zeros(p)
+    dep = np.eye(p)
+    e, q = np.empty(T), np.empty(T)
+    E, K = np.empty((T, p)), np.empty((T, p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T):
+            E[t] = xs[t] @ dep
+            status, beta, e[t], q[t], K[t] = _kf_step(
+                P, beta, xs[t], ys[t], 1.0, vomega if t else 0.0
+            )
+            if status != _ACCEPTED:
+                raise ValueError(
+                    "non-finite filter step: check the scale of xs and ys"
+                )
+            dger(-1.0, E[t], K[t], a=dep.T, overwrite_a=1)   # dep -= K E'
 
-    path = np.empty((T, p))
-    path[T - 1] = _solve_checked(B_last, b_last)
-    for t in range(T - 2, -1, -1):
-        path[t] = ds[t] + gains[t] @ path[t + 1]
+        # The first row minimizes the prior plus the weighted innovations.
+        EW = E / q[:, None]
+        A = EW.T @ E + S0
+        b = EW.T @ e + s0
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("non-finite normal equations: check the scale of xs")
+        first = _solve_checked(A, b)
+        e -= E @ first
 
-    if return_tape:
-        return path, SmootherTape(d=ds, gain=gains)
+        # Backward: path[t] holds the step beta[t] - beta[t-1] until the sum.
+        path = np.empty((T, p))
+        path[0] = first
+        r = np.zeros(p)
+        for t in range(T - 1, 0, -1):
+            r += xs[t] * (e[t] / q[t] - K[t] @ r)
+            path[t] = vomega * r
+        np.cumsum(path, axis=0, out=path)
+    if not np.isfinite(path).all():
+        raise ValueError("non-finite smoothed path: check the scale of xs")
     return path
 
 

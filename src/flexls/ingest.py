@@ -92,6 +92,7 @@ class ReturnMatrix:
 def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     """Load a UTF-8 price CSV and put ``target`` in column 0.
 
+    A leading byte-order mark, as spreadsheet tools write, is skipped.
     The header must start with ``date``; every other header cell names a
     stream.  Rows are sorted by date.  Cells may be empty (holes), but a
     stream whose hole fraction exceeds ``max_missing_frac`` is rejected:
@@ -109,7 +110,7 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
         )
     path = Path(path)
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             # str.splitlines() may cut the first line further; then the
             # whole file takes the cell-by-cell path, which cuts lines so.
             head = fh.readline().splitlines()
@@ -157,8 +158,9 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
 
 
 def _read_lines(path: Path) -> list[str]:
-    """The file's lines as ``str.splitlines`` cuts them, terminators dropped."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """The file's lines as ``str.splitlines`` cuts them, terminators and a
+    leading byte-order mark dropped."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return fh.read().splitlines()
 
 

@@ -126,7 +126,10 @@ class TestSmootherOracle:
 
         The reference assembles the full block-tridiagonal system with the
         same diffuse prior the smoother applies, so both sides minimize the
-        identical objective.
+        identical objective.  Then the same check over priors no filter can
+        start from exactly: a rank-1 singular ``S0`` with ``s0`` in its
+        range, a dense one with any ``s0``, and one tighter than ``mu``; at
+        deltas near both ends of (0, 1) and with a single observation.
         """
         rng = np.random.default_rng(7)
         deltas = [0.2, 0.5, 0.9]
@@ -141,6 +144,29 @@ class TestSmootherOracle:
                 xs, ys, sm.mu, S0=np.eye(p) / DEFAULT_PRIOR_SCALE
             )
             assert float(np.max(np.abs(path - direct))) <= 1e-8
+
+        rng = np.random.default_rng(17)
+        for kind in ("rank-1", "dense", "tight"):
+            for delta in (1e-4, 0.2, 0.9, 0.999):
+                for T in (1, int(rng.integers(5, 21))):
+                    p = int(rng.integers(1, 4))
+                    if kind == "rank-1" and T == 1:
+                        continue
+                    sm = Smoothing(delta=delta)
+                    u = rng.standard_normal(p)
+                    if kind == "rank-1":
+                        S0, s0 = np.outer(u, u), 0.7 * u
+                    elif kind == "dense":
+                        m = rng.standard_normal((p, p))
+                        S0, s0 = m @ m.T + 0.1 * np.eye(p), u
+                    else:
+                        S0 = np.eye(p) * 10.0 * sm.mu
+                        s0 = S0 @ u
+                    xs = rng.standard_normal((T, p))
+                    ys = xs @ rng.standard_normal(p) + rng.standard_normal(T)
+                    path = fls_smooth_batch(xs, ys, sm, prior=(S0, s0))
+                    direct = penalized_path_direct(xs, ys, sm.mu, S0=S0, s0=s0)
+                    assert float(np.max(np.abs(path - direct))) <= 1e-8
 
 
 class TestLeastSquaresLimit:

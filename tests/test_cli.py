@@ -164,7 +164,25 @@ class TestBacktestCommand:
         )
         assert main(["backtest", "--config", str(cfg)]) == EXIT_OK
         text = (out / "effective_config.txt").read_text(encoding="utf-8")
-        assert "features = raw\namnesia = 0.5\n" in text
+        assert "features = raw\nk = 3\namnesia = 0.5\n" in text
+
+    def test_raw_mode_effective_config_round_trips(self, tmp_path, market_csv):
+        # k is unused in raw mode but checked, so it is written back too.
+        out = tmp_path / "raw-k"
+        cfg = write_config(
+            tmp_path, base_config(market_csv, out, "features = raw\nk = 5\n")
+        )
+        assert main(["backtest", "--config", str(cfg)]) == EXIT_OK
+
+        class Args:
+            delta = None
+            features = None
+            out_dir = None
+
+        given = build_job(parse_config_text(cfg.read_text()), Args(), need_grid=False)
+        text = (out / "effective_config.txt").read_text(encoding="utf-8")
+        assert build_job(parse_config_text(text), Args(), need_grid=False) == given
+        assert given.features.k == 5
 
     def test_runs_without_the_locale_encoding(self, tmp_path, market_csv):
         # Every file is read and written as UTF-8, so no open() falls back
@@ -457,6 +475,13 @@ class TestBacktestErrors:
         self.run_expecting(
             EXIT_CONFIG, ["backtest", "--config", str(cfg)], capsys, "cannot read"
         )
+
+    def test_config_with_byte_order_mark_runs(self, tmp_path, market_csv):
+        out = tmp_path / "bom"
+        cfg = tmp_path / "bom.conf"
+        cfg.write_bytes(b"\xef\xbb\xbf" + base_config(market_csv, out).encode("utf-8"))
+        assert main(["backtest", "--config", str(cfg)]) == EXIT_OK
+        assert (out / "ledger_0.5.csv").is_file()
 
     def test_warmup_date_form(self, tmp_path, market_csv):
         out = tmp_path / "bydate"

@@ -116,10 +116,14 @@ class TestSmoothBatch:
             T = int(rng.integers(p + 2, 21))
             xs = rng.normal(size=(T, p))
             ys = rng.normal(size=T)
-            sm = Smoothing(float(rng.choice([0.2, 0.5, 0.9])))
+            sm = Smoothing(float(rng.choice([0.2, 0.5, 0.9, 1e-4, 0.999])))
             path = fls_smooth_batch(xs, ys, sm, prior=(np.zeros((p, p)), np.zeros(p)))
             ref = penalized_path_direct(xs, ys, sm.mu)
             np.testing.assert_allclose(path, ref, rtol=0, atol=1e-8)
+        # A single observation under a flat prior is fitted exactly: 3 / 2.
+        flat = (np.zeros((1, 1)), np.zeros(1))
+        path = fls_smooth_batch([[2.0]], [3.0], Smoothing(0.5), prior=flat)
+        np.testing.assert_allclose(path, [[1.5]], rtol=0, atol=1e-12)
 
     def test_constant_coefficient_data_recovered_exactly(self):
         # Noise-free y = 3x: the zero-cost path is constant at 3.
@@ -162,17 +166,6 @@ class TestSmoothBatch:
                 xs, ys, Smoothing(0.5), prior=(np.zeros((3, 3)), np.zeros(3))
             )
 
-    def test_tape_reconstructs_path(self):
-        rng = np.random.default_rng(8)
-        xs = rng.normal(size=(12, 2))
-        ys = rng.normal(size=12)
-        path, tape = fls_smooth_batch(xs, ys, Smoothing(0.5), return_tape=True)
-        assert len(tape) == 12
-        rebuilt = path[-1]
-        for t in range(10, -1, -1):
-            rebuilt = tape.d[t] + tape.gain[t] @ rebuilt
-            np.testing.assert_allclose(rebuilt, path[t], atol=1e-12)
-
     def test_rejects_bad_shapes(self):
         sm = Smoothing(0.5)
         with pytest.raises(ValueError):
@@ -181,6 +174,29 @@ class TestSmoothBatch:
             fls_smooth_batch(np.zeros((5, 2)), np.zeros(4), sm)
         with pytest.raises(ValueError):
             fls_smooth_batch(np.full((5, 2), np.nan), np.zeros(5), sm)
+
+    @pytest.mark.parametrize("T", [1, 5])
+    def test_huge_finite_inputs_raise_instead_of_nan(self, T):
+        xs = np.full((T, 2), 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                fls_smooth_batch(xs, np.ones(T), Smoothing(0.5))
+
+    def test_peak_memory_stays_linear_in_T_on_a_wide_problem(self):
+        # p=432, T=2500: a (T, p, p) record alone would be 3.7 GB, and each
+        # (T, p) array is 8.6 MB.
+        table, _ = gen_market(MarketConfig(seed=0, n_streams=432, steps=2501))
+        returns = to_log_returns(table)
+        tracemalloc.start()
+        try:
+            path = fls_smooth_batch(returns.features, returns.target, Smoothing(0.9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.shape == (2500, 432)
+        assert np.isfinite(path).all()
+        assert peak < 100e6
 
 
 class TestKalmanEstimator:

@@ -358,6 +358,11 @@ class TestSplits:
         f = write(tmp_path, "date,stream,factor\n2001-01-03,AAA,0.5\n\n", "s.csv")
         assert load_split_file(f) == [(dt.date(2001, 1, 3), "AAA", 0.5)]
 
+    def test_split_file_with_byte_order_mark(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_bytes(b"\xef\xbb\xbfdate,stream,factor\n2001-01-03,AAA,0.5\n")
+        assert load_split_file(f) == [(dt.date(2001, 1, 3), "AAA", 0.5)]
+
     def test_non_utf8_split_file_is_a_data_error(self, tmp_path):
         f = tmp_path / "s.csv"
         f.write_bytes("date,stream,factor\n2001-01-03,AAA\xe9,0.5\n".encode("latin-1"))
@@ -426,6 +431,21 @@ class TestLoadCsvStreams:
         f.write_bytes("date,SPX\n2001-01-01,1400\xe9\n".encode("latin-1"))
         with pytest.raises(DataError, match="not UTF-8 text"):
             load_csv(f, target="SPX")
+
+    @pytest.mark.parametrize("via_loop", [False, True])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, via_loop):
+        text = BASIC.replace(",101,", ",,") if via_loop else BASIC
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        calls = count_loop_calls(monkeypatch)
+        want = load_csv(plain, target="AAA", max_missing_frac=0.5)
+        got = load_csv(marked, target="AAA", max_missing_frac=0.5)
+        assert len(calls) == (2 if via_loop else 0)
+        assert got.labels == want.labels == ["AAA", "SPX", "BBB"]
+        assert got.dates == want.dates
+        assert got.prices.tobytes() == want.prices.tobytes()
 
     def test_non_ascii_labels_load(self, tmp_path):
         f = tmp_path / "labels.csv"
