@@ -31,7 +31,10 @@ class EigenTracker:
     running average.  Component ``j`` is seeded by the ``j``-th deflated
     residual of an incoming sample, so warm-up completes once ``k``
     informative (linearly independent) samples have arrived; ``ready``
-    reports that.  ``project`` and ``components`` refuse to run earlier.
+    reports that.  Under ``amnesia`` >= 1 a component can collapse to zero
+    (an all-zero residual erases it); ``ready`` is then false again until
+    a later sample re-seeds it.  ``project`` and ``components`` refuse to
+    run while ``ready`` is false.
     """
 
     def __init__(self, p: int, k: int, amnesia: float = 0.0) -> None:
@@ -48,10 +51,15 @@ class EigenTracker:
         self.counts = np.zeros(self.k, dtype=int)  # samples absorbed per row
         self.n = 0                            # samples seen overall
         self._active = 0                      # rows seeded so far
+        # Row j's length and direction as ``update`` last wrote it; a zero
+        # length marks a row not yet seeded or collapsed.
+        self._norms = [0.0] * self.k
+        self._units = [None] * self.k
+        self._basis = None                    # sign-fixed units, built on demand
 
     @property
     def ready(self) -> bool:
-        return self._active == self.k
+        return all(self._norms)
 
     def update(self, r) -> float:
         """Absorb one sample.
@@ -67,49 +75,47 @@ class EigenTracker:
         if not np.all(np.isfinite(r)):
             raise ValueError("sample contains non-finite values")
         self.n += 1
+        self._basis = None
         u = r.copy()
         # Deflation leaves rounding dust (~eps * sample norm) even when a
         # sample is fully explained; anything below this floor carries no
         # usable direction and must not seed a component.
-        seed_floor = 1e-12 * float(np.linalg.norm(u))
+        seed_floor = 1e-12 * math.sqrt(u @ u)
         defect = 0.0
         seeded = False
         for j in range(self.k):
-            if j == self._active:
-                norm_u = float(np.linalg.norm(u))
-                if seeded or norm_u <= seed_floor:
-                    # At most one new component per sample, and only from a
-                    # residual with real signal; the rest wait.
-                    break
-                self.h[j] = u.copy()
-                self.counts[j] = 0
-                self._active += 1
-                seeded = True
-            hj = self.h[j]
-            norm_h = float(np.linalg.norm(hj))
+            fresh = j == self._active
+            if fresh and seeded:
+                break               # at most one new component per sample
+            norm_h = self._norms[j]
             if norm_h == 0.0:
-                # Collapsed component (possible under heavy amnesia): re-seed
-                # from the current residual and continue.
-                norm_u = float(np.linalg.norm(u))
-                if norm_u <= seed_floor:
+                # Seed a new component, or re-seed a collapsed one, from the
+                # current residual, but only one with real signal.
+                norm_h = math.sqrt(u @ u)
+                if norm_h <= seed_floor:
                     break
-                self.h[j] = u.copy()
+                self.h[j] = u
                 self.counts[j] = 0
-                hj = self.h[j]
-                norm_h = norm_u
-            g = hj / norm_h
+                g = u / norm_h
+                if fresh:
+                    self._active += 1
+                    seeded = True
+            else:
+                g = self._units[j]
             n_j = self.counts[j] + 1
             w_old = (n_j - 1.0 - self.amnesia) / n_j
             w_new = (1.0 + self.amnesia) / n_j
-            self.h[j] = w_old * hj + w_new * float(u @ g) * u
+            hj = w_old * self.h[j] + w_new * float(u @ g) * u
+            self.h[j] = hj
             self.counts[j] = n_j
             # Deflate against the freshly updated direction before the
             # residual feeds the next component.
-            hj = self.h[j]
-            norm_h = float(np.linalg.norm(hj))
+            norm_h = math.sqrt(hj @ hj)
+            self._norms[j] = norm_h
             if norm_h == 0.0:
                 break
             g = hj / norm_h
+            self._units[j] = g
             u = u - float(u @ g) * g
             defect = max(defect, abs(float(u @ g)))
         return defect
@@ -119,29 +125,37 @@ class EigenTracker:
         """Current eigenvalue estimates (component norms), length k."""
         return np.linalg.norm(self.h, axis=1)
 
+    def _signed_basis(self) -> NDArray[np.float64]:
+        """The unit components, sign-fixed once per update."""
+        if not self.ready:
+            if self._active < self.k:
+                raise NotReadyError(
+                    f"only {self._active} of {self.k} components seeded; "
+                    "feed more informative samples"
+                )
+            raise NotReadyError(
+                f"component {self._norms.index(0.0)} collapsed to zero; "
+                "feed more informative samples"
+            )
+        if self._basis is None:
+            units = np.array(self._units)
+            pivot = units[np.arange(self.k), np.argmax(np.abs(units), axis=1)]
+            self._basis = np.where(pivot < 0.0, -1.0, 1.0)[:, None] * units
+        return self._basis
+
     def components(self) -> NDArray[np.float64]:
         """Unit-norm components as rows of a (k, p) array.
 
         Sign convention: each row's largest-magnitude entry is positive, so
         exported paths do not flip arbitrarily between steps.  Raises
-        :class:`NotReadyError` during warm-up.
+        :class:`NotReadyError` during warm-up and while a collapsed
+        component waits to be re-seeded.
         """
-        if not self.ready:
-            raise NotReadyError(
-                f"only {self._active} of {self.k} components seeded; "
-                "feed more informative samples"
-            )
-        out = np.empty_like(self.h)
-        for j in range(self.k):
-            norm_h = float(np.linalg.norm(self.h[j]))
-            g = self.h[j] / norm_h
-            pivot = int(np.argmax(np.abs(g)))
-            out[j] = -g if g[pivot] < 0.0 else g
-        return out
+        return self._signed_basis().copy()
 
     def project(self, r) -> NDArray[np.float64]:
         """Coordinates of a sample in the tracked basis, length k."""
         r = np.asarray(r, dtype=float)
         if r.shape != (self.p,):
             raise ValueError(f"sample must have shape ({self.p},), got {r.shape}")
-        return self.components() @ r
+        return self._signed_basis() @ r

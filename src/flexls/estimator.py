@@ -17,26 +17,37 @@ sample and then sweeps backward, re-estimating every coefficient with
 hindsight in O(p) per step.  The smoothed path is the global minimizer of
 the full objective; the penalized recursion and a dense solve are only the
 references it is checked against.
+
+Importing this module loads numpy alone.  scipy, which takes about twice
+as long as numpy to import, is loaded the first time a step needs it: by
+the interpreted filter kernel's first step at ``p >= _DGER_MIN_P``, by
+``fls_smooth_batch`` and by ``FlsEstimator``.  A run that only filters
+at ``p < _DGER_MIN_P`` never loads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
-from scipy.linalg.blas import dger
 
 # Outcome of a filter step.  A rejected step writes nothing.
 _ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
 
+# Narrowest covariance the interpreted kernel downdates with BLAS ``dger``.
+# Up to p=32 the broadcast product costs within about 10% of it per
+# interpreted update (some 30 us); from p=64 it falls behind, 1.3x at 64,
+# 1.8-2x at 128 and 4-5x at 432.  Below this width a step needs no scipy.
+_DGER_MIN_P = 16
 
-def _dger_is_symmetric() -> bool:
-    """Whether this BLAS's ``dger`` rounds ``a_ij - g_i*g_j`` and
-    ``a_ji - g_j*g_i`` alike.
+
+def _dger_is_symmetric(dger) -> bool:
+    """Whether ``dger`` rounds ``a_ij - g_i*g_j`` and ``a_ji - g_j*g_i``
+    alike.
 
     The BLAS interface does not promise it: a kernel may fuse the multiply
     and the add in its vector body but not in its scalar tail.  47 rows
@@ -50,14 +61,20 @@ def _dger_is_symmetric() -> bool:
     return bool(np.array_equal(a, a.T))
 
 
-_DGER_SYMMETRIC = _dger_is_symmetric()
+@functools.cache
+def _blas_dger():
+    """``(dger, symmetric)``: scipy's BLAS rank-1 update, imported on the
+    first call, and whether :func:`_dger_is_symmetric` holds for it."""
+    from scipy.linalg.blas import dger
+
+    return dger, _dger_is_symmetric(dger)
 
 
 # Finite inputs can still overflow against a badly scaled state.  Such a
 # step is rejected, so numpy need not warn about it.
 @np.errstate(all="ignore")
 def _kf_step_impl(P, beta, x, y, veps, vomega):
-    """One filter update, interpreted: numpy for the forecast, BLAS for P.
+    """One filter update, interpreted: numpy for the forecast and for P.
 
     Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
     ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
@@ -65,11 +82,11 @@ def _kf_step_impl(P, beta, x, y, veps, vomega):
     ``P <- P + vomega I - g g'`` with ``g = (P + vomega I) x / sqrt(q)``.
     A rejected step leaves every input as it was.
 
-    The rank-1 term is one ``dger`` call.  P stays bitwise symmetric only
-    where this BLAS rounds both triangles alike (:func:`_dger_is_symmetric`,
-    true of the OpenBLAS this was tested with); elsewhere the step
-    subtracts ``np.outer(g, g)``, symmetric by construction and several
-    times slower at large p.
+    The rank-1 term subtracts the product ``g_i * g_j``, symmetric by
+    construction.  From ``p = _DGER_MIN_P`` it is one BLAS ``dger`` call
+    instead, several times faster at large p, where this BLAS rounds both
+    triangles alike (:func:`_dger_is_symmetric`, true of the OpenBLAS this
+    was tested with).  The form depends on p and that probe alone.
     """
     Rx = np.dot(P, x) + vomega * x
     q = np.dot(x, Rx) + veps
@@ -84,10 +101,12 @@ def _kf_step_impl(P, beta, x, y, veps, vomega):
         return _NONFINITE, beta, e, q, K
     P.ravel()[:: P.shape[0] + 1] += vomega
     g = Rx / math.sqrt(q)
-    if _DGER_SYMMETRIC:
-        dger(-1.0, g, g, a=P.T, overwrite_a=1)     # P.T is Fortran-ordered
-    else:
-        P -= np.outer(g, g)
+    if P.shape[0] >= _DGER_MIN_P:
+        dger, symmetric = _blas_dger()
+        if symmetric:
+            dger(-1.0, g, g, a=P.T, overwrite_a=1)     # P.T is Fortran-ordered
+            return _ACCEPTED, beta_new, e, q, K
+    P -= g[:, None] * g
     return _ACCEPTED, beta_new, e, q, K
 
 
@@ -180,6 +199,8 @@ def _as_vector(x, p: int, name: str) -> NDArray[np.float64]:
 
 def _solve_checked(a: NDArray[np.float64], b: NDArray[np.float64]):
     """Solve a symmetric PSD system, refusing ill-conditioned ones."""
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve, lapack
+
     try:
         cf = cho_factor(a, lower=True, check_finite=False)
     except LinAlgError as exc:
@@ -238,6 +259,8 @@ class FlsEstimator:
         Raises :class:`UnderdeterminedError`, leaving the state untouched,
         when the accumulated regressors do not yet pin down an estimate.
         """
+        from scipy.linalg import cho_factor, cho_solve
+
         x = _as_vector(x, self.p, "x")
         y = float(y)
         if not math.isfinite(y):
@@ -303,6 +326,7 @@ def fls_smooth_batch(
         if S0.shape != (p, p) or s0.shape != (p,):
             raise ValueError("prior shapes must be (p, p) and (p,)")
     vomega = 1.0 / smoothing.mu
+    dger, _ = _blas_dger()      # dep -= K E' needs no symmetry
 
     # Forward: the filter from a zero mean with the first row taken as
     # known, and dep = d(forecast mean)/d(first row).

@@ -241,10 +241,13 @@ def _parse_rows(
     """Parse data lines cell by cell: the only parser that accepts holes.
 
     Every cell error is raised here, naming the first bad line in file
-    order.  ``lines`` starts at file line 2.
+    order.  ``lines`` starts at file line 2.  Each row's floats go straight
+    into one array sized for every line, so no more than one row of them
+    is held as Python floats.
     """
     n_cols = len(labels) + 1
-    rows: list[tuple[dt.date, list[float]]] = []
+    dates: list[dt.date] = []
+    prices = np.empty((len(lines), len(labels)))
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -274,9 +277,9 @@ def _parse_rows(
                     f"{path}: line {lineno}: non-finite price for {label}"
                 )
             values.append(value)
-        rows.append((day, values))
-    prices = np.array([vals for _, vals in rows], dtype=float)
-    return [day for day, _ in rows], prices.reshape(len(rows), len(labels))
+        prices[len(dates)] = values
+        dates.append(day)
+    return dates, prices[: len(dates)]
 
 
 def forward_fill(table: PriceTable) -> PriceTable:

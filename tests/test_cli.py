@@ -26,6 +26,7 @@ from flexls.cli import (
 import flexls
 from flexls import __version__
 from flexls.eigentrack import EigenTracker
+import flexls.estimator as estimator_module
 from flexls.estimator import KERNEL_BACKEND, _kf_step, _kf_step_impl
 from flexls.ingest import write_csv
 from flexls.synth import MarketConfig, gen_market
@@ -106,6 +107,29 @@ class TestBacktestCommand:
         # kalman engine exports diagnostics columns
         head = (out / "coefficients_0.5.csv").read_text().splitlines()[0]
         assert head.endswith(",e,Q")
+
+    def test_collapsed_tracker_component_skips_the_row(self, tmp_path):
+        # A repeated price row (a forward-filled holiday) is an all-zero
+        # return row; under amnesia 2 it meets a component that has
+        # absorbed two samples and erases it.  That row has no factor
+        # scores, like a warm-up row, and the next one re-seeds them.
+        table, _ = gen_market(MarketConfig(seed=0, n_streams=8, steps=120))
+        table.prices[7] = table.prices[6]
+        data = tmp_path / "holiday.csv"
+        write_csv(table, data)
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path,
+            f"data = {data}\ntarget = INDEX\ndelta = 0.9\nwarmup = 40\n"
+            f"features = svd:3\namnesia = 2\nout_dir = {out}\n",
+        )
+        assert main(["backtest", "--config", str(cfg)]) == EXIT_OK
+        rows = (out / "coefficients_0.9.csv").read_text().splitlines()[1:]
+        values = np.array([row.split(",") for row in rows], dtype=float)
+        assert len(values) == 119
+        skipped = np.isnan(values[:, 1:]).all(axis=1)
+        assert np.flatnonzero(skipped).tolist() == [0, 1, 2, 3, 6]
+        assert np.isfinite(values[~skipped]).all()
 
     def test_reruns_are_byte_identical(self, tmp_path, market_csv):
         out1 = tmp_path / "a"
@@ -583,6 +607,56 @@ class TestSimFig2Command:
         assert main(["sim-fig2", "--seed", "7", "--out-dir", str(out)]) == EXIT_OK
         text = (out / "effective_config.txt").read_text()
         assert "seed = 7" in text and "delta = 0.98" in text
+
+
+class TestImportSurface:
+    """scipy is loaded only by a step that needs it."""
+
+    RUN = (
+        "import sys\n"
+        "from flexls.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+
+    def run_fresh(self, *argv):
+        src = Path(flexls.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.RUN, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.split()[-2:]
+        assert int(code) == EXIT_OK, proc.stderr
+        return loaded == "True"
+
+    def test_narrow_sweep_never_loads_scipy(self, tmp_path, market_csv):
+        out = tmp_path / "sweep"
+        cfg = write_config(
+            tmp_path,
+            f"data = {market_csv}\ntarget = INDEX\ndelta_grid = 0.5, 0.9\n"
+            f"warmup = 40\nfeatures = svd:2\nout_dir = {out}\n",
+        )
+        assert not self.run_fresh("sweep-sharpe", "--config", str(cfg))
+        assert (out / "sweep_sharpe.csv").is_file()
+
+    def test_wide_raw_run_loads_scipy(self, tmp_path):
+        p = estimator_module._DGER_MIN_P
+        table, _ = gen_market(MarketConfig(seed=0, n_streams=p, steps=80))
+        data = tmp_path / "wide.csv"
+        write_csv(table, data)
+        out = tmp_path / "raw"
+        cfg = write_config(
+            tmp_path,
+            f"data = {data}\ntarget = INDEX\ndelta = 0.9\nwarmup = 20\n"
+            f"out_dir = {out}\n",
+        )
+        assert self.run_fresh("backtest", "--config", str(cfg))
+        head = (out / "coefficients_0.9.csv").read_text().splitlines()[0]
+        assert head.count(",beta_") == p
 
 
 class TestBenchmarkTraceTargets:

@@ -1,5 +1,7 @@
 """Tests for the streaming eigenvector tracker."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,50 @@ class TestProjection:
             tr.project([1.0, 0.0, 0.0])
         with pytest.raises(NotReadyError):
             tr.components()
+
+    def test_collapsed_component_is_not_ready_until_reseeded(self):
+        # Under amnesia 2 the third sample's weight on the old component is
+        # zero, so an all-zero third sample erases it.
+        tr = EigenTracker(2, 1, amnesia=2.0)
+        tr.update([1.0, 0.0])
+        tr.update([1.0, 0.0])
+        assert tr.ready
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr.update([0.0, 0.0])
+            np.testing.assert_array_equal(tr.h[0], [0.0, 0.0])
+            assert not tr.ready
+            with pytest.raises(NotReadyError, match="collapsed"):
+                tr.components()
+            with pytest.raises(NotReadyError, match="collapsed"):
+                tr.project([1.0, 0.0])
+            tr.update([0.0, 0.0])          # nothing to re-seed from
+            assert not tr.ready
+            tr.update([0.0, 3.0])
+            assert tr.ready
+            np.testing.assert_array_equal(tr.components(), [[0.0, 1.0]])
+
+    @pytest.mark.parametrize("amnesia", [0.0, 2.0])
+    def test_project_is_components_times_sample_bitwise(self, amnesia):
+        # Zero samples meet components that have absorbed two samples;
+        # under amnesia 2 that collapses them, and the stream re-seeds them.
+        rng = np.random.default_rng(27)
+        tr = EigenTracker(6, 3, amnesia=amnesia)
+        scale = np.sqrt([4.0, 2.0, 1.0, 0.5, 0.25, 0.1])
+        collapses = 0
+        for t in range(600):
+            zero = tr.ready and 2 in tr.counts and rng.random() < 0.5
+            r = np.zeros(6) if zero else rng.normal(size=6) * scale
+            was_ready = tr.ready
+            tr.update(r)
+            if not tr.ready:
+                collapses += was_ready
+                continue
+            g = tr.components()
+            assert np.array_equal(tr.project(r), g @ r)
+            g[:] = 0.0                     # a fresh array each call
+            assert np.array_equal(tr.project(r), tr.components() @ r)
+        assert (collapses > 0) == (amnesia > 0)
 
     def test_projection_shape_checked(self):
         tr = self._converged_tracker()

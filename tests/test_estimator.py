@@ -235,12 +235,17 @@ class TestKalmanEstimator:
                     assert np.linalg.eigvalsh(est.P).min() >= -1e-12
 
     def test_covariance_symmetric_where_dger_is_not(self, monkeypatch):
+        # Wide enough that the probe's verdict picks the downdate form.
         rng = np.random.default_rng(19)
-        p = 7
+        p = 17
+        assert p >= estimator_module._DGER_MIN_P
+        dger, _ = estimator_module._blas_dger()
         xs, ys = rng.normal(size=(100, p)), rng.normal(size=100)
         paths = []
         for symmetric in (True, False):
-            monkeypatch.setattr(estimator_module, "_DGER_SYMMETRIC", symmetric)
+            monkeypatch.setattr(
+                estimator_module, "_blas_dger", lambda s=symmetric: (dger, s)
+            )
             est = KalmanEstimator(p, vomega=0.5, prior_scale=1.0)
             betas = []
             for x, y in zip(xs, ys):
@@ -250,17 +255,16 @@ class TestKalmanEstimator:
             paths.append(np.array(betas))
         np.testing.assert_allclose(paths[1], paths[0], rtol=1e-12, atol=1e-14)
 
-    def test_dger_probe_catches_asymmetric_rounding(self, monkeypatch):
-        real_dger = estimator_module.dger
+    def test_dger_probe_catches_asymmetric_rounding(self):
+        real_dger, symmetric = estimator_module._blas_dger()
 
         def lopsided_dger(alpha, x, y, a, overwrite_a):
             real_dger(alpha, x, y, a=a, overwrite_a=overwrite_a)
             a[-1, 0] = np.nextafter(a[-1, 0], np.inf)   # one tail entry
             return a
 
-        assert estimator_module._dger_is_symmetric() == estimator_module._DGER_SYMMETRIC
-        monkeypatch.setattr(estimator_module, "dger", lopsided_dger)
-        assert not estimator_module._dger_is_symmetric()
+        assert estimator_module._dger_is_symmetric(real_dger) == symmetric
+        assert not estimator_module._dger_is_symmetric(lopsided_dger)
 
     def test_covariance_symmetric_psd_at_p432(self):
         table, _ = gen_market(MarketConfig(seed=3, n_streams=432, steps=201))
@@ -517,22 +521,26 @@ class TestKalmanEstimator:
         assert not np.array_equal(est.beta, dup.beta)
 
     def test_loops_kernel_tracks_blas_kernel(self):
-        # The two forms round differently (dger may fuse multiply and add),
-        # so they agree to rounding, not bitwise.
+        # From _DGER_MIN_P the interpreted kernel downdates with dger, which
+        # may fuse multiply and add, so the two forms agree to rounding;
+        # below it both subtract the same products, so they agree bitwise.
         rng = np.random.default_rng(20)
-        p = 6
-        P1, P2 = np.eye(p) * 5.0, np.eye(p) * 5.0
-        b1 = b2 = np.zeros(p)
-        for _ in range(100):
-            x = rng.normal(size=p)
-            y = float(rng.normal())
-            s1, b1, e1, q1, K1 = _kf_step_impl(P1, b1, x, y, 1.0, 0.7)
-            s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 1.0, 0.7)
-            assert s1 == s2 == estimator_module._ACCEPTED
-            np.testing.assert_array_equal(P2, P2.T)
-            np.testing.assert_allclose(b2, b1, rtol=1e-12, atol=1e-14)
-            np.testing.assert_allclose(P2, P1, rtol=1e-12, atol=1e-14)
-            assert e2 == pytest.approx(e1, rel=1e-12, abs=1e-14)
+        for p in (6, 17):
+            P1, P2 = np.eye(p) * 5.0, np.eye(p) * 5.0
+            b1 = b2 = np.zeros(p)
+            for _ in range(100):
+                x = rng.normal(size=p)
+                y = float(rng.normal())
+                s1, b1, e1, q1, K1 = _kf_step_impl(P1, b1, x, y, 1.0, 0.7)
+                s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 1.0, 0.7)
+                assert s1 == s2 == estimator_module._ACCEPTED
+                np.testing.assert_array_equal(P2, P2.T)
+                np.testing.assert_allclose(b2, b1, rtol=1e-12, atol=1e-14)
+                np.testing.assert_allclose(P2, P1, rtol=1e-12, atol=1e-14)
+                assert e2 == pytest.approx(e1, rel=1e-12, abs=1e-14)
+                if p < estimator_module._DGER_MIN_P:
+                    np.testing.assert_array_equal(P1, P2)
+                    np.testing.assert_array_equal(b1, b2)
 
     def test_jit_kernel_matches_plain_python_bitwise(self):
         if _kf_step is _kf_step_impl:

@@ -478,6 +478,34 @@ class TestLoadCsvStreams:
         assert returns.features.shape == (T - 1, n - 1)
         assert peak < 2.5 * table.prices.nbytes
 
+    def test_cell_by_cell_peak_memory_below_six_tables(self, tmp_path):
+        # One empty cell sends the file down the cell-by-cell path, which
+        # holds the text whole (about 2.3 tables of 17-digit prices, twice:
+        # as read and as lines) but never a Python float per cell.
+        rng = np.random.default_rng(11)
+        T, n = 500, 433
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (T, n)), axis=0))
+        days = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(T)]
+        f = tmp_path / "holed.csv"
+        row = "%s" + ",%.17g" * n + "\n"
+        with open(f, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(["date"] + [f"S{j}" for j in range(n)]) + "\n")
+            for i, (day, vals) in enumerate(zip(days, prices.tolist())):
+                line = row % (day.isoformat(), *vals)
+                if i == T // 2:
+                    cells = line.split(",")
+                    cells[6] = ""                  # a hole in S5
+                    line = ",".join(cells)
+                fh.write(line)
+        tracemalloc.start()
+        try:
+            table = load_csv(f, target="S7")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isnan(table.prices).sum() == 1
+        assert peak < 6.0 * table.prices.nbytes
+
 
 # The corruption menu of the differential fuzz test: each entry edits the
 # rows (lists of cells, first cell the date) of a clean file in place.
