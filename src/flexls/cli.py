@@ -90,10 +90,8 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 _JOB_DEFAULTS = {
     "features": "raw",
-    "k": "3",
     "amnesia": "0",
     "prior_scale": "1e6",
-    "veps": "1",
     "multiplier": "250",
     "endowment": "1e8",
     "cost_per_contract": "0",
@@ -122,7 +120,7 @@ class BacktestJob:
     deltas: tuple[float, ...]
     single_delta: bool           # config gave 'delta' rather than 'delta_grid'
     features: FeatureConfig
-    estimator: EstimatorConfig   # prior_scale and veps; delta is deltas[0]
+    estimator: EstimatorConfig   # prior_scale; delta is deltas[0]
     sizing: SizingConfig
     rule: str
     warmup: int | None
@@ -147,11 +145,12 @@ class BacktestJob:
             lines.append(
                 "delta_grid = " + ",".join(repr(d) for d in self.deltas)
             )
-        lines.append(f"features = {self.features.mode}")
-        lines.append(f"k = {self.features.k}")
+        if self.features.mode == "svd":
+            lines.append(f"features = svd:{self.features.k}")
+        else:
+            lines.append(f"features = {self.features.mode}")
         lines.append(f"amnesia = {self.features.amnesia!r}")
         lines.append(f"prior_scale = {self.estimator.prior_scale!r}")
-        lines.append(f"veps = {self.estimator.veps!r}")
         lines.append(f"multiplier = {self.sizing.multiplier!r}")
         lines.append(f"endowment = {self.sizing.endowment!r}")
         lines.append(f"cost_per_contract = {self.sizing.cost_per_contract!r}")
@@ -208,36 +207,32 @@ def _parse_delta_list(key: str, text: str) -> tuple[float, ...]:
     return tuple(deduped)
 
 
-def _library_config(field: str, cls, **values):
-    """``cls(**values)``, with the library's ``ValueError`` as a config error."""
+def _library_config(field: str, make, **values):
+    """``make(**values)``, with the library's ``ValueError`` as a config error."""
     try:
-        return cls(**values)
+        return make(**values)
     except ValueError as exc:
         raise ConfigError(field, str(exc)) from None
 
 
 def _parse_features(raw: dict[str, str], mode_text: str) -> FeatureConfig:
-    """Feature settings from 'raw', 'svd' (k from its own key), or 'svd:<k>'.
+    """Feature settings from 'raw', 'svd' (the default factor count) or 'svd:<k>'.
 
-    ``k`` and ``amnesia`` are checked in every mode, though only svd uses them.
+    ``amnesia`` is checked in every mode, though only svd uses it.
     """
-    amnesia = _parse_float(raw, "amnesia")
-    text = mode_text.strip()
-    if text in ("raw", "svd"):
-        mode, k = text, _parse_int(raw, "k")
-    elif text.startswith("svd:"):
-        mode = "svd"
+    values = {"amnesia": _parse_float(raw, "amnesia")}
+    mode = mode_text.strip()
+    if mode.startswith("svd:"):
         try:
-            k = int(text[4:])
+            values["k"] = int(mode[4:])
         except ValueError:
-            raise ConfigError("features", f"bad factor count in {text!r}") from None
-    else:
+            raise ConfigError("features", f"bad factor count in {mode!r}") from None
+        mode = "svd"
+    elif mode not in ("raw", "svd"):
         raise ConfigError(
-            "features", f"expected 'raw', 'svd' or 'svd:<k>', got {text!r}"
+            "features", f"expected 'raw', 'svd' or 'svd:<k>', got {mode!r}"
         )
-    return _library_config(
-        "features", FeatureConfig, mode=mode, k=k, amnesia=amnesia
-    )
+    return _library_config("features", FeatureConfig, mode=mode, **values)
 
 
 def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
@@ -284,11 +279,10 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
         raise ConfigError("rule", f"must be one of {RULES}, got {rule!r}")
 
     estimator = _library_config(
-        "prior_scale/veps",
+        "prior_scale",
         EstimatorConfig,
         delta=deltas[0],
         prior_scale=_parse_float(merged, "prior_scale"),
-        veps=_parse_float(merged, "veps"),
     )
     sizing = _library_config(
         "multiplier/endowment/cost_per_contract",
@@ -379,15 +373,6 @@ def _resolve_warmup(job: BacktestJob, returns) -> int:
     return warmup
 
 
-def _check_features(job: BacktestJob, returns) -> None:
-    n_raw = returns.features.shape[1]
-    if job.features.mode == "svd" and job.features.k > n_raw:
-        raise ConfigError(
-            "features",
-            f"k={job.features.k} factor scores from {n_raw} explanatory streams",
-        )
-
-
 def _run_grid(job: BacktestJob):
     """Yield ``(delta, ledger, path, report)`` for each delta of the job.
 
@@ -399,8 +384,9 @@ def _run_grid(job: BacktestJob):
     """
     returns, index_prices = _load_returns(job)
     warmup = _resolve_warmup(job, returns)
-    _check_features(job, returns)
-    regressors = compute_features(returns, job.features)
+    regressors = _library_config(
+        "features", compute_features, returns=returns, features=job.features
+    )
     for delta in job.deltas:
         ledger, path = run_backtest(
             returns,

@@ -27,14 +27,16 @@ class NotReadyError(RuntimeError):
 class EigenTracker:
     """Incremental tracker for the top-k eigenpairs of a data stream.
 
-    ``amnesia`` >= 0 down-weights old samples; zero reproduces the plain
-    running average.  Component ``j`` is seeded by the ``j``-th deflated
-    residual of an incoming sample, so warm-up completes once ``k``
-    informative (linearly independent) samples have arrived; ``ready``
-    reports that.  Under ``amnesia`` >= 1 a component can collapse to zero
-    (an all-zero residual erases it); ``ready`` is then false again until
-    a later sample re-seeds it.  ``project`` and ``components`` refuse to
-    run while ``ready`` is false.
+    ``amnesia`` >= 0 down-weights old samples once a component has
+    absorbed more than ``1 + amnesia`` of them (Weng, Zhang & Hwang 2003);
+    zero reproduces the plain running average.  Component ``j`` is seeded
+    by the ``j``-th deflated residual of an incoming sample, so warm-up
+    completes once ``k`` informative (linearly independent) samples have
+    arrived; ``ready`` reports that.  A component collapses to zero only
+    when its squared length underflows (one seeded from a sample of about
+    1e-100, say); ``ready`` is then false again until a later sample
+    re-seeds it.  ``project`` and ``components`` refuse to run while
+    ``ready`` is false.
     """
 
     def __init__(self, p: int, k: int, amnesia: float = 0.0) -> None:
@@ -103,8 +105,11 @@ class EigenTracker:
             else:
                 g = self._units[j]
             n_j = self.counts[j] + 1
-            w_old = (n_j - 1.0 - self.amnesia) / n_j
-            w_new = (1.0 + self.amnesia) / n_j
+            # Amnesia applies once it leaves the old estimate a positive
+            # weight; a component's first samples take the plain average.
+            ell = self.amnesia if n_j > 1.0 + self.amnesia else 0.0
+            w_old = (n_j - 1.0 - ell) / n_j
+            w_new = (1.0 + ell) / n_j
             hj = w_old * self.h[j] + w_new * float(u @ g) * u
             self.h[j] = hj
             self.counts[j] = n_j

@@ -398,7 +398,6 @@ class KalmanEstimator:
         veps: float = 1.0,
         prior_scale: float = DEFAULT_PRIOR_SCALE,
         P0: NDArray[np.float64] | None = None,
-        beta0: NDArray[np.float64] | None = None,
     ) -> None:
         if not isinstance(p, (int, np.integer)) or p < 1:
             raise ValueError(f"p must be a positive integer, got {p!r}")
@@ -430,23 +429,19 @@ class KalmanEstimator:
                     "P0 must be positive semidefinite, got eigenvalue "
                     f"{eigs[0]!r}"
                 )
-        self.beta = (
-            np.zeros(self.p)
-            if beta0 is None
-            else _as_vector(beta0, self.p, "beta0").copy()
-        )
+        self.beta = np.zeros(self.p)
         self.t = 0
 
     @classmethod
     def from_smoothing(
-        cls, p: int, smoothing: Smoothing, veps: float = 1.0, **kwargs
+        cls, p: int, smoothing: Smoothing, prior_scale: float = DEFAULT_PRIOR_SCALE
     ) -> "KalmanEstimator":
         """Estimator whose state noise matches a smoothness weight.
 
         State noise ``1/mu`` per coefficient with unit observation noise
         makes the filtered path the penalized one, up to the prior.
         """
-        return cls(p, vomega=1.0 / smoothing.mu, veps=veps, **kwargs)
+        return cls(p, vomega=1.0 / smoothing.mu, prior_scale=prior_scale)
 
     @classmethod
     def fls_equivalent(

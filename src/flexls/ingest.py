@@ -101,8 +101,9 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     A file without holes or bad cells is parsed in C by one ``np.loadtxt``
     call that reads the open file line by line, so the text is never held
     whole; the one copy made after that is the C-ordered, target-first
-    price array.  Any other file is read again, whole, and parsed cell by
-    cell, which gives the same values and names the first bad line.
+    price array.  Any other file is read again, one line at a time, and
+    parsed cell by cell, which gives the same values and names the first
+    bad line.
     """
     if not (0.0 <= max_missing_frac <= 1.0):
         raise ValueError(
@@ -159,9 +160,10 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
 
 def _read_lines(path: Path) -> list[str]:
     """The file's lines as ``str.splitlines`` cuts them, terminators and a
-    leading byte-order mark dropped."""
+    leading byte-order mark dropped.  File iteration ends lines only where
+    ``splitlines`` does, so each line is cut again, never the whole text."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        return fh.read().splitlines()
+        return [part for line in fh for part in line.splitlines()]
 
 
 def _parse_header(path: Path, line: str | None) -> list[str]:
@@ -347,8 +349,8 @@ def apply_split_factors(
 
     Each adjustment ``(date, stream, factor)`` multiplies that stream's
     prices on rows strictly before ``date`` by ``factor``, so the series is
-    continuous in post-split units.  Unknown streams and non-positive
-    factors are rejected.
+    continuous in post-split units.  Unknown streams, non-positive
+    factors and factors that overflow a price are rejected.
     """
     prices = table.prices.copy()
     for day, label, factor in adjustments:
@@ -357,10 +359,13 @@ def apply_split_factors(
         if not (factor > 0.0 and math.isfinite(factor)):
             raise DataError(f"split factor for {label} must be positive, got {factor}")
         j = table.labels.index(label)
-        for i, row_date in enumerate(table.dates):
-            if row_date >= day:
-                break
-            prices[i, j] *= factor
+        with np.errstate(over="ignore"):    # reported below, as data
+            for i, row_date in enumerate(table.dates):
+                if row_date >= day:
+                    break
+                prices[i, j] *= factor
+        if np.isinf(prices[:, j]).any():
+            raise DataError(f"split factor {factor} for {label} overflows its prices")
     return PriceTable(dates=list(table.dates), prices=prices, labels=list(table.labels))
 
 

@@ -54,16 +54,19 @@ class SizingConfig:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Settings of the backtest's regression filter."""
+    """Settings of the backtest's regression filter.
+
+    The filter's observation noise is 1: another level ``c`` gives the
+    coefficients of ``mu*c`` and ``prior_scale/c``, and ``c`` times the
+    forecast variances, so it adds no setting.
+    """
 
     delta: float
     prior_scale: float = DEFAULT_PRIOR_SCALE
-    veps: float = 1.0
 
     def __post_init__(self) -> None:
         Smoothing(self.delta)   # validates the range
         _check_finite(self, "prior_scale", positive=True)
-        _check_finite(self, "veps", positive=True)
 
 
 @dataclass(frozen=True)
@@ -208,10 +211,7 @@ def estimate_spreads(
     dim = features.values.shape[1]
 
     kf = KalmanEstimator.from_smoothing(
-        dim,
-        Smoothing(estimator.delta),
-        veps=estimator.veps,
-        prior_scale=estimator.prior_scale,
+        dim, Smoothing(estimator.delta), prior_scale=estimator.prior_scale
     )
 
     spreads = np.empty(n)

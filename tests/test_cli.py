@@ -7,6 +7,7 @@ nothing behind.
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ from flexls.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    _JOB_KEYS,
     ConfigError,
     build_job,
     main,
@@ -79,6 +81,20 @@ class TestConfigParsing:
             build_job({"frobnicate": "1"}, Args(), need_grid=False)
 
 
+class TestReadme:
+    def test_config_table_lists_exactly_the_accepted_keys(self):
+        # The README's config table is the documentation of every key: a
+        # key the config accepts must have a row, and a removed key must not.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        table = text.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+        documented = set()
+        for row in table.splitlines()[1:]:
+            key_cell = row.split("|")[1]
+            documented.update(re.findall(r"`([a-z_]+)`", key_cell))
+        assert documented == _JOB_KEYS
+
+
 class TestVersion:
     def test_prints_version_and_kernel(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -111,8 +127,9 @@ class TestBacktestCommand:
     def test_collapsed_tracker_component_skips_the_row(self, tmp_path):
         # A repeated price row (a forward-filled holiday) is an all-zero
         # return row; under amnesia 2 it meets a component that has
-        # absorbed two samples and erases it.  That row has no factor
-        # scores, like a warm-up row, and the next one re-seeds them.
+        # absorbed two samples.  A component's first 1 + amnesia samples
+        # take the plain average, so the zero row leaves it standing and
+        # only the tracker's warm-up rows lack factor scores.
         table, _ = gen_market(MarketConfig(seed=0, n_streams=8, steps=120))
         table.prices[7] = table.prices[6]
         data = tmp_path / "holiday.csv"
@@ -128,7 +145,7 @@ class TestBacktestCommand:
         values = np.array([row.split(",") for row in rows], dtype=float)
         assert len(values) == 119
         skipped = np.isnan(values[:, 1:]).all(axis=1)
-        assert np.flatnonzero(skipped).tolist() == [0, 1, 2, 3, 6]
+        assert np.flatnonzero(skipped).tolist() == [0, 1]
         assert np.isfinite(values[~skipped]).all()
 
     def test_reruns_are_byte_identical(self, tmp_path, market_csv):
@@ -166,10 +183,9 @@ class TestBacktestCommand:
         assert not (out / "ledger_0.2.csv").exists()
 
     def test_effective_config_round_trips(self, tmp_path, market_csv):
+        # Bare svd takes the default factor count, which is written out.
         out = tmp_path / "rt"
-        cfg = write_config(
-            tmp_path, base_config(market_csv, out, "features = svd\nk = 3\n")
-        )
+        cfg = write_config(tmp_path, base_config(market_csv, out, "features = svd\n"))
         assert main(["backtest", "--config", str(cfg)]) == EXIT_OK
 
         class Args:
@@ -178,7 +194,9 @@ class TestBacktestCommand:
             out_dir = None
 
         text = (out / "effective_config.txt").read_text()
+        assert "\nfeatures = svd:3\namnesia = 0.0\n" in text
         job = build_job(parse_config_text(text), Args(), need_grid=False)
+        assert job.features.k == 3
         assert job.effective_text() == text
 
     def test_raw_mode_keeps_the_amnesia_it_was_given(self, tmp_path, market_csv):
@@ -188,14 +206,11 @@ class TestBacktestCommand:
         )
         assert main(["backtest", "--config", str(cfg)]) == EXIT_OK
         text = (out / "effective_config.txt").read_text(encoding="utf-8")
-        assert "features = raw\nk = 3\namnesia = 0.5\n" in text
+        assert "\nfeatures = raw\namnesia = 0.5\n" in text
 
     def test_raw_mode_effective_config_round_trips(self, tmp_path, market_csv):
-        # k is unused in raw mode but checked, so it is written back too.
-        out = tmp_path / "raw-k"
-        cfg = write_config(
-            tmp_path, base_config(market_csv, out, "features = raw\nk = 5\n")
-        )
+        out = tmp_path / "raw"
+        cfg = write_config(tmp_path, base_config(market_csv, out, "features = raw\n"))
         assert main(["backtest", "--config", str(cfg)]) == EXIT_OK
 
         class Args:
@@ -206,7 +221,7 @@ class TestBacktestCommand:
         given = build_job(parse_config_text(cfg.read_text()), Args(), need_grid=False)
         text = (out / "effective_config.txt").read_text(encoding="utf-8")
         assert build_job(parse_config_text(text), Args(), need_grid=False) == given
-        assert given.features.k == 5
+        assert "\nfeatures = raw\n" in text and "\nk = " not in text
 
     def test_runs_without_the_locale_encoding(self, tmp_path, market_csv):
         # Every file is read and written as UTF-8, so no open() falls back
@@ -401,20 +416,19 @@ class TestBacktestErrors:
     ):
         out = tmp_path / "o"
         cfg = write_config(
-            tmp_path, base_config(market_csv, out, "features = svd\nk = 99\n")
+            tmp_path, base_config(market_csv, out, "features = svd:99\n")
         )
         self.run_expecting(
             EXIT_CONFIG,
             ["backtest", "--config", str(cfg)],
             capsys,
-            "k=99 factor scores from 8 explanatory streams",
+            "config error: features: k=99 factor scores from 8 streams",
         )
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "extra",
         [
-            pytest.param("veps = inf\n", id="veps=inf"),
             pytest.param("prior_scale = inf\n", id="prior_scale=inf"),
             pytest.param("prior_scale = 1e400\n", id="prior_scale=1e400"),
             pytest.param("endowment = inf\n", id="endowment=inf"),
@@ -441,21 +455,23 @@ class TestBacktestErrors:
         "extra, message",
         [
             pytest.param(
-                "amnesia = -1\n", "features: amnesia must be finite and >= 0",
+                "features = raw\namnesia = -1\n",
+                "features: amnesia must be finite and >= 0",
                 id="amnesia=-1",
             ),
-            pytest.param("k = 0\n", "features: k must be >= 1", id="k=0"),
+            pytest.param(
+                "features = svd:0\n", "features: k must be >= 1", id="k=0"
+            ),
         ],
     )
     def test_bad_svd_setting_in_raw_mode_is_config_error(
         self, tmp_path, market_csv, capsys, extra, message
     ):
-        # Raw features use neither value, but a value no mode accepts is
-        # rejected as it would be in svd mode, not dropped.
+        # Raw features do not use amnesia, but a value no mode accepts is
+        # rejected as it would be in svd mode, not dropped.  A factor count
+        # is spelled only inside svd:<k>, where zero is rejected likewise.
         out = tmp_path / "never"
-        cfg = write_config(
-            tmp_path, base_config(market_csv, out, "features = raw\n" + extra)
-        )
+        cfg = write_config(tmp_path, base_config(market_csv, out, extra))
         self.run_expecting(
             EXIT_CONFIG,
             ["backtest", "--config", str(cfg)],
@@ -464,22 +480,30 @@ class TestBacktestErrors:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("engine", ["fls", "kalman"])
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("engine = fls", id="fls"),
+            pytest.param("engine = kalman", id="kalman"),
+            pytest.param("veps = 1", id="veps"),
+            pytest.param("k = 3", id="k"),
+        ],
+    )
     def test_engine_setting_is_unknown_key(
-        self, tmp_path, market_csv, capsys, engine
+        self, tmp_path, market_csv, capsys, line
     ):
-        # Configs and effective_config.txt files written while an engine could
-        # be chosen name one; the filter is now the only engine, and such a
-        # config fails before any output.
+        # Configs and effective_config.txt files of earlier versions name an
+        # engine, the filter's observation noise or the factor count.  The
+        # filter is now the only engine, its noise is fixed at 1 and the
+        # count is spelled svd:<k>, so such a config fails before any output.
         out = tmp_path / "never"
-        cfg = write_config(
-            tmp_path, base_config(market_csv, out, f"engine = {engine}\n")
-        )
+        cfg = write_config(tmp_path, base_config(market_csv, out, line + "\n"))
+        key = line.split("=")[0].strip()
         self.run_expecting(
             EXIT_CONFIG,
             ["backtest", "--config", str(cfg)],
             capsys,
-            "config error: engine: unknown key",
+            f"config error: {key}: unknown key",
         )
         assert not out.exists()
 

@@ -39,6 +39,10 @@ class TestUpdate:
         tr2 = EigenTracker(3, 1)
         tr2.update([0.0, 2.0, 0.0])
         np.testing.assert_array_equal(tr2.h[0], [0.0, 4.0, 0.0])
+        # Amnesia does not weigh against the seed sample.
+        tr3 = EigenTracker(2, 1, amnesia=2.0)
+        tr3.update([0.1, 0.0])
+        np.testing.assert_allclose(tr3.h[0], [0.01, 0.0], rtol=1e-15)
 
     def test_rank_one_stream_recovers_direction_exactly(self):
         v = np.array([3.0, -4.0, 0.0])
@@ -177,16 +181,13 @@ class TestProjection:
             tr.components()
 
     def test_collapsed_component_is_not_ready_until_reseeded(self):
-        # Under amnesia 2 the third sample's weight on the old component is
-        # zero, so an all-zero third sample erases it.
+        # A sample of 1e-100 seeds a component of length 1e-200, whose
+        # squared length underflows to zero: it collapses as it is seeded.
         tr = EigenTracker(2, 1, amnesia=2.0)
-        tr.update([1.0, 0.0])
-        tr.update([1.0, 0.0])
-        assert tr.ready
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tr.update([0.0, 0.0])
-            np.testing.assert_array_equal(tr.h[0], [0.0, 0.0])
+            tr.update([1e-100, 0.0])
+            np.testing.assert_array_equal(tr.h[0], [1e-200, 0.0])
             assert not tr.ready
             with pytest.raises(NotReadyError, match="collapsed"):
                 tr.components()
@@ -200,25 +201,45 @@ class TestProjection:
 
     @pytest.mark.parametrize("amnesia", [0.0, 2.0])
     def test_project_is_components_times_sample_bitwise(self, amnesia):
-        # Zero samples meet components that have absorbed two samples;
-        # under amnesia 2 that collapses them, and the stream re-seeds them.
+        # The tracker warms up afresh every 50 samples.  Half the samples
+        # are scaled by 1e-100, so components seeded from them collapse at
+        # once, and later samples re-seed them.
         rng = np.random.default_rng(27)
-        tr = EigenTracker(6, 3, amnesia=amnesia)
         scale = np.sqrt([4.0, 2.0, 1.0, 0.5, 0.25, 0.1])
         collapses = 0
         for t in range(600):
-            zero = tr.ready and 2 in tr.counts and rng.random() < 0.5
-            r = np.zeros(6) if zero else rng.normal(size=6) * scale
-            was_ready = tr.ready
+            if t % 50 == 0:
+                tr = EigenTracker(6, 3, amnesia=amnesia)
+            r = rng.normal(size=6) * scale
+            if rng.random() < 0.5:
+                r *= 1e-100
             tr.update(r)
             if not tr.ready:
-                collapses += was_ready
+                try:
+                    tr.components()
+                except NotReadyError as exc:
+                    collapses += "collapsed" in str(exc)
                 continue
             g = tr.components()
             assert np.array_equal(tr.project(r), g @ r)
             g[:] = 0.0                     # a fresh array each call
             assert np.array_equal(tr.project(r), tr.components() @ r)
-        assert (collapses > 0) == (amnesia > 0)
+        assert collapses > 0
+
+    @pytest.mark.parametrize("amnesia", [1.0, 2.0, 3.5])
+    def test_first_samples_take_the_plain_average(self, amnesia):
+        # Amnesia weights the old estimate by (n - 1 - amnesia)/n, which is
+        # negative for n < 1 + amnesia; up to there the update is the plain
+        # running average, and the weights change only after it.
+        rng = np.random.default_rng(31)
+        samples = rng.normal(size=(8, 3)) * [2.0, 1.0, 0.5]
+        plain = EigenTracker(3, 1)
+        amnesic = EigenTracker(3, 1, amnesia=amnesia)
+        for n, r in enumerate(samples, start=1):
+            plain.update(r)
+            amnesic.update(r)
+            same = np.array_equal(amnesic.h, plain.h)
+            assert same == (n <= 1 + amnesia)
 
     def test_projection_shape_checked(self):
         tr = self._converged_tracker()

@@ -354,6 +354,13 @@ class TestSplits:
         with pytest.raises(DataError, match="must be positive"):
             apply_split_factors(table, [(dt.date(2001, 1, 2), "AAA", 0.0)])
 
+    def test_overflowing_factor_rejected(self, tmp_path):
+        # An infinite price would pass the positivity check of the returns
+        # and reach the regression as a NaN return.
+        table = load_csv(write(tmp_path, BASIC), target="SPX")
+        with pytest.raises(DataError, match="overflows its prices"):
+            apply_split_factors(table, [(dt.date(2001, 1, 3), "AAA", 1e307)])
+
     def test_split_file_round_trip(self, tmp_path):
         f = write(tmp_path, "date,stream,factor\n2001-01-03,AAA,0.5\n\n", "s.csv")
         assert load_split_file(f) == [(dt.date(2001, 1, 3), "AAA", 0.5)]
@@ -478,10 +485,10 @@ class TestLoadCsvStreams:
         assert returns.features.shape == (T - 1, n - 1)
         assert peak < 2.5 * table.prices.nbytes
 
-    def test_cell_by_cell_peak_memory_below_six_tables(self, tmp_path):
+    def test_cell_by_cell_peak_memory_below_four_tables(self, tmp_path):
         # One empty cell sends the file down the cell-by-cell path, which
-        # holds the text whole (about 2.3 tables of 17-digit prices, twice:
-        # as read and as lines) but never a Python float per cell.
+        # holds the file's lines once (about 2.3 tables of 17-digit prices,
+        # never the whole text as well) but never a Python float per cell.
         rng = np.random.default_rng(11)
         T, n = 500, 433
         prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (T, n)), axis=0))
@@ -504,7 +511,7 @@ class TestLoadCsvStreams:
         finally:
             tracemalloc.stop()
         assert np.isnan(table.prices).sum() == 1
-        assert peak < 6.0 * table.prices.nbytes
+        assert peak < 4.0 * table.prices.nbytes
 
 
 # The corruption menu of the differential fuzz test: each entry edits the

@@ -5,6 +5,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from flexls.estimator import KalmanEstimator, Smoothing
 from flexls.ingest import DataError, to_log_returns
 from flexls.strategy import (
     EstimatorConfig,
@@ -91,14 +92,13 @@ class TestPureFunctions:
         "make",
         [
             lambda v: EstimatorConfig(delta=0.5, prior_scale=v),
-            lambda v: EstimatorConfig(delta=0.5, veps=v),
             lambda v: SizingConfig(multiplier=v),
             lambda v: SizingConfig(endowment=v),
             lambda v: SizingConfig(cost_per_contract=v),
             lambda v: FeatureConfig(mode="svd", amnesia=v),
         ],
-        ids=["prior_scale", "veps", "multiplier", "endowment",
-             "cost_per_contract", "amnesia"],
+        ids=["prior_scale", "multiplier", "endowment", "cost_per_contract",
+             "amnesia"],
     )
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_config_rejects_non_finite_values(self, make, value):
@@ -169,6 +169,33 @@ class TestEstimateSpreads:
             estimate_spreads(
                 returns, EstimatorConfig(delta=0.5), compute_features(shorter)
             )
+
+    @pytest.mark.parametrize("delta", [0.2, 0.9, 0.98])
+    def test_observation_noise_is_a_smoothing_and_prior_rescale(self, delta):
+        # A filter with observation noise c gives the coefficients of the
+        # unit-noise filter at mu*c and prior_scale/c, and c times its
+        # forecast variances: the pipeline's filter loses nothing by
+        # fixing the noise at 1.
+        c = 3.7
+        returns, _ = make_market(seed=12, steps=501)
+        p = returns.features.shape[1]
+        mu = Smoothing(delta).mu
+        path = estimate_spreads(
+            returns,
+            EstimatorConfig(delta=1.0 / (1.0 + mu * c), prior_scale=1e6 / c),
+        )
+        noisy = KalmanEstimator(p, vomega=1.0 / mu, veps=c, prior_scale=1e6)
+        betas = np.empty_like(path.betas)
+        forecast_vars = np.empty(len(returns))
+        for i in range(len(returns)):
+            forecast_vars[i] = noisy.update(
+                returns.features[i], returns.target[i]
+            ).forecast_var
+            betas[i] = noisy.beta
+        assert len(returns) == 500 and p == 8
+        row_error = np.abs(path.betas - betas).max(axis=1)
+        assert (row_error / np.abs(betas).max(axis=1)).max() <= 1e-9
+        np.testing.assert_allclose(forecast_vars, c * path.forecast_vars, rtol=1e-9)
 
     def test_svd_mode_rejects_too_many_components(self):
         returns, _ = make_market(seed=6, steps=60, n_streams=2)
