@@ -52,7 +52,7 @@ from .strategy import (
     write_ledger_csv,
 )
 from .synth import Fig2Config, gen_fig2
-from .util import fmt_g17, write_rows
+from .util import open_text, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,9 +69,10 @@ class ConfigError(Exception):
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Parse flat ``key = value`` lines into a dict.  Duplicates are errors."""
+    """Parse flat ``key = value`` lines, as ``util.open_text`` reads them
+    (ended by ``\n``), into a dict.  Duplicates are errors."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -318,6 +319,11 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
         raise ConfigError("trading_days", "must be >= 1")
 
     out_dir = getattr(args, "out_dir", None) or merged["out_dir"]
+    # effective_config.txt must record the path so that it parses back
+    # unchanged; only a command-line value can fail this.
+    if out_dir != out_dir.strip() or any(c in out_dir for c in "#\n\r"):
+        raise ConfigError("--out-dir", f"{out_dir!r}: a '#', a line break or "
+                          "edge whitespace cannot be recorded in a config")
 
     return BacktestJob(
         data=merged["data"],
@@ -339,7 +345,8 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
 
 def _load_job_config(args, need_grid: bool) -> BacktestJob:
     try:
-        text = Path(args.config).read_text(encoding="utf-8-sig")
+        with open_text(args.config) as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("--config", f"cannot read {args.config}: {exc}") from None
     return build_job(parse_config_text(text), args, need_grid)
@@ -437,14 +444,9 @@ def _cmd_sweep_sharpe(args) -> int:
     curve = [(delta, report.sharpe) for delta, _, _, report in _run_grid(job)]
 
     out = _prepare_out_dir(job)
-    write_rows(
-        out / "sweep_sharpe.csv",
-        ["delta", "sharpe"],
-        (
-            [fmt_g17(d), fmt_g17(s) if s is not None else "nan"]
-            for d, s in curve
-        ),
-    )
+    # dtype=float turns an absent Sharpe (None) into NaN.
+    table = np.array(curve, dtype=float).reshape(len(curve), 2)
+    write_table(out / "sweep_sharpe.csv", ["delta", "sharpe"], table.T)
     width = max(len("delta"), *(len(f"{d:g}") for d, _ in curve))
     print("delta".rjust(width) + "  sharpe")
     for d, s in curve:
@@ -489,28 +491,23 @@ def _cmd_sim_fig2(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    header = ["t", "x", "y", "beta_true"] + list(paths)
-    write_rows(
+    write_table(
         out / "fig2_paths.csv",
-        header,
-        (
-            [str(t + 1), fmt_g17(x[t]), fmt_g17(y[t]), fmt_g17(beta_true[t])]
-            + [fmt_g17(paths[name][t]) for name in paths]
-            for t in range(T)
-        ),
+        ["t", "x", "y", "beta_true"] + list(paths),
+        [np.arange(1, T + 1), x, y, beta_true, *paths.values()],
     )
-
-    def seg_rows():
-        for name, est in paths.items():
-            mode = name.removeprefix("beta_")
-            for seg, lo, hi in segments:
-                if lo > T:
-                    continue
-                hi = min(hi, T)
-                err = est[lo - 1 : hi] - beta_true[lo - 1 : hi]
-                yield [mode, seg, str(lo), str(hi), fmt_g17(float(np.mean(err**2)))]
-
-    write_rows(out / "fig2_summary.csv", ["mode", "segment", "t_start", "t_end", "mse"], seg_rows())
+    summary = [
+        (name.removeprefix("beta_"), seg, lo, min(hi, T),
+         float(np.mean((est[lo - 1 : hi] - beta_true[lo - 1 : hi]) ** 2)))
+        for name, est in paths.items()
+        for seg, lo, hi in segments
+        if lo <= T
+    ]
+    write_table(
+        out / "fig2_summary.csv",
+        ["mode", "segment", "t_start", "t_end", "mse"],
+        list(zip(*summary)),
+    )
     (out / "effective_config.txt").write_text(
         f"seed = {args.seed}\ndelta = {args.delta!r}\nmode = {args.mode}\n"
         f"out_dir = {args.out_dir}\n",

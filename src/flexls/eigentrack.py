@@ -51,7 +51,6 @@ class EigenTracker:
         self.amnesia = float(amnesia)
         self.h = np.zeros((self.k, self.p))   # unnormalized components, row j
         self.counts = np.zeros(self.k, dtype=int)  # samples absorbed per row
-        self.n = 0                            # samples seen overall
         self._active = 0                      # rows seeded so far
         # Row j's length and direction as ``update`` last wrote it; a zero
         # length marks a row not yet seeded or collapsed.
@@ -76,7 +75,6 @@ class EigenTracker:
             raise ValueError(f"sample must have shape ({self.p},), got {r.shape}")
         if not np.all(np.isfinite(r)):
             raise ValueError("sample contains non-finite values")
-        self.n += 1
         self._basis = None
         u = r.copy()
         # Deflation leaves rounding dust (~eps * sample norm) even when a

@@ -35,6 +35,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .util import write_table
+
 # Outcome of a filter step.  A rejected step writes nothing.
 _ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
 
@@ -221,11 +223,11 @@ def _solve_checked(a: NDArray[np.float64], b: NDArray[np.float64]):
 class FlsEstimator:
     """Penalized recursive estimator for drifting regression coefficients.
 
-    State is the quadratic cost surface (``S``, ``s``, ``r``): ``S`` is the
-    curvature, ``s`` the linear term, ``r`` the data-only constant, so the
-    cost of ending at coefficient vector b after ``t`` observations is
-    ``r + b'Sb - 2 b's`` up to the minimized remainder.  The estimate is
-    the surface minimizer, ``beta = solve(S, s)``.
+    State is the quadratic cost surface (``S``, ``s``): ``S`` is the
+    curvature and ``s`` the linear term, so the cost of ending at
+    coefficient vector b after ``t`` observations is ``b'Sb - 2 b's`` up
+    to a constant.  The estimate is the surface minimizer,
+    ``beta = solve(S, s)``.
 
     ``s0_scale`` sets the prior curvature ``S0 = s0_scale * I``.  Zero keeps
     the textbook flat start, in which case the first updates raise
@@ -249,7 +251,6 @@ class FlsEstimator:
         self.smoothing = smoothing
         self.S = np.eye(self.p) * s0_scale
         self.s = np.zeros(self.p)
-        self.r = 0.0
         self.beta = np.zeros(self.p)
         self.t = 0
 
@@ -275,7 +276,6 @@ class FlsEstimator:
         S_new = mu * cho_solve(cf, B, check_finite=False)
         self.S = 0.5 * (S_new + S_new.T)
         self.s = mu * d
-        self.r += y * y - float(b @ d)
         self.beta = beta
         self.t += 1
         return beta.copy()
@@ -506,24 +506,18 @@ class KalmanEstimator:
         return dup
 
 
-# Rows of a coefficient path turned into Python floats and text at a time:
-# at p=432 one block holds under 1 MB of them.
-COEFFICIENT_BLOCK_ROWS = 64
-
-
 def write_coefficient_csv(
     path,
     betas,
     innovations: Sequence[float],
     forecast_vars: Sequence[float],
 ) -> None:
-    """Write a coefficient path and the filter's diagnostics as UTF-8 CSV.
+    """Write a coefficient path and the filter's diagnostics as CSV.
 
     Columns are ``t`` (1-based), one ``beta_i`` per coefficient, then the
-    innovation ``e`` and its forecast variance ``Q``.  Floats carry 17
-    significant digits so reruns are byte-identical and lossless.  Rows are
-    formatted ``COEFFICIENT_BLOCK_ROWS`` at a time, so the Python floats and
-    text held at once stay small however long the path is.
+    innovation ``e`` and its forecast variance ``Q``, written by
+    :func:`flexls.util.write_table`: lossless and byte-stable, and
+    formatted a block of rows at a time however long the path is.
     """
     betas = np.asarray(betas, dtype=float)
     if betas.ndim != 2:
@@ -532,14 +526,8 @@ def write_coefficient_csv(
     extras = [np.asarray(col, dtype=float) for col in (innovations, forecast_vars)]
     if any(col.shape != (T,) for col in extras):
         raise ValueError(f"e and Q columns must have length {T}")
-    header = ["t"] + [f"beta_{i + 1}" for i in range(p)] + ["e", "Q"]
-
-    # "%.17g" gives the same text as util.fmt_g17: lossless, byte-stable.
-    row_fmt = "%d" + ",%.17g" * (p + 2) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, T, COEFFICIENT_BLOCK_ROWS):
-            rows = slice(start, start + COEFFICIENT_BLOCK_ROWS)
-            block = np.column_stack([betas[rows], *(col[rows] for col in extras)])
-            for t, row in enumerate(block.tolist(), start + 1):
-                fh.write(row_fmt % (t, *row))
+    write_table(
+        path,
+        ["t"] + [f"beta_{i + 1}" for i in range(p)] + ["e", "Q"],
+        [np.arange(1, T + 1), *betas.T, *extras],
+    )

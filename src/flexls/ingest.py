@@ -9,6 +9,7 @@ the target stream's log returns and a feature matrix of the others.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import math
 import warnings
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .util import fmt_g17, write_rows
+from .util import open_text, write_table
 
 
 class DataError(ValueError):
@@ -90,20 +91,20 @@ class ReturnMatrix:
 
 
 def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
-    """Load a UTF-8 price CSV and put ``target`` in column 0.
+    """Load a price CSV and put ``target`` in column 0.
 
-    A leading byte-order mark, as spreadsheet tools write, is skipped.
+    The file is read by :func:`flexls.util.open_text`: UTF-8, a leading
+    byte-order mark skipped, lines ended by ``\n``, ``\r`` or ``\r\n``.
     The header must start with ``date``; every other header cell names a
     stream.  Rows are sorted by date.  Cells may be empty (holes), but a
     stream whose hole fraction exceeds ``max_missing_frac`` is rejected:
     forward-filling that much data would manufacture prices.
 
     A file without holes or bad cells is parsed in C by one ``np.loadtxt``
-    call that reads the open file line by line, so the text is never held
-    whole; the one copy made after that is the C-ordered, target-first
-    price array.  Any other file is read again, one line at a time, and
-    parsed cell by cell, which gives the same values and names the first
-    bad line.
+    call that reads the open file, so the text is never held whole; the
+    one copy made after that is the C-ordered, target-first price array.
+    Any other file is read again, one line at a time, and parsed cell by
+    cell, which gives the same values and names the first bad line.
     """
     if not (0.0 <= max_missing_frac <= 1.0):
         raise ValueError(
@@ -111,16 +112,14 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
         )
     path = Path(path)
     try:
-        with open(path, encoding="utf-8-sig", newline="") as fh:
-            # str.splitlines() may cut the first line further; then the
-            # whole file takes the cell-by-cell path, which cuts lines so.
-            head = fh.readline().splitlines()
-            labels = _parse_header(path, head[0] if head else None)
+        with open_text(path) as fh:
+            labels = _parse_header(path, fh.readline())
             if target not in labels:
                 raise DataError(f"{path}: target column {target!r} not in header")
-            parsed = _parse_clean(fh, len(labels)) if len(head) == 1 else None
+            parsed = _parse_clean(fh, len(labels))
         if parsed is None:
-            parsed = _parse_rows(path, _read_lines(path)[1:], labels)
+            with open_text(path) as fh:
+                parsed = _parse_rows(path, fh.readlines()[1:], labels)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     dates, table = parsed
@@ -158,18 +157,11 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     return PriceTable(dates=dates, prices=prices, labels=labels)
 
 
-def _read_lines(path: Path) -> list[str]:
-    """The file's lines as ``str.splitlines`` cuts them, terminators and a
-    leading byte-order mark dropped.  File iteration ends lines only where
-    ``splitlines`` does, so each line is cut again, never the whole text."""
-    with open(path, encoding="utf-8-sig", newline="") as fh:
-        return [part for line in fh for part in line.splitlines()]
-
-
-def _parse_header(path: Path, line: str | None) -> list[str]:
-    """Stream labels from the header line (None for an empty file)."""
-    if line is None:
+def _parse_header(path: Path, line: str) -> list[str]:
+    """Stream labels from the header line ("" for an empty file)."""
+    if not line:
         raise DataError(f"{path}: empty file")
+    line = line.removesuffix("\n")
     header = [cell.strip() for cell in line.split(",")]
     if len(header) < 2 or header[0].lower() != "date":
         raise DataError(
@@ -179,19 +171,6 @@ def _parse_header(path: Path, line: str | None) -> list[str]:
     if len(set(labels)) != len(labels):
         raise DataError(f"{path}: duplicate stream labels in header")
     return labels
-
-
-# str.splitlines() also ends a line at these ASCII characters and at some
-# non-ASCII ones; iterating over a file ends lines only at \n, \r and \r\n.
-_SPLITLINES_ASCII_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
-
-
-def _file_lines(fh):
-    """Yield the lines of ``fh``; raise ValueError at one ``splitlines`` would cut."""
-    for line in fh:
-        if not line.isascii() or any(c in line for c in _SPLITLINES_ASCII_BREAKS):
-            raise ValueError("line holds a break only str.splitlines() sees")
-        yield line
 
 
 def _date_ordinal(cell: str) -> int:
@@ -206,9 +185,8 @@ def _parse_clean(
     Returns ``(dates, table)`` in file order, ``table`` being (T, 1 +
     n_streams) with the dates' ordinals in column 0.  Returns None when any
     line might need :func:`_parse_rows`: an empty cell, a wrong field count,
-    a whitespace-only line, a line ``str.splitlines`` would cut where file
-    iteration does not, a cell ``np.loadtxt`` rejects or reads as infinite,
-    or no data at all.  ``loadtxt`` and ``float()`` share CPython's
+    a whitespace-only line, a cell ``np.loadtxt`` rejects or reads as
+    infinite, or no data at all.  ``loadtxt`` and ``float()`` share CPython's
     correctly rounded string-to-double, so the values are the ones
     ``_parse_rows`` would give; the few spellings only ``float()`` accepts
     (``1_0``, non-ASCII digits) fall back to it.
@@ -221,7 +199,7 @@ def _parse_clean(
             # usecols, loadtxt rejects a row whose field count differs from
             # the first row's; an empty cell fails to convert.
             table = np.loadtxt(
-                _file_lines(fh),
+                fh,
                 delimiter=",",
                 comments=None,
                 converters={0: _date_ordinal},
@@ -243,9 +221,9 @@ def _parse_rows(
     """Parse data lines cell by cell: the only parser that accepts holes.
 
     Every cell error is raised here, naming the first bad line in file
-    order.  ``lines`` starts at file line 2.  Each row's floats go straight
-    into one array sized for every line, so no more than one row of them
-    is held as Python floats.
+    order.  ``lines`` starts at file line 2; a line may keep its ``\n``.
+    Each row's floats go straight into one array sized for every line, so
+    no more than one row of them is held as Python floats.
     """
     n_cols = len(labels) + 1
     dates: list[dt.date] = []
@@ -324,7 +302,7 @@ def to_log_returns(table: PriceTable) -> ReturnMatrix:
         flat = int(np.argmax(bad.any(axis=1)))
         j = int(np.argmax(bad[flat]))
         value = prices[flat, j]
-        what = "missing" if math.isnan(value) else f"non-positive ({fmt_g17(value)})"
+        what = "missing" if math.isnan(value) else f"non-positive ({value:g})"
         raise DataError(
             f"{what} price for stream {table.labels[j]} "
             f"on {table.dates[flat].isoformat()}"
@@ -360,10 +338,7 @@ def apply_split_factors(
             raise DataError(f"split factor for {label} must be positive, got {factor}")
         j = table.labels.index(label)
         with np.errstate(over="ignore"):    # reported below, as data
-            for i, row_date in enumerate(table.dates):
-                if row_date >= day:
-                    break
-                prices[i, j] *= factor
+            prices[: bisect.bisect_left(table.dates, day), j] *= factor
         if np.isinf(prices[:, j]).any():
             raise DataError(f"split factor {factor} for {label} overflows its prices")
     return PriceTable(dates=list(table.dates), prices=prices, labels=list(table.labels))
@@ -373,7 +348,8 @@ def load_split_file(path) -> list[tuple[dt.date, str, float]]:
     """Read split adjustments from a ``date,stream,factor`` CSV."""
     path = Path(path)
     try:
-        lines = _read_lines(path)
+        with open_text(path) as fh:
+            lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not lines or [c.strip().lower() for c in lines[0].split(",")] != [
@@ -407,12 +383,9 @@ def write_csv(table: PriceTable, path) -> None:
     Floats carry 17 significant digits; a load of the written file
     reproduces the table exactly.
     """
-    header = ["date"] + list(table.labels)
-
-    def rows():
-        for day, row in zip(table.dates, table.prices):
-            yield [day.isoformat()] + [
-                "" if math.isnan(v) else fmt_g17(v) for v in row
-            ]
-
-    write_rows(path, header, rows())
+    write_table(
+        path,
+        ["date"] + list(table.labels),
+        [[day.isoformat() for day in table.dates], *table.prices.T],
+        blank_nan=True,
+    )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .strategy import TradeLedger
-from .util import fmt_g17, write_rows
+from .util import write_table
 
 TRADING_DAYS_PER_YEAR = 252
 
@@ -146,25 +146,19 @@ def summarize(
 _REPORT_COLUMNS = [f.name for f in fields(BacktestReport)]
 
 
-def _report_cells(report: BacktestReport) -> list[str]:
-    cells = []
-    for name in _REPORT_COLUMNS:
-        value = getattr(report, name)
-        cells.append(fmt_g17(math.nan) if value is None else fmt_g17(value))
-    return cells
-
-
 def write_report_csv(path, rows: list[tuple[float, BacktestReport]]) -> None:
     """Write one report row per smoothing value: ``delta`` then each field.
 
     An absent Sharpe is written as ``nan``.
     """
     header = ["delta"] + _REPORT_COLUMNS
-    write_rows(
-        path,
-        header,
-        ([fmt_g17(delta)] + _report_cells(report) for delta, report in rows),
-    )
+    # dtype=float turns an absent Sharpe (None) into NaN.
+    table = np.array(
+        [[delta] + [getattr(report, name) for name in _REPORT_COLUMNS]
+         for delta, report in rows],
+        dtype=float,
+    ).reshape(len(rows), len(header))
+    write_table(path, header, table.T)
 
 
 def format_report_table(rows: list[tuple[float, BacktestReport]]) -> str:

@@ -20,6 +20,7 @@ from numpy.typing import NDArray
 from .eigentrack import EigenTracker
 from .estimator import DEFAULT_PRIOR_SCALE, KalmanEstimator, Smoothing
 from .ingest import DataError, ReturnMatrix
+from .util import write_table
 
 RULES = ("mean-reversion", "buy-hold")
 FEATURE_MODES = ("raw", "svd")
@@ -201,7 +202,8 @@ def estimate_spreads(
     regressors and target return; the residual uses the just-updated
     coefficients.  Everything consumed at row ``i`` is known at row ``i``,
     so downstream trading sees no future data.  Rows without regressors
-    keep the raw target return as their residual.
+    keep the raw target return as their residual.  A row the filter
+    rejects raises :class:`~flexls.ingest.DataError` naming its date.
     """
     if isinstance(features, FeatureConfig):
         features = compute_features(returns, features)
@@ -225,7 +227,12 @@ def estimate_spreads(
             spreads[i] = a
             continue
         f = features.values[i]
-        diag = kf.update(f, a)
+        try:
+            diag = kf.update(f, a)
+        except ValueError as exc:
+            raise DataError(
+                f"regression update on {returns.dates[i]} rejected: {exc}"
+            ) from None
         innovations[i] = diag.innovation
         forecast_vars[i] = diag.forecast_var
         betas[i] = kf.beta
@@ -381,22 +388,10 @@ def run_backtest(
 def write_ledger_csv(path, ledger: TradeLedger) -> None:
     """Write a ledger as CSV with a running cumulative profit column.
 
-    Floats carry 17 significant digits (the text of ``util.fmt_g17``), so
-    reruns are byte-identical and lossless.
+    Written by :func:`flexls.util.write_table`, so reruns are
+    byte-identical and lossless.
     """
-    header = "date,spread,signal,position,order,pnl,cum_pnl,index_price\n"
-    row_fmt = "%s,%.17g,%d,%.17g,%d,%.17g,%.17g,%.17g\n"
-    rows = zip(
-        [day.isoformat() for day in ledger.dates],
-        ledger.spread.tolist(),
-        ledger.signal.tolist(),
-        ledger.position.tolist(),
-        ledger.order.tolist(),
-        ledger.pnl.tolist(),
-        ledger.cum_pnl.tolist(),
-        ledger.index_price.tolist(),
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header)
-        for row in rows:
-            fh.write(row_fmt % row)
+    names = ["spread", "signal", "position", "order", "pnl", "cum_pnl", "index_price"]
+    columns = [getattr(ledger, name) for name in names]
+    dates = [day.isoformat() for day in ledger.dates]
+    write_table(path, ["date", *names], [dates, *columns])

@@ -6,11 +6,13 @@ nothing behind.
 """
 
 import importlib.util
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,12 +28,16 @@ from flexls.cli import (
     parse_config_text,
 )
 import flexls
+import flexls.cli as cli_module
 from flexls import __version__
 from flexls.eigentrack import EigenTracker
 import flexls.estimator as estimator_module
 from flexls.estimator import KERNEL_BACKEND, _kf_step, _kf_step_impl
 from flexls.ingest import write_csv
-from flexls.synth import MarketConfig, gen_market
+from flexls.synth import Fig2Config, MarketConfig, gen_market
+from flexls.util import fmt_g17
+
+from .test_strategy import SPECIAL_FLOATS
 
 
 @pytest.fixture
@@ -411,6 +417,49 @@ class TestBacktestErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("prior_scale", ["1e20", "1e150"])
+    def test_filter_rejection_is_data_error_and_leaves_no_outputs(
+        self, tmp_path, capsys, prior_scale
+    ):
+        # A prior this wide drives the forecast variance below zero within
+        # the first rows; the config check cannot know that before the data.
+        table, _ = gen_market(MarketConfig(seed=0, steps=300))
+        prices = tmp_path / "prices.csv"
+        write_csv(table, prices)
+        out = tmp_path / "never"
+        cfg = write_config(
+            tmp_path,
+            base_config(prices, out, f"prior_scale = {prior_scale}\n").replace(
+                "warmup = 40", "warmup = 50"
+            ),
+        )
+        err = self.run_expecting(
+            EXIT_DATA,
+            ["backtest", "--config", str(cfg)],
+            capsys,
+            "forecast variance must stay positive",
+        )
+        assert re.match(r"data error: regression update on \d{4}-\d\d-\d\d rejected", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "out_dir", ["o#1/run", "o\nx", "o\rx", " o", "o ", "o\t"]
+    )
+    def test_out_dir_that_cannot_be_recorded_is_config_error(
+        self, tmp_path, market_csv, capsys, monkeypatch, out_dir
+    ):
+        # Rerunning from effective_config.txt would write somewhere else.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, base_config(market_csv, tmp_path / "o"))
+        before = sorted(tmp_path.iterdir())
+        self.run_expecting(
+            EXIT_CONFIG,
+            ["backtest", "--config", str(cfg), "--out-dir", out_dir],
+            capsys,
+            "config error: --out-dir: ",
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_too_many_factor_scores_is_config_error(
         self, tmp_path, market_csv, capsys
     ):
@@ -565,6 +614,27 @@ class TestSweepCommand:
         assert main(["sweep-sharpe", "--config", str(cfg)]) == EXIT_CONFIG
         assert "delta_grid: required for a sweep" in capsys.readouterr().err
 
+    def test_special_values_match_the_per_cell_formatter(
+        self, tmp_path, market_csv, monkeypatch
+    ):
+        deltas = list(np.roll(SPECIAL_FLOATS, 1)) + [0.5]
+        sharpes = SPECIAL_FLOATS + [None]
+        monkeypatch.setattr(cli_module, "_run_grid", lambda job: (
+            (d, None, None, SimpleNamespace(sharpe=s)) for d, s in zip(deltas, sharpes)
+        ))
+        out = tmp_path / "sweep"
+        body = (
+            f"data = {market_csv}\ntarget = INDEX\n"
+            f"delta_grid = 0.5\nwarmup = 40\nout_dir = {out}\n"
+        )
+        cfg = write_config(tmp_path, body)
+        assert main(["sweep-sharpe", "--config", str(cfg)]) == EXIT_OK
+        expected = "delta,sharpe\n" + "".join(
+            f"{fmt_g17(d)},{fmt_g17(math.nan if s is None else s)}\n"
+            for d, s in zip(deltas, sharpes)
+        )
+        assert (out / "sweep_sharpe.csv").read_bytes() == expected.encode()
+
     def test_sweep_reruns_identical(self, tmp_path, market_csv):
         outs = []
         for name in ("s1", "s2"):
@@ -595,6 +665,41 @@ class TestSimFig2Command:
         assert modes == {"online", "offline"}
         segs = [line.split(",")[1] for line in summary[1:] if line.startswith("online")]
         assert segs == ["walk", "drift", "sine", "all"]
+
+    def test_special_values_match_the_per_cell_formatter(self, tmp_path, monkeypatch):
+        T = Fig2Config().steps
+        x = np.resize(SPECIAL_FLOATS, T)
+        y = np.roll(x, 1)
+        beta = np.zeros(T)
+        smooth = np.zeros(T)
+        smooth[10:20] = SPECIAL_FLOATS          # walk: a NaN MSE
+        smooth[150] = 1e-160                    # drift: a subnormal MSE
+        smooth[250] = 1.7976931348623157e308    # sine: an infinite MSE
+        monkeypatch.setattr(cli_module, "gen_fig2", lambda cfg: (x, y, beta))
+        monkeypatch.setattr(
+            cli_module, "fls_smooth_batch", lambda xs, ys, smoothing: smooth[:, None]
+        )
+        out = tmp_path / "fig2"
+        with np.errstate(all="ignore"):     # the MSE of inf and nan
+            code = main(["sim-fig2", "--mode", "offline", "--out-dir", str(out)])
+        assert code == EXIT_OK
+
+        lines = ["t,x,y,beta_true,beta_offline"] + [
+            ",".join([str(t + 1), *(fmt_g17(col[t]) for col in (x, y, beta, smooth))])
+            for t in range(T)
+        ]
+        assert (out / "fig2_paths.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        summary = (out / "fig2_summary.csv").read_bytes().decode().split("\n")
+        assert summary[0] == "mode,segment,t_start,t_end,mse"
+        assert summary[-1] == ""
+        cells = [line.split(",") for line in summary[1:-1]]
+        for _, _, lo, hi, mse in cells:
+            with np.errstate(all="ignore"):
+                err = smooth[int(lo) - 1 : int(hi)] - beta[int(lo) - 1 : int(hi)]
+                assert mse == fmt_g17(np.mean(err**2))
+        mses = [float(c[4]) for c in cells]
+        assert np.isnan(mses).any() and np.isinf(mses).any()
+        assert any(0.0 < m < 2.2250738585072014e-308 for m in mses)   # subnormal
 
     def test_online_mode_only(self, tmp_path):
         out = tmp_path / "only"

@@ -8,7 +8,6 @@ import pytest
 
 import flexls.estimator as estimator_module
 from flexls.estimator import (
-    COEFFICIENT_BLOCK_ROWS,
     DEFAULT_PRIOR_SCALE,
     FlsEstimator,
     KalmanEstimator,
@@ -22,6 +21,7 @@ from flexls.estimator import (
 )
 from flexls.ingest import to_log_returns
 from flexls.synth import MarketConfig, gen_market
+from flexls.util import BLOCK_ROWS
 
 from .oracle import ols_fit, penalized_path_direct, path_cost
 
@@ -75,7 +75,6 @@ class TestFlsEstimator:
         assert est.t == 0
         np.testing.assert_array_equal(est.S, np.zeros((2, 2)))
         np.testing.assert_array_equal(est.s, np.zeros(2))
-        assert est.r == 0.0
 
     def test_diffuse_prior_avoids_underdetermined_start(self):
         est = FlsEstimator(2, Smoothing(0.5))
@@ -606,9 +605,9 @@ class TestCoefficientCsv:
         [
             0,
             1,
-            COEFFICIENT_BLOCK_ROWS - 1,
-            COEFFICIENT_BLOCK_ROWS,
-            COEFFICIENT_BLOCK_ROWS + 1,
+            BLOCK_ROWS - 1,
+            BLOCK_ROWS,
+            BLOCK_ROWS + 1,
         ],
     )
     def test_block_writes_match_one_shot_formatting(self, tmp_path, T):

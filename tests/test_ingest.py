@@ -344,6 +344,32 @@ class TestSplits:
         # other streams untouched
         np.testing.assert_array_equal(adjusted.prices[:, 0], table.prices[:, 0])
 
+    def test_matches_a_row_by_row_reference_bitwise(self):
+        rng = np.random.default_rng(3)
+        days = sorted({int(d) for d in rng.integers(0, 90, 40)})
+        start = dt.date(2001, 1, 1)
+        table = PriceTable(
+            dates=[start + dt.timedelta(days=d) for d in days],
+            prices=np.exp(rng.normal(size=(len(days), 3))),
+            labels=["T", "A", "B"],
+        )
+        # Before the first row, on rows, between rows, after the last row.
+        split_days = [-1, days[5], days[5] + 1, days[20], days[-1], days[-1] + 3]
+        factors = rng.uniform(0.1, 9.0, len(split_days)).tolist()
+        adjustments = [
+            (start + dt.timedelta(days=d), label, f)
+            for d, label, f in zip(split_days, ["T", "A", "B", "A", "T", "B"], factors)
+        ]
+        want = table.prices.copy()
+        for day, label, factor in adjustments:
+            j = table.labels.index(label)
+            for i, row_date in enumerate(table.dates):
+                if row_date >= day:
+                    break
+                want[i, j] *= factor
+        got = apply_split_factors(table, adjustments)
+        assert got.prices.tobytes() == want.tobytes()
+
     def test_unknown_stream_rejected(self, tmp_path):
         table = load_csv(write(tmp_path, BASIC), target="SPX")
         with pytest.raises(DataError, match="unknown stream 'ZZZ'"):
@@ -425,13 +451,41 @@ class TestLoadCsvStreams:
         assert rets.target.tobytes() == expected[:, 0].tobytes()
         assert rets.features.tobytes() == expected[:, 1:].copy().tobytes()
 
-    @pytest.mark.parametrize("brk", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"])
-    def test_breaks_only_splitlines_sees_fall_back(self, tmp_path, brk):
-        # np.loadtxt would read "1<brk>" as 1.0; str.splitlines ends the line
-        # there, and the cell-by-cell parser reports the short row.
-        f = write(tmp_path, f"date,SPX,AAA\n2001-01-01,1400{brk},100\n")
-        with pytest.raises(DataError, match="line 2: expected 3 fields, got 2"):
-            load_csv(f, target="SPX")
+    @pytest.mark.parametrize(
+        "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+    )
+    def test_only_cr_and_lf_end_a_line(self, tmp_path, monkeypatch, char):
+        # str.splitlines() would end a line at each of these; the line rule
+        # does not, so inside a cell they are whitespace to both parsers.
+        f = tmp_path / "odd.csv"
+        f.write_bytes(
+            f"date,SPX,AAA\n2001-01-01,1400{char},100\n2001-01-02,{char}1410,101\n"
+            .encode("utf-8")
+        )
+        calls = count_loop_calls(monkeypatch)
+        fast = load_csv(f, target="SPX")
+        monkeypatch.setattr(ingest, "_parse_clean", lambda *args: None)
+        slow = load_csv(f, target="SPX")
+        assert len(calls) == 1
+        want = np.array([[1400.0, 100.0], [1410.0, 101.0]])
+        assert fast.prices.tobytes() == slow.prices.tobytes() == want.tobytes()
+        assert fast.dates == slow.dates
+
+    @pytest.mark.parametrize("brk", ["\r", "\r\n"])
+    @pytest.mark.parametrize("via_loop", [False, True])
+    def test_cr_file_loads_as_its_lf_twin(self, tmp_path, monkeypatch, brk, via_loop):
+        text = BASIC.replace(",101,", ",,") if via_loop else BASIC
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes(text.encode("utf-8"))
+        cr = tmp_path / "cr.csv"
+        cr.write_bytes(text.replace("\n", brk).encode("utf-8"))
+        calls = count_loop_calls(monkeypatch)
+        want = load_csv(lf, target="AAA", max_missing_frac=0.5)
+        got = load_csv(cr, target="AAA", max_missing_frac=0.5)
+        assert len(calls) == (2 if via_loop else 0)
+        assert got.labels == want.labels
+        assert got.dates == want.dates
+        assert got.prices.tobytes() == want.prices.tobytes()
 
     def test_non_utf8_file_is_a_data_error(self, tmp_path):
         f = tmp_path / "latin1.csv"

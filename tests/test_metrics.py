@@ -2,6 +2,7 @@
 
 import datetime as dt
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from flexls.metrics import (
     write_report_csv,
 )
 from flexls.strategy import TradeLedger
+from flexls.util import fmt_g17
+
+from .test_strategy import SPECIAL_FLOATS
 
 
 def make_ledger(pnl, positions, spreads):
@@ -204,6 +208,24 @@ class TestReportOutput:
         assert float(first[1]) == pytest.approx(0.2)
         # absent sharpe serialized as nan
         assert math.isnan(float(lines[2].split(",")[8]))
+
+    def test_special_values_match_the_per_cell_formatter(self, tmp_path):
+        names = [f.name for f in fields(BacktestReport)]
+        rows = [
+            (delta, BacktestReport(**dict(zip(names, np.roll(SPECIAL_FLOATS, i)))))
+            for i, delta in enumerate(SPECIAL_FLOATS)
+        ]
+        rows.append((0.5, replace(rows[0][1], sharpe=None)))
+        out = tmp_path / "report.csv"
+        write_report_csv(out, rows)
+
+        lines = [",".join(["delta", *names])]
+        for delta, report in rows:
+            values = [getattr(report, name) for name in names]
+            lines.append(",".join(
+                fmt_g17(math.nan if v is None else v) for v in [delta, *values]
+            ))
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_table_renders_every_row(self):
         text = format_report_table(self.rows())

@@ -26,6 +26,12 @@ from flexls.synth import MarketConfig, gen_market
 from flexls.util import fmt_g17
 
 
+# Floats whose text is easy to get wrong: NaN, both infinities, negative
+# zero, subnormals, the smallest normal and the largest finite double.
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308,
+                  -1.5e-310, 1.7976931348623157e308, 0.1, -123456.789]
+
+
 def make_market(seed=0, **kwargs):
     table, _ = gen_market(MarketConfig(seed=seed, **kwargs))
     return to_log_returns(table), table.prices[:, 0]
@@ -384,8 +390,7 @@ class TestLedgerCsv:
         assert float(cells[7]) == ledger.index_price[i]
 
     def test_special_values_match_the_per_cell_formatter(self, tmp_path):
-        floats = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308,
-                  -1.5e-310, 1.7976931348623157e308, 0.1, -123456.789]
+        floats = SPECIAL_FLOATS
         n = len(floats)
         ledger = TradeLedger(
             dates=[dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(n)],
