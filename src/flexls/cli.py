@@ -236,6 +236,18 @@ def _parse_features(raw: dict[str, str], mode_text: str) -> FeatureConfig:
     return _library_config("features", FeatureConfig, mode=mode, **values)
 
 
+def _recordable_out_dir(out_dir: str) -> str:
+    """``out_dir``, checked to parse back unchanged from effective_config.txt.
+
+    Only a command-line value can fail this: a config's value is already
+    stripped and cut at its ``#``.
+    """
+    if out_dir != out_dir.strip() or any(c in out_dir for c in "#\n\r"):
+        raise ConfigError("--out-dir", f"{out_dir!r}: a '#', a line break or "
+                          "edge whitespace cannot be recorded in a config")
+    return out_dir
+
+
 def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
     """Resolve a raw config dict plus command-line overrides into a job."""
     for key in raw:
@@ -318,12 +330,7 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
     if trading_days < 1:
         raise ConfigError("trading_days", "must be >= 1")
 
-    out_dir = getattr(args, "out_dir", None) or merged["out_dir"]
-    # effective_config.txt must record the path so that it parses back
-    # unchanged; only a command-line value can fail this.
-    if out_dir != out_dir.strip() or any(c in out_dir for c in "#\n\r"):
-        raise ConfigError("--out-dir", f"{out_dir!r}: a '#', a line break or "
-                          "edge whitespace cannot be recorded in a config")
+    out_dir = _recordable_out_dir(getattr(args, "out_dir", None) or merged["out_dir"])
 
     return BacktestJob(
         data=merged["data"],
@@ -360,10 +367,9 @@ def _load_returns(job: BacktestJob):
     except OSError as exc:
         raise DataError(str(exc)) from exc
     table = forward_fill(table)
-    returns = to_log_returns(table)
-    # A copy, so the price table is freed once the returns are taken.
+    # Taken first: to_log_returns writes the returns over the prices.
     index_prices = table.prices[:, 0].copy()
-    return returns, index_prices
+    return to_log_returns(table), index_prices
 
 
 def _resolve_warmup(job: BacktestJob, returns) -> int:
@@ -456,12 +462,9 @@ def _cmd_sweep_sharpe(args) -> int:
 
 
 def _cmd_sim_fig2(args) -> int:
-    try:
-        smoothing = Smoothing(args.delta)
-    except ValueError as exc:
-        print(f"config error: --delta: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    cfg = Fig2Config(seed=args.seed)
+    smoothing = _library_config("--delta", Smoothing, delta=args.delta)
+    cfg = _library_config("--seed", Fig2Config, seed=args.seed)
+    _recordable_out_dir(args.out_dir)
     x, y, beta_true = gen_fig2(cfg)
     T = cfg.steps
 

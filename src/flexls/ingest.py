@@ -3,8 +3,9 @@
 The on-disk format is one CSV per dataset: a ``date`` column (ISO format,
 strictly increasing after load) followed by one price column per stream.
 Empty cells are holes; ``forward_fill`` repairs them from the last seen
-price.  ``to_log_returns`` turns a clean table into the regression inputs:
-the target stream's log returns and a feature matrix of the others.
+price.  ``to_log_returns`` turns a clean table into the regression inputs,
+in the table's own array: the target stream's log returns and a feature
+matrix of the others.
 """
 
 from __future__ import annotations
@@ -32,7 +33,11 @@ class PriceTable:
 
     ``prices`` is (T, 1 + n_streams); column 0 is the target.  NaN entries
     mark holes.  Dates are strictly increasing and labels are unique, with
-    ``labels[0]`` naming the target.
+    ``labels[0]`` naming the target.  ``prices`` need not be C-ordered:
+    from :func:`load_csv` it is a view of the parse buffer, each row
+    contiguous.  :func:`to_log_returns` consumes a table: it writes the
+    returns over ``prices`` and leaves the table with zero rows, so take
+    what is needed of the prices before that call.
     """
 
     dates: list[dt.date]
@@ -101,10 +106,13 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     forward-filling that much data would manufacture prices.
 
     A file without holes or bad cells is parsed in C by one ``np.loadtxt``
-    call that reads the open file, so the text is never held whole; the
-    one copy made after that is the C-ordered, target-first price array.
-    Any other file is read again, one line at a time, and parsed cell by
-    cell, which gives the same values and names the first bad line.
+    call that reads the open file, so the text is never held whole.  The
+    array it parses into is the only one of table size: the target column
+    is rotated into place in row blocks, and ``prices`` is a view of that
+    array (``table[:, 1:]``; column 0 holds the dates' ordinals), each row
+    contiguous.  Only out-of-order dates copy it, once.  Any other file is
+    read again, one line at a time, and parsed cell by cell into the same
+    layout, which gives the same values and names the first bad line.
     """
     if not (0.0 <= max_missing_frac <= 1.0):
         raise ValueError(
@@ -116,10 +124,11 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
             labels = _parse_header(path, fh.readline())
             if target not in labels:
                 raise DataError(f"{path}: target column {target!r} not in header")
-            parsed = _parse_clean(fh, len(labels))
+            ti = labels.index(target)
+            parsed = _parse_clean(fh, len(labels), ti)
         if parsed is None:
             with open_text(path) as fh:
-                parsed = _parse_rows(path, fh.readlines()[1:], labels)
+                parsed = _parse_rows(path, fh.readlines()[1:], labels, ti)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     dates, table = parsed
@@ -136,16 +145,10 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
         dates = [dates[i] for i in by_date]
         table = table[by_date]
 
-    # Put the target first, keep the remaining streams in header order.
-    # The price columns are the table's last len(labels).  ``np.take`` makes
-    # its one copy in C order (``table[:, order]`` would leave it in Fortran
-    # order), so every row the filter, the tracker and the spread read as a
-    # regressor is contiguous.
-    skip = table.shape[1] - len(labels)
-    ti = labels.index(target)
-    order = [ti] + [i for i in range(len(labels)) if i != ti]
-    prices = np.take(table, [skip + i for i in order], axis=1)
-    labels = [labels[i] for i in order]
+    # Both parsers put the dates' ordinals in column 0, then the target,
+    # then the remaining streams in header order.
+    prices = table[:, 1:]
+    labels = [labels[ti]] + labels[:ti] + labels[ti + 1 :]
 
     hole_frac = np.isnan(prices).mean(axis=0)
     for j, frac in enumerate(hole_frac):
@@ -178,12 +181,16 @@ def _date_ordinal(cell: str) -> int:
 
 
 def _parse_clean(
-    fh, n_streams: int
+    fh, n_streams: int, target: int
 ) -> tuple[list[dt.date], NDArray[np.float64]] | None:
     """Parse the rest of an open file in C, if it holds no hole and no bad cell.
 
-    Returns ``(dates, table)`` in file order, ``table`` being (T, 1 +
-    n_streams) with the dates' ordinals in column 0.  Returns None when any
+    Returns ``(dates, table)`` with rows in file order, ``table`` being the
+    (T, 1 + n_streams) array ``np.loadtxt`` parsed into: the dates'
+    ordinals in column 0, then stream ``target`` (an index into the
+    header's streams), then the other streams in header order.  The target
+    is moved there in place (``usecols`` would reorder in the parse, but it
+    lets a row with an extra field through).  Returns None when any
     line might need :func:`_parse_rows`: an empty cell, a wrong field count,
     a whitespace-only line, a cell ``np.loadtxt`` rejects or reads as
     infinite, or no data at all.  ``loadtxt`` and ``float()`` share CPython's
@@ -212,22 +219,41 @@ def _parse_clean(
     if table.shape[1] != 1 + n_streams or np.isinf(table).any():
         return None
     dates = list(map(dt.date.fromordinal, table[:, 0].astype(np.int64).tolist()))
+    _rotate_right(table[:, 1 : target + 2])
     return dates, table
 
 
+_BLOCK_CELLS = 1 << 15
+
+
+def _rotate_right(cols: NDArray[np.float64]) -> None:
+    """Move the last column of ``cols`` to the front, in place.
+
+    Works through the rows in blocks of about ``_BLOCK_CELLS`` cells, so
+    the temporary stays small however long the table is.
+    """
+    step = max(1, _BLOCK_CELLS // cols.shape[1])
+    for lo in range(0, len(cols), step):
+        block = cols[lo : lo + step]
+        block[:] = np.roll(block, 1, axis=1)
+
+
 def _parse_rows(
-    path: Path, lines: list[str], labels: list[str]
+    path: Path, lines: list[str], labels: list[str], target: int
 ) -> tuple[list[dt.date], NDArray[np.float64]]:
     """Parse data lines cell by cell: the only parser that accepts holes.
 
-    Every cell error is raised here, naming the first bad line in file
-    order.  ``lines`` starts at file line 2; a line may keep its ``\n``.
-    Each row's floats go straight into one array sized for every line, so
-    no more than one row of them is held as Python floats.
+    Every cell error is raised here, naming the first bad line, and in it
+    the first bad cell, in file order.  ``lines`` starts at file line 2; a
+    line may keep its ``\n``.  Returns ``(dates, table)`` laid out as
+    :func:`_parse_clean` lays it out: the dates' ordinals in column 0, then
+    stream ``target`` (an index into ``labels``), then the rest in header
+    order.  Each row's floats go straight into one array sized for every
+    line, so no more than one row of them is held as Python floats.
     """
     n_cols = len(labels) + 1
     dates: list[dt.date] = []
-    prices = np.empty((len(lines), len(labels)))
+    table = np.empty((len(lines), n_cols))
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -240,11 +266,11 @@ def _parse_rows(
             day = dt.date.fromisoformat(cells[0].strip())
         except ValueError as exc:
             raise DataError(f"{path}: line {lineno}: bad date {cells[0]!r}") from exc
-        values = []
+        row = [day.toordinal()]
         for label, cell in zip(labels, cells[1:]):
             cell = cell.strip()
             if cell == "":
-                values.append(math.nan)
+                row.append(math.nan)
                 continue
             try:
                 value = float(cell)
@@ -256,10 +282,11 @@ def _parse_rows(
                 raise DataError(
                     f"{path}: line {lineno}: non-finite price for {label}"
                 )
-            values.append(value)
-        prices[len(dates)] = values
+            row.append(value)
+        row.insert(1, row.pop(1 + target))
+        table[len(dates)] = row
         dates.append(day)
-    return dates, prices[: len(dates)]
+    return dates, table[: len(dates)]
 
 
 def forward_fill(table: PriceTable) -> PriceTable:
@@ -288,13 +315,17 @@ def forward_fill(table: PriceTable) -> PriceTable:
 
 
 def to_log_returns(table: PriceTable) -> ReturnMatrix:
-    """Convert a complete price table to daily log returns.
+    """Convert a complete price table to daily log returns, in place.
 
     Every price must be present and positive; the error names the first
-    offending stream and date.  ``target`` and ``features`` are views into
-    one new (T, 1 + n_streams) array, whose first row is unused: the logs
-    are differenced in place from the last row up, which gives bit for bit
-    what ``np.diff`` of the logs gives.
+    offending stream and date, and leaves the table as it was.  Otherwise
+    the table is consumed: the logs are taken into ``table.prices`` itself
+    and differenced there from the last row up, which gives bit for bit
+    what ``np.diff`` of the logs gives, and ``target`` and ``features`` are
+    views into that array (its first row unused).  The table is left with
+    zero rows, so a late read of its prices fails rather than returning
+    returns; any other table sharing the array (such as :func:`forward_fill`'s
+    input, for a table without holes) holds returns from then on.
     """
     prices = table.prices
     if not (prices > 0.0).all():    # catches NaN and non-positive in one test
@@ -307,12 +338,14 @@ def to_log_returns(table: PriceTable) -> ReturnMatrix:
             f"{what} price for stream {table.labels[j]} "
             f"on {table.dates[flat].isoformat()}"
         )
-    rets = np.log(prices)
-    for i in range(len(rets) - 1, 0, -1):
-        rets[i] -= rets[i - 1]
-    rets = rets[1:]
+    np.log(prices, out=prices)
+    for i in range(len(prices) - 1, 0, -1):
+        prices[i] -= prices[i - 1]
+    rets = prices[1:]
+    dates = table.dates[1:]
+    table.dates, table.prices = [], prices[:0]
     return ReturnMatrix(
-        dates=list(table.dates[1:]),
+        dates=dates,
         target=rets[:, 0],
         features=rets[:, 1:],
         target_label=table.labels[0],

@@ -63,6 +63,8 @@ class Fig2Config:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if not (1 <= self.walk_until < self.jump_step <= self.drift_until):
@@ -146,6 +148,8 @@ class MarketConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n_streams < 1 or self.n_factors < 1:
             raise ValueError("n_streams and n_factors must be >= 1")
         if self.steps < 2:

@@ -60,7 +60,8 @@ def angle_deg(u, v):
 
 def make_market(seed, **kwargs):
     table, _ = gen_market(MarketConfig(seed=seed, **kwargs))
-    return to_log_returns(table), table.prices[:, 0]
+    index_prices = table.prices[:, 0].copy()   # the returns overwrite the prices
+    return to_log_returns(table), index_prices
 
 
 class TestEngineEquivalence:

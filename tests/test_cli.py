@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -443,21 +444,24 @@ class TestBacktestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "out_dir", ["o#1/run", "o\nx", "o\rx", " o", "o ", "o\t"]
+        "command, out_dir",
+        [
+            pytest.param(command, out_dir, id=prefix + out_dir)
+            for command, prefix in (("backtest", ""), ("sim-fig2", "sim-fig2-"))
+            for out_dir in ("o#1/run", "o\nx", "o\rx", " o", "o ", "o\t")
+        ],
     )
     def test_out_dir_that_cannot_be_recorded_is_config_error(
-        self, tmp_path, market_csv, capsys, monkeypatch, out_dir
+        self, tmp_path, market_csv, capsys, monkeypatch, command, out_dir
     ):
         # Rerunning from effective_config.txt would write somewhere else.
         monkeypatch.chdir(tmp_path)
         cfg = write_config(tmp_path, base_config(market_csv, tmp_path / "o"))
         before = sorted(tmp_path.iterdir())
-        self.run_expecting(
-            EXIT_CONFIG,
-            ["backtest", "--config", str(cfg), "--out-dir", out_dir],
-            capsys,
-            "config error: --out-dir: ",
-        )
+        argv = [command, "--out-dir", out_dir]
+        if command == "backtest":
+            argv += ["--config", str(cfg)]
+        self.run_expecting(EXIT_CONFIG, argv, capsys, "config error: --out-dir: ")
         assert sorted(tmp_path.iterdir()) == before
 
     def test_too_many_factor_scores_is_config_error(
@@ -648,6 +652,37 @@ class TestSweepCommand:
             outs.append((out / "sweep_sharpe.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_peak_memory_near_one_price_table(self, tmp_path):
+        # 432 streams x 2,500 days: the price table is the largest array of
+        # the run, and the returns are taken in the array it was parsed into.
+        # Stream volatilities are scaled down so the 432-stream target keeps
+        # a tradeable price.
+        calm = 8 / 432
+        base = MarketConfig()
+        cfg = MarketConfig(
+            n_streams=432, n_factors=3, steps=2500, seed=1,
+            factor_vol=base.factor_vol * calm, idio_vol=base.idio_vol * calm,
+        )
+        table, _ = gen_market(cfg)
+        nbytes = table.prices.nbytes
+        data = tmp_path / "wide.csv"
+        write_csv(table, data)
+        del table
+        out = tmp_path / "o"
+        conf = write_config(
+            tmp_path,
+            f"data = {data}\ntarget = INDEX\nfeatures = svd:3\n"
+            f"delta_grid = 0.9\nwarmup = 500\nout_dir = {out}\n",
+        )
+        tracemalloc.start()
+        try:
+            code = main(["sweep-sharpe", "--config", str(conf)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < 1.35 * nbytes
+
 
 class TestSimFig2Command:
     def test_writes_paths_and_summary(self, tmp_path):
@@ -730,6 +765,14 @@ class TestSimFig2Command:
         code = main(["sim-fig2", "--delta", "2.0", "--out-dir", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "config error: --delta" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code = main(["sim-fig2", "--seed", "-1", "--out-dir", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: --seed: seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_effective_config_written(self, tmp_path):
         out = tmp_path / "eff"

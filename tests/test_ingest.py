@@ -26,6 +26,19 @@ def write(tmp_path, text, name="prices.csv"):
     return f
 
 
+def write_wide(f, T, n, seed):
+    """A clean T x n price file of 17-digit random walks, streams S0..S{n-1}."""
+    rng = np.random.default_rng(seed)
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (T, n)), axis=0))
+    days = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(T)]
+    row = "%s" + ",%.17g" * n + "\n"
+    with open(f, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["date"] + [f"S{j}" for j in range(n)]) + "\n")
+        for day, vals in zip(days, prices.tolist()):
+            fh.write(row % (day.isoformat(), *vals))
+    return f
+
+
 BASIC = """date,SPX,AAA,BBB
 2001-01-01,1400,100,50
 2001-01-02,1410,101,51
@@ -443,13 +456,48 @@ class TestLoadCsvStreams:
 
     def test_returns_are_views_into_one_array(self, tmp_path):
         table = load_csv(write(tmp_path, BASIC), target="SPX")
+        prices = table.prices.copy()     # the call writes the returns over them
         rets = to_log_returns(table)
         assert rets.target.base is rets.features.base
         assert rets.target.base is not None
         # Differencing in place gives what np.diff of the logs gives.
-        expected = np.diff(np.log(table.prices), axis=0)
+        expected = np.diff(np.log(prices), axis=0)
         assert rets.target.tobytes() == expected[:, 0].tobytes()
         assert rets.features.tobytes() == expected[:, 1:].copy().tobytes()
+
+    @pytest.mark.parametrize("target", ["S0", "S7", "S19"])
+    @pytest.mark.parametrize("via_loop", [False, True])
+    def test_returns_are_taken_in_the_parse_buffer(
+        self, tmp_path, monkeypatch, target, via_loop
+    ):
+        f = write_wide(tmp_path / "wide.csv", 60, 20, seed=3)
+        if via_loop:
+            monkeypatch.setattr(ingest, "_parse_clean", lambda *args: None)
+        table = load_csv(f, target=target)
+        buffer = table.prices.base
+        assert buffer is not None and buffer.shape == (60, 21)
+        prices = table.prices.copy()
+        rets = to_log_returns(table)
+        assert rets.target.base is buffer and rets.features.base is buffer
+        expected = np.diff(np.log(prices), axis=0)
+        assert rets.target.tobytes() == expected[:, 0].tobytes()
+        assert rets.features.tobytes() == expected[:, 1:].copy().tobytes()
+
+    def test_spent_table_has_no_rows(self, tmp_path):
+        table = load_csv(write(tmp_path, BASIC), target="SPX")
+        rets = to_log_returns(table)
+        assert table.dates == [] and table.prices.shape == (0, 3)
+        assert table.labels == ["SPX", "AAA", "BBB"]
+        assert len(rets) == 2
+
+    def test_rejected_table_is_left_whole(self, tmp_path):
+        text = "date,SPX,AAA\n2001-01-01,1400,100\n2001-01-02,-3,101\n"
+        table = load_csv(write(tmp_path, text), target="SPX")
+        prices = table.prices.copy()
+        with pytest.raises(DataError):
+            to_log_returns(table)
+        assert len(table.dates) == 2
+        assert table.prices.tobytes() == prices.tobytes()
 
     @pytest.mark.parametrize(
         "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -514,30 +562,23 @@ class TestLoadCsvStreams:
         table = load_csv(f, target="Ōsaka")
         assert table.labels == ["Ōsaka", "Zürich"]
 
-    def test_ingest_peak_memory_near_one_extra_table(self, tmp_path):
+    def test_ingest_peak_memory_near_one_table(self, tmp_path):
         # A clean 2,500 x 433 file of 17-digit prices is about 20 MB of text;
-        # the chain may hold the parsed table and one more array of its size,
-        # never the text.
-        rng = np.random.default_rng(9)
+        # the chain holds the array the parser fills and small temporaries,
+        # never the text and never a second table, even with the target
+        # moved to the front.
         T, n = 2500, 433
-        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (T, n)), axis=0))
-        days = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(T)]
-        f = tmp_path / "wide.csv"
-        row = "%s" + ",%.17g" * n + "\n"
-        with open(f, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(["date"] + [f"S{j}" for j in range(n)]) + "\n")
-            for day, vals in zip(days, prices.tolist()):
-                fh.write(row % (day.isoformat(), *vals))
-        del prices
+        f = write_wide(tmp_path / "wide.csv", T, n, seed=9)
         tracemalloc.start()
         try:
-            table = forward_fill(load_csv(f, target="S7"))
-            returns = to_log_returns(table)
+            table = load_csv(f, target="S7")
+            nbytes = table.prices.nbytes    # before the returns consume it
+            returns = to_log_returns(forward_fill(table))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert returns.features.shape == (T - 1, n - 1)
-        assert peak < 2.5 * table.prices.nbytes
+        assert peak < 1.35 * nbytes
 
     def test_cell_by_cell_peak_memory_below_four_tables(self, tmp_path):
         # One empty cell sends the file down the cell-by-cell path, which

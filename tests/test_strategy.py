@@ -34,7 +34,8 @@ SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308
 
 def make_market(seed=0, **kwargs):
     table, _ = gen_market(MarketConfig(seed=seed, **kwargs))
-    return to_log_returns(table), table.prices[:, 0]
+    index_prices = table.prices[:, 0].copy()   # the returns overwrite the prices
+    return to_log_returns(table), index_prices
 
 
 class TestPureFunctions:
@@ -365,6 +366,14 @@ class TestRunBacktest:
         returns, prices = make_market(seed=15, steps=100)
         with pytest.raises(ValueError):
             run_backtest(returns, prices[:-5], EstimatorConfig(delta=0.5))
+
+    def test_prices_read_after_the_returns_are_rejected(self):
+        # to_log_returns spends the table: a late read gets no rows, never
+        # the returns written over the prices.
+        table, _ = gen_market(MarketConfig(seed=15, steps=100))
+        returns = to_log_returns(table)
+        with pytest.raises(ValueError, match=r"must have length 100 .*, got 0$"):
+            run_backtest(returns, table.prices[:, 0], EstimatorConfig(delta=0.5))
 
 
 class TestLedgerCsv:

@@ -70,6 +70,11 @@ class TestFig2:
         with pytest.raises(ValueError):
             Fig2Config(**kwargs)
 
+    def test_negative_seed_rejected(self):
+        # numpy's generator would reject it too, but only once drawing starts.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            Fig2Config(seed=-1)
+
 
 class TestMarket:
     def test_same_config_is_bitwise_reproducible(self):
@@ -117,13 +122,14 @@ class TestMarket:
     def test_log_returns_recover_generated_increments(self):
         cfg = MarketConfig(seed=4, steps=50)
         table, _ = gen_market(cfg)
+        target_prices = table.prices[:, 0].copy()
         rets = to_log_returns(table)
         assert len(rets) == 49
         # prices are exp of cumulative sums, so log-returns invert exactly
         # up to rounding
         rebuilt = np.exp(np.concatenate(([0.0], np.cumsum(rets.target))))
         np.testing.assert_allclose(
-            table.prices[:, 0], cfg.target_base_price * rebuilt, rtol=1e-12
+            target_prices, cfg.target_base_price * rebuilt, rtol=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -140,3 +146,7 @@ class TestMarket:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MarketConfig(**kwargs)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            MarketConfig(seed=-1)
