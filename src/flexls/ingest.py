@@ -110,9 +110,10 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     array it parses into is the only one of table size: the target column
     is rotated into place in row blocks, and ``prices`` is a view of that
     array (``table[:, 1:]``; column 0 holds the dates' ordinals), each row
-    contiguous.  Only out-of-order dates copy it, once.  Any other file is
-    read again, one line at a time, and parsed cell by cell into the same
-    layout, which gives the same values and names the first bad line.
+    contiguous.  Out-of-order dates are sorted in that array, in place.
+    Any other file is read again, one line at a time, and parsed cell by
+    cell into the same layout, which gives the same values and names the
+    first bad line.
     """
     if not (0.0 <= max_missing_frac <= 1.0):
         raise ValueError(
@@ -143,7 +144,7 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     by_date = sorted(range(len(dates)), key=dates.__getitem__)
     if by_date != list(range(len(dates))):
         dates = [dates[i] for i in by_date]
-        table = table[by_date]
+        _permute_rows(table, by_date)
 
     # Both parsers put the dates' ordinals in column 0, then the target,
     # then the remaining streams in header order.
@@ -158,6 +159,27 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
                 f"above the {max_missing_frac:.1%} limit"
             )
     return PriceTable(dates=dates, prices=prices, labels=labels)
+
+
+def _permute_rows(table: NDArray[np.float64], order: list[int]) -> None:
+    """Reorder ``table``'s rows in place: row ``i`` becomes old row ``order[i]``.
+
+    Follows each cycle of the permutation with one row of scratch, so the
+    rows are moved without a second table.
+    """
+    scratch = np.empty(table.shape[1])
+    done = [False] * len(order)
+    for start in range(len(order)):
+        if done[start] or order[start] == start:
+            continue
+        scratch[:] = table[start]
+        i = start
+        while order[i] != start:
+            table[i] = table[order[i]]
+            done[i] = True
+            i = order[i]
+        table[i] = scratch
+        done[i] = True
 
 
 def _parse_header(path: Path, line: str) -> list[str]:
@@ -290,10 +312,13 @@ def _parse_rows(
 
 
 def forward_fill(table: PriceTable) -> PriceTable:
-    """Fill holes with the most recent earlier price.  Idempotent.
+    """Fill holes with the most recent earlier price, in place.  Idempotent.
 
-    The first row must be complete: there is nothing to fill it from.  A
-    table with no holes comes back sharing its price array, uncopied.
+    The first row must be complete: there is nothing to fill it from.  The
+    table is consumed, as :func:`to_log_returns` consumes one: its holes
+    are filled in its own price array, which the returned table shares, so
+    no copy of the table is made.  Only the rows that hold a hole are
+    visited, in date order, each filled from the row above it.
     """
     prices = table.prices
     first_holes = np.isnan(prices[0])
@@ -303,15 +328,11 @@ def forward_fill(table: PriceTable) -> PriceTable:
             f"stream {table.labels[j]} has no price on the first row "
             f"({table.dates[0].isoformat()}); nothing to fill from"
         )
-    holes = np.isnan(prices)
-    if not holes.any():
-        return PriceTable(
-            dates=list(table.dates), prices=prices, labels=list(table.labels)
-        )
-    idx = np.where(holes, 0, np.arange(len(table.dates))[:, None])
-    np.maximum.accumulate(idx, axis=0, out=idx)
-    filled = prices[idx, np.arange(prices.shape[1])]
-    return PriceTable(dates=list(table.dates), prices=filled, labels=list(table.labels))
+    for i in np.flatnonzero(np.isnan(prices).any(axis=1)).tolist():
+        row = prices[i]
+        holes = np.isnan(row)
+        row[holes] = prices[i - 1][holes]
+    return PriceTable(dates=list(table.dates), prices=prices, labels=list(table.labels))
 
 
 def to_log_returns(table: PriceTable) -> ReturnMatrix:
@@ -325,7 +346,7 @@ def to_log_returns(table: PriceTable) -> ReturnMatrix:
     views into that array (its first row unused).  The table is left with
     zero rows, so a late read of its prices fails rather than returning
     returns; any other table sharing the array (such as :func:`forward_fill`'s
-    input, for a table without holes) holds returns from then on.
+    input) holds returns from then on.
     """
     prices = table.prices
     if not (prices > 0.0).all():    # catches NaN and non-positive in one test
@@ -356,24 +377,34 @@ def to_log_returns(table: PriceTable) -> ReturnMatrix:
 def apply_split_factors(
     table: PriceTable, adjustments: list[tuple[dt.date, str, float]]
 ) -> PriceTable:
-    """Back-adjust prices for splits.
+    """Back-adjust prices for splits, in place.
 
     Each adjustment ``(date, stream, factor)`` multiplies that stream's
     prices on rows strictly before ``date`` by ``factor``, so the series is
     continuous in post-split units.  Unknown streams, non-positive
-    factors and factors that overflow a price are rejected.
+    factors and factors that overflow a price are rejected.  Every
+    adjustment is checked on copies of the columns it names before any is
+    written back, so a rejected list leaves the table as it was.  Otherwise
+    the table is consumed: the adjusted columns are written into its own
+    price array, which the returned table shares.
     """
-    prices = table.prices.copy()
+    prices = table.prices
+    adjusted: dict[int, NDArray[np.float64]] = {}
     for day, label, factor in adjustments:
         if label not in table.labels:
             raise DataError(f"split adjustment names unknown stream {label!r}")
         if not (factor > 0.0 and math.isfinite(factor)):
             raise DataError(f"split factor for {label} must be positive, got {factor}")
         j = table.labels.index(label)
+        if j not in adjusted:
+            adjusted[j] = prices[:, j].copy()
+        column = adjusted[j]
         with np.errstate(over="ignore"):    # reported below, as data
-            prices[: bisect.bisect_left(table.dates, day), j] *= factor
-        if np.isinf(prices[:, j]).any():
+            column[: bisect.bisect_left(table.dates, day)] *= factor
+        if np.isinf(column).any():
             raise DataError(f"split factor {factor} for {label} overflows its prices")
+    for j, column in adjusted.items():
+        prices[:, j] = column
     return PriceTable(dates=list(table.dates), prices=prices, labels=list(table.labels))
 
 

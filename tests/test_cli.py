@@ -782,7 +782,7 @@ class TestSimFig2Command:
 
 
 class TestImportSurface:
-    """scipy is loaded only by a step that needs it."""
+    """scipy and the CSV writer's tables wait for the step that needs them."""
 
     RUN = (
         "import sys\n"
@@ -814,6 +814,28 @@ class TestImportSurface:
         )
         assert not self.run_fresh("sweep-sharpe", "--config", str(cfg))
         assert (out / "sweep_sharpe.csv").is_file()
+
+    def test_import_builds_no_formatter_tables(self, tmp_path):
+        # The CSV writer's lookup tables cost milliseconds to build: a fresh
+        # import leaves them unbuilt, and the first write builds them.
+        probe = (
+            "import sys\n"
+            "import flexls.cli\n"
+            "import flexls.util as util\n"
+            "before = util._tables.cache_info().currsize\n"
+            "util.write_table(sys.argv[1], ['x'], [[1.5]])\n"
+            "print(before, util._tables.cache_info().currsize)\n"
+        )
+        src = Path(flexls.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "x.csv")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
 
     def test_wide_raw_run_loads_scipy(self, tmp_path):
         p = estimator_module._DGER_MIN_P

@@ -21,7 +21,7 @@ from flexls.estimator import (
 )
 from flexls.ingest import to_log_returns
 from flexls.synth import MarketConfig, gen_market
-from flexls.util import BLOCK_ROWS
+from flexls.util import BLOCK_CELLS
 
 from .oracle import ols_fit, penalized_path_direct, path_cost
 
@@ -600,14 +600,16 @@ class TestCoefficientCsv:
                 forecast_vars=np.zeros(5),
             )
 
+    # The table below has 6 columns, so the writer takes BLOCK_CELLS // 6
+    # rows a block: these lengths end just before, on and after a boundary.
     @pytest.mark.parametrize(
         "T",
         [
             0,
             1,
-            BLOCK_ROWS - 1,
-            BLOCK_ROWS,
-            BLOCK_ROWS + 1,
+            BLOCK_CELLS // 6 - 1,
+            BLOCK_CELLS // 6,
+            BLOCK_CELLS // 6 + 1,
         ],
     )
     def test_block_writes_match_one_shot_formatting(self, tmp_path, T):

@@ -59,6 +59,16 @@ class TestLoadCsv:
         assert table.labels == ["AAA", "SPX", "BBB"]
         np.testing.assert_array_equal(table.prices[1], [101.0, 1410.0, 51.0])
 
+    def test_rows_are_permuted_in_place_like_fancy_indexing(self):
+        rng = np.random.default_rng(4)
+        for T in (1, 2, 3, 7, 40):
+            for _ in range(20):
+                table = rng.normal(size=(T, 3))
+                order = rng.permutation(T).tolist()
+                want = table[order]
+                ingest._permute_rows(table, order)
+                assert table.tobytes() == want.tobytes()
+
     def test_unsorted_rows_are_sorted_by_date(self, tmp_path):
         text = (
             "date,SPX,AAA\n"
@@ -400,6 +410,23 @@ class TestSplits:
         with pytest.raises(DataError, match="overflows its prices"):
             apply_split_factors(table, [(dt.date(2001, 1, 3), "AAA", 1e307)])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [("ZZZ", 0.5), ("BBB", -1.0), ("AAA", 1e307)],
+        ids=["unknown-stream", "bad-factor", "overflow"],
+    )
+    def test_rejected_list_leaves_the_table_untouched(self, tmp_path, bad):
+        # The first adjustment is valid; the list is rejected as a whole.
+        table = load_csv(write(tmp_path, BASIC), target="SPX")
+        before = table.prices.copy()
+        label, factor = bad
+        with pytest.raises(DataError):
+            apply_split_factors(
+                table,
+                [(dt.date(2001, 1, 3), "AAA", 0.5), (dt.date(2001, 1, 3), label, factor)],
+            )
+        assert table.prices.tobytes() == before.tobytes()
+
     def test_split_file_round_trip(self, tmp_path):
         f = write(tmp_path, "date,stream,factor\n2001-01-03,AAA,0.5\n\n", "s.csv")
         assert load_split_file(f) == [(dt.date(2001, 1, 3), "AAA", 0.5)]
@@ -453,6 +480,13 @@ class TestLoadCsvStreams:
     def test_forward_fill_shares_a_table_without_holes(self, tmp_path):
         table = load_csv(write(tmp_path, BASIC), target="SPX")
         assert forward_fill(table).prices is table.prices
+
+    def test_forward_fill_fills_a_holed_table_in_its_own_array(self, tmp_path):
+        text = BASIC.replace("2001-01-02,1410,101,51", "2001-01-02,1410,,51")
+        table = load_csv(write(tmp_path, text), target="SPX", max_missing_frac=0.5)
+        filled = forward_fill(table)
+        assert filled.prices is table.prices
+        np.testing.assert_array_equal(filled.prices[:, 1], [100.0, 100.0, 99.0])
 
     def test_returns_are_views_into_one_array(self, tmp_path):
         table = load_csv(write(tmp_path, BASIC), target="SPX")
@@ -578,6 +612,52 @@ class TestLoadCsvStreams:
         finally:
             tracemalloc.stop()
         assert returns.features.shape == (T - 1, n - 1)
+        assert peak < 1.35 * nbytes
+
+    @pytest.mark.parametrize("repair", ["holes", "split"])
+    def test_repairs_and_returns_work_in_the_loaded_table(self, tmp_path, repair):
+        # Filling one hole visits its row alone, a split copies the one
+        # column it scales, and the returns reuse the array: after the load,
+        # the chain adds small temporaries to the table, never a second one.
+        T, n = 2500, 433
+        f = write_wide(tmp_path / "wide.csv", T, n, seed=9)
+        if repair == "holes":
+            lines = f.read_text(encoding="utf-8").split("\n")
+            cells = lines[T // 2].split(",")
+            cells[6] = ""                  # a hole in S5
+            lines[T // 2] = ",".join(cells)
+            f.write_text("\n".join(lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = load_csv(f, target="S7")
+            nbytes = table.prices.nbytes
+            tracemalloc.reset_peak()
+            if repair == "split":
+                table = apply_split_factors(table, [(table.dates[T // 2], "S5", 0.5)])
+            returns = to_log_returns(forward_fill(table))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(returns.features).all()
+        assert peak < 1.2 * nbytes
+
+    def test_out_of_order_dates_are_sorted_in_place(self, tmp_path):
+        # Two rows swapped: the load moves them within the parse buffer, so
+        # the chain stays within the clean file's bound.
+        T, n = 2500, 433
+        f = write_wide(tmp_path / "wide.csv", T, n, seed=9)
+        lines = f.read_text(encoding="utf-8").split("\n")
+        lines[1], lines[2] = lines[2], lines[1]
+        f.write_text("\n".join(lines), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            table = load_csv(f, target="S7")
+            nbytes = table.prices.nbytes
+            returns = to_log_returns(forward_fill(table))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert returns.dates == sorted(returns.dates)
         assert peak < 1.35 * nbytes
 
     def test_cell_by_cell_peak_memory_below_four_tables(self, tmp_path):
