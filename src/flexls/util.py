@@ -108,7 +108,7 @@ def _format_block(columns, runs, blank_nan: bool) -> np.ndarray:
     """The text of one block of rows, as a 1-d ``uint8`` array."""
     parts = []
     for kind, a, b in runs:
-        # One C-level copy of the run's columns, then (rows, columns) order.
+        # The run's columns as one (rows, columns) array, copied in C.
         cells = np.ascontiguousarray(np.array(columns[a:b], dtype=_DTYPES[kind]).T)
         if kind == "U":
             cells = np.char.encode(cells, "utf-8")

@@ -92,9 +92,7 @@ def near_ties() -> list[float]:
 def adversarial_doubles(rng) -> np.ndarray:
     """Over a million doubles, heavy in the cases a 17-digit kernel can miss."""
     decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
-    edges = np.concatenate(
-        [decades, [1e280, 1e-280, 2.0**-1022, 2.0**-1074]]
-    )
+    edges = np.concatenate([decades, [1e280, 1e-280, 2.0**-1022, 2.0**-1074]])
     # A few ulps either side of each power of ten and each range edge.
     near = np.concatenate(
         [edges + 0.0, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]
