@@ -390,8 +390,9 @@ def _run_grid(job: BacktestJob):
     """Yield ``(delta, ledger, path, report)`` for each delta of the job.
 
     Shared by ``backtest`` and ``sweep-sharpe``.  The data and the feature
-    pass do not depend on delta, so both run once and every delta's
-    regression reads the same regressors.  Bad data raises ``DataError``,
+    pass do not depend on delta, so both run once, and one
+    :func:`run_backtest` call runs the whole grid over those regressors
+    (a bank of filters when they are narrow).  Bad data raises ``DataError``,
     which ``main`` reports as a data error; callers collect every result
     before opening an output file, so a failing run leaves no outputs.
     """
@@ -400,16 +401,16 @@ def _run_grid(job: BacktestJob):
     regressors = _library_config(
         "features", compute_features, returns=returns, features=job.features
     )
-    for delta in job.deltas:
-        ledger, path = run_backtest(
-            returns,
-            index_prices,
-            job.estimator_config(delta),
-            regressors,
-            job.sizing,
-            warmup=warmup,
-            rule=job.rule,
-        )
+    results = run_backtest(
+        returns,
+        index_prices,
+        [job.estimator_config(delta) for delta in job.deltas],
+        regressors,
+        job.sizing,
+        warmup=warmup,
+        rule=job.rule,
+    )
+    for delta, (ledger, path) in zip(job.deltas, results):
         report = summarize(
             ledger, job.sizing.endowment, split=warmup,
             trading_days_per_year=job.trading_days,

@@ -72,17 +72,42 @@ def _blas_dger():
     return dger, _dger_is_symmetric(dger)
 
 
-# Finite inputs can still overflow against a badly scaled state.  Such a
-# step is rejected, so numpy need not warn about it.
-@np.errstate(all="ignore")
-def _kf_step_impl(P, beta, x, y, veps, vomega):
-    """One filter update, interpreted: numpy for the forecast and for P.
+def _status(e, q, beta_new) -> int:
+    """The checks of one filter's step, in order: finite ``e`` and ``q``,
+    then ``q > 0``, then a finite ``beta'``."""
+    if not (math.isfinite(q) and math.isfinite(e)):
+        return _NONFINITE
+    if not q > 0.0:
+        return _NONPOSITIVE
+    if not np.isfinite(beta_new).all():
+        return _NONFINITE
+    return _ACCEPTED
 
-    Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
-    ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
-    ``P``, which must be C-ordered, in its own buffer:
-    ``P <- P + vomega I - g g'`` with ``g = (P + vomega I) x / sqrt(q)``.
-    A rejected step leaves every input as it was.
+
+def _kf_forecast(P, beta, x, y, veps, vomega):
+    """One filter's forecast and gain, interpreted; writes nothing.
+
+    Returns ``(status, beta', e, q, K, g)`` with
+    ``g = (P + vomega I) x / sqrt(q)``, the downdate's vector.
+    """
+    Rx = np.dot(P, x) + vomega * x
+    q = np.dot(x, Rx) + veps
+    e = y - np.dot(x, beta)
+    K = Rx / q
+    beta_new = beta + e * K
+    # A product is finite only if every factor is (inf * 0 is NaN), so an
+    # accepted step passes this one test; the checks run one by one only
+    # when it fails, which an overflowing product alone can do falsely.
+    if not (q > 0.0 and math.isfinite(e * q * np.dot(beta_new, beta_new))):
+        status = _status(e, q, beta_new)
+        if status != _ACCEPTED:
+            return status, beta, e, q, K, Rx
+    return _ACCEPTED, beta_new, e, q, K, Rx / math.sqrt(q)
+
+
+def _kf_downdate(P, g, vomega) -> None:
+    """``P <- P + vomega I - g g'`` in P's own buffer, which must be
+    C-ordered.
 
     The rank-1 term subtracts the product ``g_i * g_j``, symmetric by
     construction.  From ``p = _DGER_MIN_P`` it is one BLAS ``dger`` call
@@ -90,49 +115,117 @@ def _kf_step_impl(P, beta, x, y, veps, vomega):
     triangles alike (:func:`_dger_is_symmetric`, true of the OpenBLAS this
     was tested with).  The form depends on p and that probe alone.
     """
-    Rx = np.dot(P, x) + vomega * x
-    q = np.dot(x, Rx) + veps
-    e = y - np.dot(x, beta)
-    K = Rx / q
-    beta_new = beta + e * K
-    if not (math.isfinite(q) and math.isfinite(e)):
-        return _NONFINITE, beta, e, q, K
-    if not q > 0.0:
-        return _NONPOSITIVE, beta, e, q, K
-    if not np.isfinite(beta_new).all():
-        return _NONFINITE, beta, e, q, K
     P.ravel()[:: P.shape[0] + 1] += vomega
-    g = Rx / math.sqrt(q)
     if P.shape[0] >= _DGER_MIN_P:
         dger, symmetric = _blas_dger()
         if symmetric:
             dger(-1.0, g, g, a=P.T, overwrite_a=1)     # P.T is Fortran-ordered
-            return _ACCEPTED, beta_new, e, q, K
+            return
     P -= g[:, None] * g
-    return _ACCEPTED, beta_new, e, q, K
 
 
-def _kf_step_loops(P, beta, x, y, veps, vomega):
-    """The update of :func:`_kf_step_impl`, written for numba to compile.
+def _filter_by_filter(forecast, downdate, P, beta, x, y, veps, vomega):
+    """One step of one filter, or of a bank one filter at a time.
 
-    Same contract and checks in one compiled call, with nothing allocated
-    at p x p.  The downdate walks the upper triangle and mirrors each
-    entry, so P stays symmetric by construction on any BLAS.
+    ``forecast`` and ``downdate`` are the two halves of one filter's step.
+    A bank downdates only after every filter has passed its checks, so a
+    step that one filter rejects writes none of them.
     """
+    if P.ndim == 2:
+        status, beta_new, e, q, K, g = forecast(P, beta, x, y, veps, vomega)
+        if status == _ACCEPTED:
+            downdate(P, g, vomega)
+        return status, beta_new, e, q, K
+    steps = [forecast(P[d], beta[d], x, y, veps, vomega[d]) for d in range(len(P))]
+    status = [step[0] for step in steps]
+    if not any(status):
+        for d, step in enumerate(steps):
+            downdate(P[d], step[5], vomega[d])
+        beta = np.array([step[1] for step in steps])
+    e, q, K = (np.array([step[k] for step in steps]) for k in (2, 3, 4))
+    return status, beta, e, q, K
+
+
+def _kf_bank_step(P, beta, x, y, veps, vomega):
+    """One step of a bank of narrow filters, each array a stack of them.
+
+    Every product is per filter: ``P @ x`` on the ``(D, p, p)`` stack, and
+    ``v[:, None] @ x`` for the dot products.  numpy hands each filter's
+    product to the same BLAS ``dgemv`` or ``ddot`` call that one filter's
+    ``np.dot`` makes, so each filter's results equal, bit for bit, those of
+    :func:`_kf_forecast` and :func:`_kf_downdate` run on it alone.  (One
+    ``(D, p) @ x`` product would not: its rounding depends on D.)
+    """
+    vomega = vomega[:, None]
+    Rx = P @ x
+    Rx += vomega * x
+    q = Rx[:, None] @ x         # (D, 1), as is e
+    q += veps
+    e = y - beta[:, None] @ x
+    K = Rx / q
+    beta_new = beta + e * K
+    # The one test of _kf_forecast, with log q, finite only where q > 0.
+    test = sum((np.log(q) * e).ravel().tolist()) + np.vdot(beta_new, beta_new)
+    if not math.isfinite(test):
+        status = [_status(*v) for v in zip(e[:, 0], q[:, 0], beta_new)]
+        if any(status):
+            return status, beta, e[:, 0], q[:, 0], K
+    P.reshape(len(P), -1)[:, :: x.shape[0] + 1] += vomega
+    g = Rx / np.sqrt(q)
+    P -= g[:, :, None] * g[:, None, :]
+    return [_ACCEPTED] * len(P), beta_new, e[:, 0], q[:, 0], K
+
+
+# Finite inputs can still overflow against a badly scaled state.  Such a
+# step is rejected, so numpy need not warn about it.
+@np.errstate(all="ignore")
+def _kf_step_impl(P, beta, x, y, veps, vomega):
+    """One filter update, or one update of a bank of filters, interpreted.
+
+    One filter: ``P`` is (p, p), ``beta`` (p,) and ``vomega`` a number.
+    Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
+    ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
+    ``P``, in its own buffer (:func:`_kf_downdate`).  A rejected step leaves
+    every input as it was.
+
+    A bank of D filters shares ``x``, ``y`` and ``veps``: ``P`` is
+    (D, p, p), ``beta`` (D, p) and ``vomega`` (D,); every result gains
+    the leading axis, and ``status`` is a list with one code per filter.
+    If any filter rejects the step, none of them is written.  Below
+    ``_DGER_MIN_P`` the bank steps as stacks (:func:`_kf_bank_step`); from
+    it, filter by filter, since two covariances that wide already overflow
+    a core's L2 cache when stepped in turn.  Either way each filter's
+    results are those it gets alone.
+    """
+    if P.ndim == 3 and x.shape[0] < _DGER_MIN_P:
+        return _kf_bank_step(P, beta, x, y, veps, vomega)
+    return _filter_by_filter(_kf_forecast, _kf_downdate, P, beta, x, y, veps, vomega)
+
+
+def _kf_forecast_loops(P, beta, x, y, veps, vomega):
+    """The forecast of :func:`_kf_forecast`, written for numba to compile."""
     Rx = np.dot(P, x) + vomega * x
     q = np.dot(x, Rx) + veps
     e = y - np.dot(x, beta)
     if not (math.isfinite(q) and math.isfinite(e)):
-        return _NONFINITE, beta, e, q, Rx
+        return _NONFINITE, beta, e, q, Rx, Rx
     if not q > 0.0:
-        return _NONPOSITIVE, beta, e, q, Rx
+        return _NONPOSITIVE, beta, e, q, Rx, Rx
     K = Rx / q
     beta_new = beta + e * K
     for b in beta_new:
         if not math.isfinite(b):
-            return _NONFINITE, beta, e, q, K
-    g = Rx / math.sqrt(q)
-    p = x.shape[0]
+            return _NONFINITE, beta, e, q, K, K
+    return _ACCEPTED, beta_new, e, q, K, Rx / math.sqrt(q)
+
+
+def _kf_downdate_loops(P, g, vomega) -> None:
+    """The downdate of :func:`_kf_downdate`, written for numba to compile.
+
+    Nothing is allocated at p x p: the loop walks the upper triangle and
+    mirrors each entry, so P stays symmetric by construction on any BLAS.
+    """
+    p = g.shape[0]
     for i in range(p):
         gi = g[i]
         P[i, i] = (P[i, i] + vomega) - gi * gi
@@ -140,13 +233,22 @@ def _kf_step_loops(P, beta, x, y, veps, vomega):
             v = P[i, j] - gi * g[j]
             P[i, j] = v
             P[j, i] = v
-    return _ACCEPTED, beta_new, e, q, K
 
+
+# The update of _kf_step_impl, as loops: same contract and checks.
+_kf_step_loops = functools.partial(
+    _filter_by_filter, _kf_forecast_loops, _kf_downdate_loops
+)
 
 try:
     from numba import njit
 
-    _kf_step = njit(cache=True)(_kf_step_loops)
+    # A bank loops the compiled halves over its filters.
+    _kf_step = functools.partial(
+        _filter_by_filter,
+        njit(cache=True)(_kf_forecast_loops),
+        njit(cache=True)(_kf_downdate_loops),
+    )
     KERNEL_BACKEND = "numba"
 except ImportError:   # pragma: no cover - numba is a declared dependency
     # Interpreted, the loops would cost a Python step per entry of P.
@@ -370,7 +472,8 @@ def fls_smooth_batch(
 
 
 class KfDiagnostics(NamedTuple):
-    """Per-step byproducts of a Kalman update."""
+    """Per-step byproducts of a Kalman update: numbers for one filter,
+    arrays with one entry (or row) per filter for a bank."""
 
     innovation: float     # observation minus its one-step forecast
     forecast_var: float   # variance of that forecast error
@@ -386,62 +489,88 @@ class KalmanEstimator:
     O(p^2) route to the penalized least-squares path (see
     :meth:`fls_equivalent` for the exact correspondence).
 
+    A sequence of ``vomega`` values builds a bank: one filter per value,
+    all fed the same observations, the multi-process model of West &
+    Harrison (1997, ch. 12).  ``P`` is then (D, p, p) and ``beta`` (D, p),
+    ``prior_scale`` may give one value per filter (``P0`` is one prior for
+    all of them), and one ``update`` steps them all.  Each filter's path is the one it follows alone, bit
+    for bit.
+
     Not thread-safe: ``update`` mutates in place.  The covariance ``P`` is
     downdated in its own buffer, so an array read from ``P`` changes with
-    the next update; hold a :meth:`copy` for a snapshot.
+    the next update; copy it for a snapshot.
     """
 
     def __init__(
         self,
         p: int,
-        vomega: float,
+        vomega,
         veps: float = 1.0,
-        prior_scale: float = DEFAULT_PRIOR_SCALE,
+        prior_scale=DEFAULT_PRIOR_SCALE,
         P0: NDArray[np.float64] | None = None,
     ) -> None:
         if not isinstance(p, (int, np.integer)) or p < 1:
             raise ValueError(f"p must be a positive integer, got {p!r}")
-        if not (vomega >= 0.0) or not math.isfinite(vomega):
+        bank = np.array(vomega, dtype=float)
+        if bank.ndim > 1 or bank.size == 0:
+            raise ValueError("vomega must be a number or a 1-d sequence of them")
+        if not ((bank >= 0.0).all() and np.isfinite(bank).all()):
             raise ValueError(f"vomega must be finite and >= 0, got {vomega}")
         if not (veps > 0.0) or not math.isfinite(veps):
             raise ValueError(f"veps must be finite and positive, got {veps}")
         self.p = int(p)
-        self.vomega = float(vomega)
+        self.vomega = bank if bank.ndim else float(bank)
         self.veps = float(veps)
         if P0 is None:
-            if not (prior_scale > 0.0) or not math.isfinite(prior_scale):
+            scale = np.asarray(prior_scale, dtype=float)
+            if scale.shape not in ((), bank.shape):
+                raise ValueError("prior_scale must be a number or one per filter")
+            if not ((scale > 0.0).all() and np.isfinite(scale).all()):
                 raise ValueError(
                     f"prior_scale must be finite and positive, got {prior_scale}"
                 )
-            self.P = np.eye(self.p) * float(prior_scale)
+            # scale * I, without an identity matrix as scratch.
+            self.P = np.zeros(bank.shape + (self.p, self.p))
+            diagonal = self.P.reshape(-1, self.p * self.p)[:, :: self.p + 1]
+            diagonal[...] = scale.reshape(-1, 1)
         else:
             P0 = np.asarray(P0, dtype=float)
             if P0.shape != (self.p, self.p):
                 raise ValueError(f"P0 must have shape ({p}, {p})")
             if not np.all(np.isfinite(P0)):
                 raise ValueError("P0 must be finite")
-            self.P = 0.5 * (P0 + P0.T)
+            P0 = 0.5 * (P0 + P0.T)
             # P0 is a covariance: an eigenvalue below zero, beyond rounding,
             # makes the forecast variance of some regressor negative.
-            eigs = np.linalg.eigvalsh(self.P)
+            eigs = np.linalg.eigvalsh(P0)
             if eigs[0] < -1e-12 * np.abs(eigs).max():
                 raise ValueError(
                     "P0 must be positive semidefinite, got eigenvalue "
                     f"{eigs[0]!r}"
                 )
-        self.beta = np.zeros(self.p)
+            # Every filter of a bank starts from this one prior.
+            self.P = np.broadcast_to(P0, bank.shape + P0.shape).copy()
+        self.beta = np.zeros(bank.shape + (self.p,))
         self.t = 0
 
     @classmethod
     def from_smoothing(
-        cls, p: int, smoothing: Smoothing, prior_scale: float = DEFAULT_PRIOR_SCALE
+        cls,
+        p: int,
+        smoothing: Smoothing | Sequence[Smoothing],
+        prior_scale=DEFAULT_PRIOR_SCALE,
     ) -> "KalmanEstimator":
-        """Estimator whose state noise matches a smoothness weight.
+        """Estimator whose state noise matches a smoothness weight, or a
+        bank with one filter per weight of a sequence.
 
         State noise ``1/mu`` per coefficient with unit observation noise
         makes the filtered path the penalized one, up to the prior.
         """
-        return cls(p, vomega=1.0 / smoothing.mu, prior_scale=prior_scale)
+        if isinstance(smoothing, Smoothing):
+            vomega = 1.0 / smoothing.mu
+        else:
+            vomega = [1.0 / s.mu for s in smoothing]
+        return cls(p, vomega=vomega, prior_scale=prior_scale)
 
     @classmethod
     def fls_equivalent(
@@ -473,37 +602,39 @@ class KalmanEstimator:
 
         Raises ``ValueError``, leaving the state untouched, when ``x`` or
         ``y`` is not finite or the step would leave a non-finite state or a
-        forecast variance that is not positive.
+        forecast variance that is not positive.  In a bank, one filter's
+        rejection rejects the step for all of them, and the message names
+        that filter by its index.
         """
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.p,):
             raise ValueError(f"x must have shape ({self.p},), got {x.shape}")
         y = float(y)
-        if not (math.isfinite(y) and np.isfinite(x).all()):
-            raise ValueError("x and y must be finite")
         # The step downdates P in its own buffer, which must be C-ordered;
         # it is, unless the attribute was replaced with another layout.
         self.P = P = np.ascontiguousarray(self.P)
         status, beta_new, e, q, K = _kf_step(
             P, self.beta, x, y, self.veps, self.vomega
         )
-        if status != _ACCEPTED:
+        # A non-finite x or y makes e or q non-finite, so the kernel
+        # rejects it; its message is chosen here, on that path alone.
+        if any(status) if P.ndim == 3 else status != _ACCEPTED:
+            if not (math.isfinite(y) and np.isfinite(x).all()):
+                raise ValueError("x and y must be finite")
+            where = ""
+            if P.ndim == 3:
+                d = next(d for d, code in enumerate(status) if code)
+                where, status, q = f"filter {d}: ", status[d], q[d]
             if status == _NONPOSITIVE:
-                raise ValueError(f"forecast variance must stay positive, got {q}")
-            raise ValueError("non-finite update: check the scale of x and the state")
+                raise ValueError(
+                    f"{where}forecast variance must stay positive, got {q}"
+                )
+            raise ValueError(
+                f"{where}non-finite update: check the scale of x and the state"
+            )
         self.beta = beta_new
         self.t += 1
         return KfDiagnostics(innovation=e, forecast_var=q, gain=K)
-
-    def copy(self) -> "KalmanEstimator":
-        dup = KalmanEstimator.__new__(KalmanEstimator)
-        dup.p = self.p
-        dup.vomega = self.vomega
-        dup.veps = self.veps
-        dup.P = self.P.copy()
-        dup.beta = self.beta.copy()
-        dup.t = self.t
-        return dup
 
 
 def write_coefficient_csv(

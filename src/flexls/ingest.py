@@ -66,9 +66,6 @@ class PriceTable:
     def n_streams(self) -> int:
         return self.prices.shape[1] - 1
 
-    def has_holes(self) -> bool:
-        return bool(np.isnan(self.prices).any())
-
 
 @dataclass
 class ReturnMatrix:

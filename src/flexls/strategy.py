@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .eigentrack import EigenTracker
-from .estimator import DEFAULT_PRIOR_SCALE, KalmanEstimator, Smoothing
+from .estimator import _DGER_MIN_P, DEFAULT_PRIOR_SCALE, KalmanEstimator, Smoothing
 from .ingest import DataError, ReturnMatrix
 from .util import write_table
 
@@ -191,11 +192,13 @@ def compute_features(
 
 def estimate_spreads(
     returns: ReturnMatrix,
-    estimator: EstimatorConfig,
+    estimator: EstimatorConfig | Sequence[EstimatorConfig],
     features: FeatureConfig | Regressors = FeatureConfig(),
-) -> SpreadPath:
+) -> SpreadPath | list[SpreadPath]:
     """Run the regression over the return rows and record the residuals.
 
+    ``estimator`` is one configuration, which gives one :class:`SpreadPath`,
+    or a grid of them, which gives a list of paths in grid order.
     ``features`` is either a feature configuration, run here, or the
     :class:`Regressors` of an earlier :func:`compute_features` pass over
     the same returns.  Each row's estimator update uses that row's
@@ -204,7 +207,17 @@ def estimate_spreads(
     so downstream trading sees no future data.  Rows without regressors
     keep the raw target return as their residual.  A row the filter
     rejects raises :class:`~flexls.ingest.DataError` naming its date.
+
+    Narrower than ``_DGER_MIN_P`` regressors, a grid runs as one bank of
+    filters, one :meth:`KalmanEstimator.update` per row for all of it.
+    From that width each configuration gets a pass of its own: two
+    covariances that wide overflow a core's L2 cache when stepped in turn.
+    A configuration's path is the same, bit for bit, either way, and
+    whether it runs alone or in a grid.
     """
+    grid = [estimator] if isinstance(estimator, EstimatorConfig) else list(estimator)
+    if not grid:
+        raise ValueError("need at least one estimator configuration")
     if isinstance(features, FeatureConfig):
         features = compute_features(returns, features)
     n = len(returns)
@@ -212,39 +225,55 @@ def estimate_spreads(
         raise ValueError(f"regressors must have {n} rows, one per return row")
     dim = features.values.shape[1]
 
-    kf = KalmanEstimator.from_smoothing(
-        dim, Smoothing(estimator.delta), prior_scale=estimator.prior_scale
-    )
+    # One row per return row and one column per configuration, so that a
+    # row's results land in one contiguous write.
+    D = len(grid)
+    spreads = np.empty((n, D))
+    spreads[:] = returns.target[:, None]
+    betas = np.full((n, D, dim), np.nan)
+    innovations = np.full((n, D), np.nan)
+    forecast_vars = np.full((n, D), np.nan)
 
-    spreads = np.empty(n)
-    betas = np.full((n, dim), np.nan)
-    innovations = np.full(n, np.nan)
-    forecast_vars = np.full(n, np.nan)
+    passes = [(0, D)] if dim < _DGER_MIN_P else [(d, d + 1) for d in range(D)]
+    for lo, hi in passes:
+        smoothing = [Smoothing(config.delta) for config in grid[lo:hi]]
+        scales = [config.prior_scale for config in grid[lo:hi]]
+        # A pass of one configuration runs one filter: a bank of one
+        # would pay for its stacks on every row.
+        kf = KalmanEstimator.from_smoothing(
+            dim,
+            smoothing[0] if hi - lo == 1 else smoothing,
+            prior_scale=scales[0] if hi - lo == 1 else scales,
+        )
+        s, b, e, q = (
+            out[:, lo:hi] for out in (spreads, betas, innovations, forecast_vars)
+        )
+        for i in np.flatnonzero(features.ready):
+            f = features.values[i]
+            try:
+                diag = kf.update(f, returns.target[i])
+            except ValueError as exc:
+                raise DataError(
+                    f"regression update on {returns.dates[i]} rejected: {exc}"
+                ) from None
+            e[i] = diag.innovation
+            q[i] = diag.forecast_var
+            b[i] = kf.beta
+            # Each filter's fit is its own dot product, as one filter's is.
+            s[i] -= (kf.beta[..., None, :] @ f)[..., 0]
+        del kf      # the next pass's covariance replaces it, not joins it
 
-    for i in range(n):
-        a = float(returns.target[i])
-        if not features.ready[i]:
-            spreads[i] = a
-            continue
-        f = features.values[i]
-        try:
-            diag = kf.update(f, a)
-        except ValueError as exc:
-            raise DataError(
-                f"regression update on {returns.dates[i]} rejected: {exc}"
-            ) from None
-        innovations[i] = diag.innovation
-        forecast_vars[i] = diag.forecast_var
-        betas[i] = kf.beta
-        spreads[i] = a - float(f @ kf.beta)
-
-    return SpreadPath(
-        spreads=spreads,
-        betas=betas,
-        innovations=innovations,
-        forecast_vars=forecast_vars,
-        active=features.ready.copy(),
-    )
+    paths = [
+        SpreadPath(
+            spreads=spreads[:, d],
+            betas=betas[:, d],
+            innovations=innovations[:, d],
+            forecast_vars=forecast_vars[:, d],
+            active=features.ready.copy(),
+        )
+        for d in range(D)
+    ]
+    return paths[0] if isinstance(estimator, EstimatorConfig) else paths
 
 
 @dataclass
@@ -359,30 +388,39 @@ def simulate_trading(
 def run_backtest(
     returns: ReturnMatrix,
     index_prices,
-    estimator: EstimatorConfig,
+    estimator: EstimatorConfig | Sequence[EstimatorConfig],
     features: FeatureConfig | Regressors = FeatureConfig(),
     sizing: SizingConfig = SizingConfig(),
     warmup: int = 0,
     rule: str = "mean-reversion",
-) -> tuple[TradeLedger, SpreadPath]:
-    """Estimate residuals, then trade them.  Returns (ledger, spread path).
+):
+    """Estimate residuals, then trade them.  Returns (ledger, spread path),
+    or a list of such pairs, in grid order, for a grid of configurations.
 
     ``index_prices`` must align with the return rows plus a leading anchor
-    price (length ``len(returns) + 1``).  ``features`` is passed to
-    :func:`estimate_spreads`: give the :class:`Regressors` of one
-    :func:`compute_features` pass to run several deltas over one dataset.
+    price (length ``len(returns) + 1``).  ``estimator`` and ``features``
+    are passed to :func:`estimate_spreads`: give a grid and the
+    :class:`Regressors` of one :func:`compute_features` pass to run several
+    deltas over one dataset in one pass.
     """
-    path = estimate_spreads(returns, estimator, features)
-    ledger = simulate_trading(
-        returns.dates,
-        path.spreads,
-        index_prices,
-        sizing=sizing,
-        warmup=warmup,
-        rule=rule,
-        active=path.active,
-    )
-    return ledger, path
+    paths = estimate_spreads(returns, estimator, features)
+    single = isinstance(paths, SpreadPath)
+    results = [
+        (
+            simulate_trading(
+                returns.dates,
+                path.spreads,
+                index_prices,
+                sizing=sizing,
+                warmup=warmup,
+                rule=rule,
+                active=path.active,
+            ),
+            path,
+        )
+        for path in ([paths] if single else paths)
+    ]
+    return results[0] if single else results
 
 
 def write_ledger_csv(path, ledger: TradeLedger) -> None:

@@ -26,10 +26,12 @@ nearest integer gives the 17 correctly rounded digits, unless the exact
 fraction lies that close to one half.  A cell whose computed fraction
 lies within ``1e-9`` of one half (a true tie such as
 ``1234567890123456.75``, whose digits round to even) is spelled by
-:func:`fmt_g17` instead, as is every NaN, infinity or nonzero value
-outside that range; a zero is spelled ``0`` or ``-0`` by the kernel.  Ints are spelled from their 64-bit value, never through a
-float, and text is encoded as UTF-8.  The tables are built on the first
-write, not at import.
+:func:`fmt_g17` instead, as is every nonzero finite value outside that
+range.  The kernel spells a zero ``0`` or ``-0``, and a NaN or an
+infinity ``nan``, ``inf`` or ``-inf``, each from a fixed slot row, as
+``'%.17g'`` does.  Ints are spelled from their 64-bit value, never
+through a float, and text is encoded as UTF-8.  The tables are built on
+the first write, not at import.
 """
 
 from __future__ import annotations
@@ -174,9 +176,10 @@ def _float_slots(values, slots, mask, blank_nan: bool) -> None:
     """Fill the slots of float64 cells as ``'%.17g'`` spells them."""
     tables = _tables()
     mag = np.abs(values)
-    with np.errstate(invalid="ignore"):     # NaN compares false: deferred
+    with np.errstate(invalid="ignore"):     # NaN compares false: not ok
         ok = (mag > 1e-280) & (mag < 1e280)
     zero = mag == 0.0
+    special = ~np.isfinite(values)
     mag[~ok] = 1.0
     # mag lies in [2**(b-1), 2**b), so E = floor(log10(mag)) is
     # floor((b-1) * log10(2)), which this integer form gives exactly for
@@ -194,7 +197,7 @@ def _float_slots(values, slots, mask, blank_nan: bool) -> None:
     err = ((mag_hi * hi_hi - p) + mag_hi * hi_lo + mag_lo * hi_hi) + mag_lo * hi_lo
     rest = err + mag * lo
     frac = rest - np.floor(rest)
-    defer = ~(ok | zero) | (np.abs(frac - 0.5) < _TIE)
+    defer = ~(ok | zero | special) | (np.abs(frac - 0.5) < _TIE)
     n = p.astype(np.int64) + np.rint(rest).astype(np.int64)
     # Rounding can carry to 10**17 (9.99...95e-5 to 1e-4): one more decade.
     carry = n == 10**17
@@ -223,9 +226,15 @@ def _float_slots(values, slots, mask, blank_nan: bool) -> None:
     code = tables.class_codes[e - _P10_MIN] - trailing.reshape(e.shape)
     code += np.signbit(values) * (_CLASSES * 17)
     mask.view(np.uint64)[...] = tables.float_masks.take(code, axis=0)
+    if special.any():
+        # Row 0 nan, 1 inf, 2 -inf, 3 the empty cell of a blank NaN.
+        odd = values[special]
+        row = np.where(odd > 0.0, 1, 2)
+        row[np.isnan(odd)] = 3 if blank_nan else 0
+        words[special, 0] = tables.special_words[row]
+        mask.view(np.uint64)[special] = tables.special_masks[row]
     for cell in zip(*np.nonzero(defer)):
-        value = values[cell]
-        text = b"" if blank_nan and value != value else fmt_g17(value).encode("ascii")
+        text = fmt_g17(values[cell]).encode("ascii")
         slots[cell][: len(text)] = np.frombuffer(text, np.uint8)
         mask[cell][:] = np.arange(_F_WIDTH) < len(text)
         mask[cell][_SEPARATOR["f"]] = True
@@ -295,6 +304,13 @@ class _Tables:
             ]
         )
         self.float_masks = masks.view(np.uint64)
+        spellings = [b"nan", b"inf", b"-inf", b""]
+        self.special_words = np.array(spellings, dtype="S8").view(np.uint64)
+        masks = np.zeros((len(spellings), _F_WIDTH), bool)
+        for row, text in zip(masks, spellings):
+            row[: len(text)] = True
+            row[_SEPARATOR["f"]] = True
+        self.special_masks = masks.view(np.uint64)
 
 
 def _float_mask(neg: bool, cls: int, n_sig: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -439,6 +440,37 @@ class TestBacktestErrors:
             ["backtest", "--config", str(cfg)],
             capsys,
             "forecast variance must stay positive",
+        )
+        assert re.match(r"data error: regression update on \d{4}-\d\d-\d\d rejected", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep-sharpe"])
+    def test_one_rejecting_delta_fails_the_grid_and_leaves_no_outputs(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # The whole grid runs as one bank of filters; give delta 0.9 alone
+        # a prior wide enough that its forecast variance turns negative.
+        table, _ = gen_market(MarketConfig(seed=0, steps=300))
+        prices = tmp_path / "prices.csv"
+        write_csv(table, prices)
+        config_for = cli_module.BacktestJob.estimator_config
+
+        def one_wide(job, delta):
+            config = config_for(job, delta)
+            return replace(config, prior_scale=1e20) if delta == 0.9 else config
+
+        monkeypatch.setattr(cli_module.BacktestJob, "estimator_config", one_wide)
+        out = tmp_path / "never"
+        cfg = write_config(
+            tmp_path,
+            f"data = {prices}\ntarget = INDEX\ndelta_grid = 0.2, 0.5, 0.9\n"
+            f"warmup = 50\nout_dir = {out}\n",
+        )
+        err = self.run_expecting(
+            EXIT_DATA,
+            [command, "--config", str(cfg)],
+            capsys,
+            "filter 2: forecast variance must stay positive",
         )
         assert re.match(r"data error: regression update on \d{4}-\d\d-\d\d rejected", err)
         assert not out.exists()
@@ -878,3 +910,41 @@ class TestBenchmarkTraceTargets:
             if target.cls is not None:
                 owner = getattr(owner, target.cls)
             assert callable(getattr(owner, target.attr, None)), target
+
+    @pytest.mark.parametrize(
+        "command, features, n_streams",
+        [
+            ("sweep-sharpe", "svd:3", 8),
+            ("backtest", "raw", estimator_module._DGER_MIN_P + 1),
+        ],
+        ids=["sweep-svd", "backtest-raw"],
+    )
+    def test_traced_run_reports_every_layer(
+        self, tmp_path, monkeypatch, command, features, n_streams
+    ):
+        # The benchmark's tracer around a small run of each benchmark shape:
+        # every per-layer metric is reported, and the filter's update count
+        # is one per row for a bank, one per row and delta for wide passes.
+        spans = self.load_spans(monkeypatch)
+        table, _ = gen_market(MarketConfig(seed=0, n_streams=n_streams, steps=121))
+        data = tmp_path / "prices.csv"
+        write_csv(table, data)
+        cfg = write_config(
+            tmp_path,
+            f"data = {data}\ntarget = INDEX\nfeatures = {features}\n"
+            f"delta_grid = 0.2, 0.5, 0.9, 0.98\nwarmup = 20\n"
+            f"out_dir = {tmp_path / 'out'}\n",
+        )
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            with tracer.span(spans.CLI_SPAN):
+                assert main([command, "--config", str(cfg)]) == EXIT_OK
+        finally:
+            tracer.uninstall()
+        metrics = tracer.layer_metrics(tracer.run_id, 120, 0)
+        assert not tracer.absent
+        assert set(metrics) == set(spans.LAYER_UNITS)
+        # svd:3 seeds one component per row: two rows have no regressors.
+        updates = 118 if features == "svd:3" else 4 * 120
+        assert metrics["estimator.kf_updates"] == updates

@@ -486,7 +486,6 @@ class TestKalmanEstimator:
             est.update(rng.normal(size=6), rng.normal())
             assert np.shares_memory(est.P, P)
             assert not np.array_equal(est.P, before)
-        assert not np.shares_memory(est.copy().P, est.P)
 
     def test_fortran_ordered_covariance_gives_the_same_path(self):
         rng = np.random.default_rng(18)
@@ -510,14 +509,6 @@ class TestKalmanEstimator:
         for betas, P in (run(np.asfortranarray(P0)), run(P0, refortran_at=20)):
             np.testing.assert_array_equal(betas, betas_c)
             np.testing.assert_array_equal(P, P_c)
-
-    def test_copy_is_independent(self):
-        est = KalmanEstimator(2, vomega=1.0)
-        est.update([1.0, 0.0], 1.0)
-        dup = est.copy()
-        dup.update([0.0, 1.0], 2.0)
-        assert est.t == 1 and dup.t == 2
-        assert not np.array_equal(est.beta, dup.beta)
 
     def test_loops_kernel_tracks_blas_kernel(self):
         # From _DGER_MIN_P the interpreted kernel downdates with dger, which
@@ -559,6 +550,111 @@ class TestKalmanEstimator:
             assert np.array_equal(K1, K2)
             assert np.array_equal(P1, P2)
             assert e1 == e2 and q1 == q2
+
+
+class TestFilterBank:
+    """A vomega sequence builds a bank: one update steps every filter, and
+    each filter's state is the one it reaches alone, bit for bit."""
+
+    VOMEGA = (0.25, 4.0, 0.02, 1.0)
+
+    def run_alone(self, p, vomega, xs, ys):
+        est = KalmanEstimator(p, vomega=vomega)
+        rows = [est.update(x, y) + (est.beta,) for x, y in zip(xs, ys)]
+        return rows, est
+
+    @pytest.mark.parametrize("p", [1, 3, 8, 17])
+    def test_each_filter_matches_its_run_alone_bitwise(self, p):
+        # p=17 is past _DGER_MIN_P, where the bank steps filter by filter.
+        rng = np.random.default_rng(30 + p)
+        xs, ys = rng.normal(size=(60, p)), rng.normal(size=60)
+        for order in (self.VOMEGA, self.VOMEGA[::-1]):
+            bank = KalmanEstimator(p, vomega=order)
+            rows = [bank.update(x, y) + (bank.beta,) for x, y in zip(xs, ys)]
+            assert bank.P.shape == (4, p, p) and bank.t == 60
+            for d, vomega in enumerate(order):
+                alone, est = self.run_alone(p, vomega, xs, ys)
+                for (e, q, K, beta), (e1, q1, K1, beta1) in zip(rows, alone):
+                    assert e[d] == e1 and q[d] == q1
+                    assert K[d].tobytes() == K1.tobytes()
+                    assert beta[d].tobytes() == beta1.tobytes()
+                assert bank.P[d].tobytes() == est.P.tobytes()
+
+    @pytest.mark.parametrize(
+        "step", [_kf_step_impl, _kf_step_loops], ids=["impl", "loops"]
+    )
+    def test_kernel_steps_a_bank_as_its_filters(self, step):
+        # The loops kernel, numba's, steps a bank filter by filter; the
+        # interpreted one as stacks.  A rejection writes no filter.
+        rng = np.random.default_rng(31)
+        p, vomega = 4, np.array(self.VOMEGA)
+        P = np.stack([np.eye(p) * (d + 1.0) for d in range(4)])
+        beta = rng.normal(size=(4, p))
+        singles = [(P[d].copy(), beta[d].copy()) for d in range(4)]
+        for _ in range(30):
+            x, y = rng.normal(size=p), float(rng.normal())
+            status, beta, e, q, K = step(P, beta, x, y, 1.0, vomega)
+            assert list(status) == [estimator_module._ACCEPTED] * 4
+            for d, (P1, b1) in enumerate(singles):
+                s1, b1, e1, q1, K1 = step(P1, b1, x, y, 1.0, vomega[d])
+                singles[d] = (P1, b1)
+                assert e[d] == e1 and q[d] == q1
+                np.testing.assert_array_equal(K[d], K1)
+                np.testing.assert_array_equal(beta[d], b1)
+                np.testing.assert_array_equal(P[d], P1)
+        P[2] = -10.0 * np.eye(p)
+        before = [P.copy(), beta.copy()]
+        with np.errstate(all="ignore"):   # the interpreted loops warn
+            status, beta_out, *_ = step(P, beta, np.ones(p), 1.0, 1.0, vomega)
+        assert list(status) == [0, 0, estimator_module._NONPOSITIVE, 0]
+        np.testing.assert_array_equal(P, before[0])
+        np.testing.assert_array_equal(beta_out, before[1])
+
+    def test_bank_takes_a_prior_scale_per_filter(self):
+        bank = KalmanEstimator(2, vomega=[0.5, 0.5], prior_scale=[1.0, 9.0])
+        np.testing.assert_array_equal(bank.P, [np.eye(2), 9.0 * np.eye(2)])
+        with pytest.raises(ValueError, match="prior_scale must be a number"):
+            KalmanEstimator(2, vomega=[0.5, 0.5], prior_scale=[1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="prior_scale must be finite"):
+            KalmanEstimator(2, vomega=[0.5, 0.5], prior_scale=[1.0, -2.0])
+        with pytest.raises(ValueError, match="vomega must be a number"):
+            KalmanEstimator(2, vomega=[[0.5]])
+
+    @pytest.mark.parametrize("p", [3, 17])
+    def test_one_filter_rejecting_rejects_the_step_for_all(self, p):
+        rng = np.random.default_rng(p)
+        bank = KalmanEstimator(p, vomega=[0.3, 0.3, 0.3])
+        bank.update(rng.normal(size=p), 0.2)
+        # A covariance set by hand can be indefinite: filter 1's q < 0.
+        bank.P[1] = -10.0 * np.eye(p)
+        state = [bank.P.copy(), bank.beta.copy(), bank.t]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValueError, match="filter 1: forecast variance must stay positive"
+            ):
+                bank.update(np.ones(p), 1.0)
+        np.testing.assert_array_equal(bank.P, state[0])
+        np.testing.assert_array_equal(bank.beta, state[1])
+        assert bank.t == state[2]
+
+    @pytest.mark.parametrize("vomega", [0.3, [0.3, 0.7]], ids=["one", "bank"])
+    @pytest.mark.parametrize(
+        "x, y",
+        [([np.inf, 1.0, 0.0], 1.0), ([np.nan, 0.0, 0.0], 1.0), ([1.0, 2.0, 3.0], np.inf)],
+        ids=["inf-x", "nan-x", "inf-y"],
+    )
+    def test_non_finite_observation_rejected_and_state_kept(self, vomega, x, y):
+        est = KalmanEstimator(3, vomega=vomega)
+        est.update([0.1, -0.2, 0.3], 0.5)
+        state = [est.P.copy(), est.beta.copy(), est.t]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x and y must be finite"):
+                est.update(x, y)
+        np.testing.assert_array_equal(est.P, state[0])
+        np.testing.assert_array_equal(est.beta, state[1])
+        assert est.t == state[2]
 
 
 class TestOlsFit:

@@ -83,7 +83,7 @@ class TestLoadCsv:
     def test_empty_cells_become_holes(self, tmp_path):
         text = "date,SPX,AAA\n2001-01-01,1400,100\n2001-01-02,,101\n"
         table = load_csv(write(tmp_path, text), target="SPX", max_missing_frac=0.5)
-        assert table.has_holes()
+        assert np.isnan(table.prices).any()
         assert np.isnan(table.prices[1, 0])
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -148,7 +148,7 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="AAA is 75.0% holes"):
             load_csv(f, target="SPX")
         table = load_csv(f, target="SPX", max_missing_frac=0.8)
-        assert table.has_holes()
+        assert np.isnan(table.prices).any()
 
 
 def count_loop_calls(monkeypatch):
@@ -300,7 +300,7 @@ class TestForwardFill:
         table = forward_fill(loaded)
         np.testing.assert_array_equal(table.prices[1], [1400.0, 101.0])
         np.testing.assert_array_equal(table.prices[2], [1405.0, 101.0])
-        assert not table.has_holes()
+        assert not np.isnan(table.prices).any()
 
     def test_consecutive_holes(self, tmp_path):
         text = (

@@ -1,11 +1,18 @@
 """Tests for the trading layer: signals, sizing, orders and the ledger."""
 
 import datetime as dt
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from flexls.estimator import KalmanEstimator, Smoothing
+from flexls.estimator import (
+    _DGER_MIN_P,
+    KalmanEstimator,
+    Smoothing,
+    write_coefficient_csv,
+)
 from flexls.ingest import DataError, to_log_returns
 from flexls.strategy import (
     EstimatorConfig,
@@ -212,6 +219,120 @@ class TestEstimateSpreads:
                 EstimatorConfig(delta=0.5),
                 FeatureConfig(mode="svd", k=3),
             )
+
+
+class TestGrid:
+    """A delta grid runs as one bank of filters below _DGER_MIN_P regressors
+    and as one pass per delta from it; a delta's outputs never depend on
+    which, nor on the grid around it."""
+
+    GRID = (0.2, 0.5, 0.9, 0.98)
+
+    @pytest.mark.parametrize(
+        "n_streams, features",
+        [
+            (8, FeatureConfig()),
+            (8, FeatureConfig(mode="svd", k=3)),
+            (_DGER_MIN_P + 1, FeatureConfig()),
+        ],
+        ids=["raw-p8", "svd-k3", "raw-p17"],
+    )
+    def test_a_delta_writes_the_same_bytes_alone_and_in_any_grid(
+        self, tmp_path, n_streams, features
+    ):
+        returns, prices = make_market(seed=21, steps=160, n_streams=n_streams)
+        regressors = compute_features(returns, features)
+
+        def files(estimator):
+            results = run_backtest(returns, prices, estimator, regressors, warmup=20)
+            if isinstance(estimator, EstimatorConfig):
+                estimator, results = [estimator], [results]
+            written = {}
+            for config, (ledger, path) in zip(estimator, results):
+                write_ledger_csv(tmp_path / "ledger.csv", ledger)
+                write_coefficient_csv(
+                    tmp_path / "coefficients.csv",
+                    path.betas,
+                    path.innovations,
+                    path.forecast_vars,
+                )
+                written[config.delta] = [
+                    (tmp_path / name).read_bytes()
+                    for name in ("ledger.csv", "coefficients.csv")
+                ]
+            return written
+
+        grid = files([EstimatorConfig(d) for d in self.GRID])
+        reordered = files([EstimatorConfig(d) for d in (0.9, 0.2, 0.98, 0.5)])
+        for delta in self.GRID:
+            alone = files(EstimatorConfig(delta))[delta]
+            assert grid[delta] == alone
+            assert reordered[delta] == alone
+
+    @pytest.mark.parametrize(
+        "n_streams, features",
+        [(8, FeatureConfig(mode="svd", k=3)), (_DGER_MIN_P + 1, FeatureConfig())],
+        ids=["svd-k3", "raw-p17"],
+    )
+    def test_filter_updates_per_ready_row(self, monkeypatch, n_streams, features):
+        returns, _ = make_market(seed=22, steps=80, n_streams=n_streams)
+        regressors = compute_features(returns, features)
+        calls = []
+        update = KalmanEstimator.update
+
+        def counted(self, x, y):
+            calls.append(self.P.shape)
+            return update(self, x, y)
+
+        monkeypatch.setattr(KalmanEstimator, "update", counted)
+        estimate_spreads(returns, [EstimatorConfig(d) for d in self.GRID], regressors)
+        ready = int(regressors.ready.sum())
+        if n_streams < _DGER_MIN_P:     # one bank: one update per row
+            assert calls == [(4, 3, 3)] * ready
+        else:                           # one filter per pass
+            assert calls == [(n_streams, n_streams)] * (4 * ready)
+
+    def test_wide_passes_hold_one_covariance_at_a_time(self):
+        returns, _ = make_market(seed=24, steps=60, n_streams=200)
+        regressors = compute_features(returns)
+        grid = [EstimatorConfig(d) for d in (0.5, 0.9)]
+        estimate_spreads(returns, grid, regressors)     # loads scipy's BLAS
+        tracemalloc.start()
+        try:
+            paths = estimate_spreads(returns, grid, regressors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(
+            a.nbytes
+            for path in paths
+            for a in (path.spreads, path.betas, path.innovations,
+                      path.forecast_vars, path.active)
+        )
+        covariance = 200 * 200 * 8
+        assert peak - kept < 1.5 * covariance
+
+    def test_a_step_one_delta_rejects_fails_on_its_date(self):
+        # A prior this wide drives delta 0.9's forecast variance below zero
+        # within the first rows; the narrow priors never do.
+        returns, _ = make_market(seed=0, steps=300)
+        wide = EstimatorConfig(delta=0.9, prior_scale=1e20)
+        with pytest.raises(DataError) as alone:
+            estimate_spreads(returns, wide)
+        day = re.search(r"on (\S+) rejected", str(alone.value)).group(1)
+        narrow = [EstimatorConfig(delta=0.2), EstimatorConfig(delta=0.5)]
+        estimate_spreads(returns, narrow)
+        with pytest.raises(
+            DataError,
+            match=f"regression update on {day} rejected: filter 2: "
+            "forecast variance must stay positive",
+        ):
+            estimate_spreads(returns, narrow + [wide])
+
+    def test_an_empty_grid_is_rejected(self):
+        returns, _ = make_market(seed=23, steps=30)
+        with pytest.raises(ValueError, match="at least one estimator"):
+            estimate_spreads(returns, [])
 
 
 class TestSimulateTrading:
