@@ -46,6 +46,31 @@ _ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
 # 1.8-2x at 128 and 4-5x at 432.  Below this width a step needs no scipy.
 _DGER_MIN_P = 16
 
+# Widest filter a bank holds (a KalmanEstimator built with a sequence of
+# vomega values).  A bank saves numpy's per-call overhead, most of a narrow
+# step: one row of a bank cost 17-22 us at p=3-15, against 21-28 us for
+# two filters run one per pass and 42-46 us for four (interpreted, best of
+# 5).  The limit covers the factor-score regressions of svd mode, a few
+# factors wide.  Raw-return regressions, whose width is the market's, take
+# one pass per filter from 9 streams on, so that a 12-stream market traces
+# like the 432-stream benchmark (perfbench/selftest.py counts its updates).
+BANK_MAX_P = 8
+
+
+def filter_passes(p: int, n: int) -> list[tuple[int, int]]:
+    """How ``n`` filters of ``p`` coefficients fed the same rows are run:
+    the ``(lo, hi)`` index ranges of the passes over the rows.
+
+    Up to :data:`BANK_MAX_P` coefficients, one pass steps them all as one
+    bank; wider, each filter gets a pass of its own.  From ``_DGER_MIN_P``
+    that is also the faster order: two covariances that wide overflow a
+    core's L2 cache when stepped in turn.  A filter's path is the same, bit
+    for bit, either way.
+    """
+    if p <= BANK_MAX_P:
+        return [(0, n)]
+    return [(d, d + 1) for d in range(n)]
+
 
 def _dger_is_symmetric(dger) -> bool:
     """Whether ``dger`` rounds ``a_ij - g_i*g_j`` and ``a_ji - g_j*g_i``
@@ -84,11 +109,23 @@ def _status(e, q, beta_new) -> int:
     return _ACCEPTED
 
 
-def _kf_forecast(P, beta, x, y, veps, vomega):
-    """One filter's forecast and gain, interpreted; writes nothing.
+# Finite inputs can still overflow against a badly scaled state.  Such a
+# step is rejected, so numpy need not warn about it.
+@np.errstate(all="ignore")
+def _kf_step_impl(P, beta, x, y, veps, vomega):
+    """One filter update, interpreted: numpy for the forecast and for P.
 
-    Returns ``(status, beta', e, q, K, g)`` with
-    ``g = (P + vomega I) x / sqrt(q)``, the downdate's vector.
+    Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
+    ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
+    ``P``, which must be C-ordered, in its own buffer:
+    ``P <- P + vomega I - g g'`` with ``g = (P + vomega I) x / sqrt(q)``.
+    A rejected step leaves every input as it was.
+
+    The rank-1 term subtracts the product ``g_i * g_j``, symmetric by
+    construction.  From ``p = _DGER_MIN_P`` it is one BLAS ``dger`` call
+    instead, several times faster at large p, where this BLAS rounds both
+    triangles alike (:func:`_dger_is_symmetric`, true of the OpenBLAS this
+    was tested with).  The form depends on p and that probe alone.
     """
     Rx = np.dot(P, x) + vomega * x
     q = np.dot(x, Rx) + veps
@@ -101,60 +138,36 @@ def _kf_forecast(P, beta, x, y, veps, vomega):
     if not (q > 0.0 and math.isfinite(e * q * np.dot(beta_new, beta_new))):
         status = _status(e, q, beta_new)
         if status != _ACCEPTED:
-            return status, beta, e, q, K, Rx
-    return _ACCEPTED, beta_new, e, q, K, Rx / math.sqrt(q)
-
-
-def _kf_downdate(P, g, vomega) -> None:
-    """``P <- P + vomega I - g g'`` in P's own buffer, which must be
-    C-ordered.
-
-    The rank-1 term subtracts the product ``g_i * g_j``, symmetric by
-    construction.  From ``p = _DGER_MIN_P`` it is one BLAS ``dger`` call
-    instead, several times faster at large p, where this BLAS rounds both
-    triangles alike (:func:`_dger_is_symmetric`, true of the OpenBLAS this
-    was tested with).  The form depends on p and that probe alone.
-    """
+            return status, beta, e, q, K
     P.ravel()[:: P.shape[0] + 1] += vomega
+    g = Rx / math.sqrt(q)
     if P.shape[0] >= _DGER_MIN_P:
         dger, symmetric = _blas_dger()
         if symmetric:
             dger(-1.0, g, g, a=P.T, overwrite_a=1)     # P.T is Fortran-ordered
-            return
+            return _ACCEPTED, beta_new, e, q, K
     P -= g[:, None] * g
+    return _ACCEPTED, beta_new, e, q, K
 
 
-def _filter_by_filter(forecast, downdate, P, beta, x, y, veps, vomega):
-    """One step of one filter, or of a bank one filter at a time.
-
-    ``forecast`` and ``downdate`` are the two halves of one filter's step.
-    A bank downdates only after every filter has passed its checks, so a
-    step that one filter rejects writes none of them.
-    """
-    if P.ndim == 2:
-        status, beta_new, e, q, K, g = forecast(P, beta, x, y, veps, vomega)
-        if status == _ACCEPTED:
-            downdate(P, g, vomega)
-        return status, beta_new, e, q, K
-    steps = [forecast(P[d], beta[d], x, y, veps, vomega[d]) for d in range(len(P))]
-    status = [step[0] for step in steps]
-    if not any(status):
-        for d, step in enumerate(steps):
-            downdate(P[d], step[5], vomega[d])
-        beta = np.array([step[1] for step in steps])
-    e, q, K = (np.array([step[k] for step in steps]) for k in (2, 3, 4))
-    return status, beta, e, q, K
-
-
+@np.errstate(all="ignore")
 def _kf_bank_step(P, beta, x, y, veps, vomega):
-    """One step of a bank of narrow filters, each array a stack of them.
+    """One update of a bank of filters, interpreted: each array of
+    :func:`_kf_step_impl` gains a leading axis, one entry per filter.
 
-    Every product is per filter: ``P @ x`` on the ``(D, p, p)`` stack, and
+    ``P`` is (D, p, p), ``beta`` (D, p) and ``vomega`` (D,); ``x``, ``y``
+    and ``veps`` are shared.  Returns ``(status, beta', e, q, K)`` with
+    ``status`` a list of one code per filter.  If any filter rejects the
+    step, none of them is written.
+
+    Every product is per filter: ``P @ x`` on the stack, and
     ``v[:, None] @ x`` for the dot products.  numpy hands each filter's
     product to the same BLAS ``dgemv`` or ``ddot`` call that one filter's
     ``np.dot`` makes, so each filter's results equal, bit for bit, those of
-    :func:`_kf_forecast` and :func:`_kf_downdate` run on it alone.  (One
-    ``(D, p) @ x`` product would not: its rounding depends on D.)
+    :func:`_kf_step_impl` run on it alone.  (One ``(D, p) @ x`` product
+    would not: its rounding depends on D.)  The downdate subtracts the
+    broadcast product, as :func:`_kf_step_impl` does below ``_DGER_MIN_P``;
+    no bank is that wide (:data:`BANK_MAX_P`).
     """
     vomega = vomega[:, None]
     Rx = P @ x
@@ -164,7 +177,7 @@ def _kf_bank_step(P, beta, x, y, veps, vomega):
     e = y - beta[:, None] @ x
     K = Rx / q
     beta_new = beta + e * K
-    # The one test of _kf_forecast, with log q, finite only where q > 0.
+    # The one test of _kf_step_impl, with log q, finite only where q > 0.
     test = sum((np.log(q) * e).ravel().tolist()) + np.vdot(beta_new, beta_new)
     if not math.isfinite(test):
         status = [_status(*v) for v in zip(e[:, 0], q[:, 0], beta_new)]
@@ -176,34 +189,12 @@ def _kf_bank_step(P, beta, x, y, veps, vomega):
     return [_ACCEPTED] * len(P), beta_new, e[:, 0], q[:, 0], K
 
 
-# Finite inputs can still overflow against a badly scaled state.  Such a
-# step is rejected, so numpy need not warn about it.
-@np.errstate(all="ignore")
-def _kf_step_impl(P, beta, x, y, veps, vomega):
-    """One filter update, or one update of a bank of filters, interpreted.
-
-    One filter: ``P`` is (p, p), ``beta`` (p,) and ``vomega`` a number.
-    Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
-    ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
-    ``P``, in its own buffer (:func:`_kf_downdate`).  A rejected step leaves
-    every input as it was.
-
-    A bank of D filters shares ``x``, ``y`` and ``veps``: ``P`` is
-    (D, p, p), ``beta`` (D, p) and ``vomega`` (D,); every result gains
-    the leading axis, and ``status`` is a list with one code per filter.
-    If any filter rejects the step, none of them is written.  Below
-    ``_DGER_MIN_P`` the bank steps as stacks (:func:`_kf_bank_step`); from
-    it, filter by filter, since two covariances that wide already overflow
-    a core's L2 cache when stepped in turn.  Either way each filter's
-    results are those it gets alone.
-    """
-    if P.ndim == 3 and x.shape[0] < _DGER_MIN_P:
-        return _kf_bank_step(P, beta, x, y, veps, vomega)
-    return _filter_by_filter(_kf_forecast, _kf_downdate, P, beta, x, y, veps, vomega)
-
-
 def _kf_forecast_loops(P, beta, x, y, veps, vomega):
-    """The forecast of :func:`_kf_forecast`, written for numba to compile."""
+    """The forecast and checks of :func:`_kf_step_impl`, for numba to
+    compile; writes nothing.
+
+    Returns ``(status, beta', e, q, K, g)``, ``g`` the downdate's vector.
+    """
     Rx = np.dot(P, x) + vomega * x
     q = np.dot(x, Rx) + veps
     e = y - np.dot(x, beta)
@@ -220,7 +211,7 @@ def _kf_forecast_loops(P, beta, x, y, veps, vomega):
 
 
 def _kf_downdate_loops(P, g, vomega) -> None:
-    """The downdate of :func:`_kf_downdate`, written for numba to compile.
+    """The downdate of :func:`_kf_step_impl`, for numba to compile.
 
     Nothing is allocated at p x p: the loop walks the upper triangle and
     mirrors each entry, so P stays symmetric by construction on any BLAS.
@@ -235,24 +226,58 @@ def _kf_downdate_loops(P, g, vomega) -> None:
             P[j, i] = v
 
 
-# The update of _kf_step_impl, as loops: same contract and checks.
-_kf_step_loops = functools.partial(
+def _kf_step_loops(P, beta, x, y, veps, vomega):
+    """The update of :func:`_kf_step_impl` as loops: same contract and
+    checks."""
+    status, beta_new, e, q, K, g = _kf_forecast_loops(P, beta, x, y, veps, vomega)
+    if status == _ACCEPTED:
+        _kf_downdate_loops(P, g, vomega)
+    return status, beta_new, e, q, K
+
+
+def _filter_by_filter(forecast, downdate, P, beta, x, y, veps, vomega):
+    """The update of :func:`_kf_bank_step`, one filter at a time.
+
+    ``forecast`` and ``downdate`` are the two halves of one filter's step,
+    as :func:`_kf_forecast_loops` and :func:`_kf_downdate_loops`.  Every
+    filter passes its checks before any is downdated, so a step that one
+    filter rejects writes none of them.
+    """
+    steps = [forecast(P[d], beta[d], x, y, veps, vomega[d]) for d in range(len(P))]
+    status = [step[0] for step in steps]
+    if not any(status):
+        for d, step in enumerate(steps):
+            downdate(P[d], step[5], vomega[d])
+        beta = np.array([step[1] for step in steps])
+    e, q, K = (np.array([step[k] for step in steps]) for k in (2, 3, 4))
+    return status, beta, e, q, K
+
+
+_kf_bank_loops = functools.partial(
     _filter_by_filter, _kf_forecast_loops, _kf_downdate_loops
 )
 
 try:
     from numba import njit
 
+    _kf_forecast_jit = njit(cache=True)(_kf_forecast_loops)
+    _kf_downdate_jit = njit(cache=True)(_kf_downdate_loops)
+
+    @njit(cache=True)
+    def _kf_step(P, beta, x, y, veps, vomega):
+        """:func:`_kf_step_loops`, compiled: one call per filter update."""
+        status, beta_new, e, q, K, g = _kf_forecast_jit(P, beta, x, y, veps, vomega)
+        if status == _ACCEPTED:
+            _kf_downdate_jit(P, g, vomega)
+        return status, beta_new, e, q, K
+
     # A bank loops the compiled halves over its filters.
-    _kf_step = functools.partial(
-        _filter_by_filter,
-        njit(cache=True)(_kf_forecast_loops),
-        njit(cache=True)(_kf_downdate_loops),
-    )
+    _kf_bank = functools.partial(_filter_by_filter, _kf_forecast_jit, _kf_downdate_jit)
     KERNEL_BACKEND = "numba"
 except ImportError:   # pragma: no cover - numba is a declared dependency
     # Interpreted, the loops would cost a Python step per entry of P.
     _kf_step = _kf_step_impl
+    _kf_bank = _kf_bank_step
     KERNEL_BACKEND = "python"
 
 # Reciprocal-condition floor below which a normal-equations solve is
@@ -268,6 +293,18 @@ DEFAULT_PRIOR_SCALE = 1e6
 
 class UnderdeterminedError(ValueError):
     """Normal equations are singular: not enough informative observations."""
+
+
+class RejectedStep(ValueError):
+    """A filter update was refused and the state left as it was.
+
+    ``filter`` is the index of the first filter that rejected it in a bank,
+    ``None`` for a single filter or an observation no filter can take.
+    """
+
+    def __init__(self, message: str, filter: int | None = None) -> None:
+        super().__init__(message)
+        self.filter = filter
 
 
 @dataclass(frozen=True)
@@ -493,8 +530,9 @@ class KalmanEstimator:
     all fed the same observations, the multi-process model of West &
     Harrison (1997, ch. 12).  ``P`` is then (D, p, p) and ``beta`` (D, p),
     ``prior_scale`` may give one value per filter (``P0`` is one prior for
-    all of them), and one ``update`` steps them all.  Each filter's path is the one it follows alone, bit
-    for bit.
+    all of them), and one ``update`` steps them all.  A bank holds filters
+    of up to :data:`BANK_MAX_P` coefficients (see :func:`filter_passes`).
+    Each filter's path is the one it follows alone, bit for bit.
 
     Not thread-safe: ``update`` mutates in place.  The covariance ``P`` is
     downdated in its own buffer, so an array read from ``P`` changes with
@@ -516,6 +554,11 @@ class KalmanEstimator:
             raise ValueError("vomega must be a number or a 1-d sequence of them")
         if not ((bank >= 0.0).all() and np.isfinite(bank).all()):
             raise ValueError(f"vomega must be finite and >= 0, got {vomega}")
+        if bank.ndim and p > BANK_MAX_P:
+            raise ValueError(
+                f"a bank holds filters of at most {BANK_MAX_P} coefficients, "
+                f"got p={p}: run wider filters one at a time"
+            )
         if not (veps > 0.0) or not math.isfinite(veps):
             raise ValueError(f"veps must be finite and positive, got {veps}")
         self.p = int(p)
@@ -600,11 +643,11 @@ class KalmanEstimator:
     def update(self, x, y: float) -> KfDiagnostics:
         """Consume one observation; returns the step diagnostics.
 
-        Raises ``ValueError``, leaving the state untouched, when ``x`` or
-        ``y`` is not finite or the step would leave a non-finite state or a
-        forecast variance that is not positive.  In a bank, one filter's
-        rejection rejects the step for all of them, and the message names
-        that filter by its index.
+        Raises :class:`RejectedStep`, leaving the state untouched, when
+        ``x`` or ``y`` is not finite or the step would leave a non-finite
+        state or a forecast variance that is not positive.  In a bank, one
+        filter's rejection rejects the step for all of them, and the
+        exception's ``filter`` is that filter's index.
         """
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.p,):
@@ -613,24 +656,21 @@ class KalmanEstimator:
         # The step downdates P in its own buffer, which must be C-ordered;
         # it is, unless the attribute was replaced with another layout.
         self.P = P = np.ascontiguousarray(self.P)
-        status, beta_new, e, q, K = _kf_step(
-            P, self.beta, x, y, self.veps, self.vomega
-        )
+        step = _kf_bank if P.ndim == 3 else _kf_step
+        status, beta_new, e, q, K = step(P, self.beta, x, y, self.veps, self.vomega)
         # A non-finite x or y makes e or q non-finite, so the kernel
         # rejects it; its message is chosen here, on that path alone.
         if any(status) if P.ndim == 3 else status != _ACCEPTED:
             if not (math.isfinite(y) and np.isfinite(x).all()):
-                raise ValueError("x and y must be finite")
-            where = ""
+                raise RejectedStep("x and y must be finite")
+            d = None
             if P.ndim == 3:
                 d = next(d for d, code in enumerate(status) if code)
-                where, status, q = f"filter {d}: ", status[d], q[d]
+                status, q = status[d], q[d]
             if status == _NONPOSITIVE:
-                raise ValueError(
-                    f"{where}forecast variance must stay positive, got {q}"
-                )
-            raise ValueError(
-                f"{where}non-finite update: check the scale of x and the state"
+                raise RejectedStep(f"forecast variance must stay positive, got {q}", d)
+            raise RejectedStep(
+                "non-finite update: check the scale of x and the state", d
             )
         self.beta = beta_new
         self.t += 1

@@ -19,7 +19,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .eigentrack import EigenTracker
-from .estimator import _DGER_MIN_P, DEFAULT_PRIOR_SCALE, KalmanEstimator, Smoothing
+from .estimator import (
+    DEFAULT_PRIOR_SCALE,
+    KalmanEstimator,
+    RejectedStep,
+    Smoothing,
+    filter_passes,
+)
 from .ingest import DataError, ReturnMatrix
 from .util import write_table
 
@@ -206,13 +212,14 @@ def estimate_spreads(
     coefficients.  Everything consumed at row ``i`` is known at row ``i``,
     so downstream trading sees no future data.  Rows without regressors
     keep the raw target return as their residual.  A row the filter
-    rejects raises :class:`~flexls.ingest.DataError` naming its date.
+    rejects raises :class:`~flexls.ingest.DataError` naming its date and
+    the delta that rejected it.
 
-    Narrower than ``_DGER_MIN_P`` regressors, a grid runs as one bank of
-    filters, one :meth:`KalmanEstimator.update` per row for all of it.
-    From that width each configuration gets a pass of its own: two
-    covariances that wide overflow a core's L2 cache when stepped in turn.
-    A configuration's path is the same, bit for bit, either way, and
+    The grid runs in the passes :func:`~flexls.estimator.filter_passes`
+    gives: narrow regressors step every configuration as one bank of
+    filters, one :meth:`KalmanEstimator.update` per row for all of it;
+    wider ones give each configuration a pass of its own.  A
+    configuration's path is the same, bit for bit, either way, and
     whether it runs alone or in a grid.
     """
     grid = [estimator] if isinstance(estimator, EstimatorConfig) else list(estimator)
@@ -234,8 +241,7 @@ def estimate_spreads(
     innovations = np.full((n, D), np.nan)
     forecast_vars = np.full((n, D), np.nan)
 
-    passes = [(0, D)] if dim < _DGER_MIN_P else [(d, d + 1) for d in range(D)]
-    for lo, hi in passes:
+    for lo, hi in filter_passes(dim, D):
         smoothing = [Smoothing(config.delta) for config in grid[lo:hi]]
         scales = [config.prior_scale for config in grid[lo:hi]]
         # A pass of one configuration runs one filter: a bank of one
@@ -252,9 +258,13 @@ def estimate_spreads(
             f = features.values[i]
             try:
                 diag = kf.update(f, returns.target[i])
-            except ValueError as exc:
+            except RejectedStep as exc:
+                # A bank names its rejecting filter, unless all of them
+                # reject the row; a pass of one filter is that filter.
+                d = exc.filter if hi - lo > 1 else 0
+                at = "" if d is None else f" at delta {grid[lo + d].delta!r}"
                 raise DataError(
-                    f"regression update on {returns.dates[i]} rejected: {exc}"
+                    f"regression update on {returns.dates[i]} rejected{at}: {exc}"
                 ) from None
             e[i] = diag.innovation
             q[i] = diag.forecast_var
@@ -401,7 +411,8 @@ def run_backtest(
     price (length ``len(returns) + 1``).  ``estimator`` and ``features``
     are passed to :func:`estimate_spreads`: give a grid and the
     :class:`Regressors` of one :func:`compute_features` pass to run several
-    deltas over one dataset in one pass.
+    deltas over one dataset in one call, which steps them together when
+    the regressors are narrow (:func:`~flexls.estimator.filter_passes`).
     """
     paths = estimate_spreads(returns, estimator, features)
     single = isinstance(paths, SpreadPath)

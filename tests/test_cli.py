@@ -470,7 +470,7 @@ class TestBacktestErrors:
             EXIT_DATA,
             [command, "--config", str(cfg)],
             capsys,
-            "filter 2: forecast variance must stay positive",
+            "at delta 0.9: forecast variance must stay positive",
         )
         assert re.match(r"data error: regression update on \d{4}-\d\d-\d\d rejected", err)
         assert not out.exists()
@@ -915,7 +915,7 @@ class TestBenchmarkTraceTargets:
         "command, features, n_streams",
         [
             ("sweep-sharpe", "svd:3", 8),
-            ("backtest", "raw", estimator_module._DGER_MIN_P + 1),
+            ("backtest", "raw", 12),
         ],
         ids=["sweep-svd", "backtest-raw"],
     )
@@ -925,6 +925,7 @@ class TestBenchmarkTraceTargets:
         # The benchmark's tracer around a small run of each benchmark shape:
         # every per-layer metric is reported, and the filter's update count
         # is one per row for a bank, one per row and delta for wide passes.
+        # 12 raw streams is the benchmark self-test's small backtest-raw.
         spans = self.load_spans(monkeypatch)
         table, _ = gen_market(MarketConfig(seed=0, n_streams=n_streams, steps=121))
         data = tmp_path / "prices.csv"

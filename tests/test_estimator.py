@@ -8,14 +8,20 @@ import pytest
 
 import flexls.estimator as estimator_module
 from flexls.estimator import (
+    BANK_MAX_P,
     DEFAULT_PRIOR_SCALE,
     FlsEstimator,
     KalmanEstimator,
+    RejectedStep,
     Smoothing,
     UnderdeterminedError,
+    _kf_bank,
+    _kf_bank_loops,
+    _kf_bank_step,
     _kf_step,
     _kf_step_impl,
     _kf_step_loops,
+    filter_passes,
     fls_smooth_batch,
     write_coefficient_csv,
 )
@@ -563,9 +569,8 @@ class TestFilterBank:
         rows = [est.update(x, y) + (est.beta,) for x, y in zip(xs, ys)]
         return rows, est
 
-    @pytest.mark.parametrize("p", [1, 3, 8, 17])
+    @pytest.mark.parametrize("p", [1, 3, BANK_MAX_P])
     def test_each_filter_matches_its_run_alone_bitwise(self, p):
-        # p=17 is past _DGER_MIN_P, where the bank steps filter by filter.
         rng = np.random.default_rng(30 + p)
         xs, ys = rng.normal(size=(60, p)), rng.normal(size=60)
         for order in (self.VOMEGA, self.VOMEGA[::-1]):
@@ -581,9 +586,15 @@ class TestFilterBank:
                 assert bank.P[d].tobytes() == est.P.tobytes()
 
     @pytest.mark.parametrize(
-        "step", [_kf_step_impl, _kf_step_loops], ids=["impl", "loops"]
+        "bank_step, step",
+        [
+            (_kf_bank_step, _kf_step_impl),
+            (_kf_bank_loops, _kf_step_loops),
+            (_kf_bank, _kf_step),
+        ],
+        ids=["impl", "loops", "live"],
     )
-    def test_kernel_steps_a_bank_as_its_filters(self, step):
+    def test_kernel_steps_a_bank_as_its_filters(self, bank_step, step):
         # The loops kernel, numba's, steps a bank filter by filter; the
         # interpreted one as stacks.  A rejection writes no filter.
         rng = np.random.default_rng(31)
@@ -593,7 +604,7 @@ class TestFilterBank:
         singles = [(P[d].copy(), beta[d].copy()) for d in range(4)]
         for _ in range(30):
             x, y = rng.normal(size=p), float(rng.normal())
-            status, beta, e, q, K = step(P, beta, x, y, 1.0, vomega)
+            status, beta, e, q, K = bank_step(P, beta, x, y, 1.0, vomega)
             assert list(status) == [estimator_module._ACCEPTED] * 4
             for d, (P1, b1) in enumerate(singles):
                 s1, b1, e1, q1, K1 = step(P1, b1, x, y, 1.0, vomega[d])
@@ -605,7 +616,7 @@ class TestFilterBank:
         P[2] = -10.0 * np.eye(p)
         before = [P.copy(), beta.copy()]
         with np.errstate(all="ignore"):   # the interpreted loops warn
-            status, beta_out, *_ = step(P, beta, np.ones(p), 1.0, 1.0, vomega)
+            status, beta_out, *_ = bank_step(P, beta, np.ones(p), 1.0, 1.0, vomega)
         assert list(status) == [0, 0, estimator_module._NONPOSITIVE, 0]
         np.testing.assert_array_equal(P, before[0])
         np.testing.assert_array_equal(beta_out, before[1])
@@ -620,7 +631,7 @@ class TestFilterBank:
         with pytest.raises(ValueError, match="vomega must be a number"):
             KalmanEstimator(2, vomega=[[0.5]])
 
-    @pytest.mark.parametrize("p", [3, 17])
+    @pytest.mark.parametrize("p", [3, BANK_MAX_P])
     def test_one_filter_rejecting_rejects_the_step_for_all(self, p):
         rng = np.random.default_rng(p)
         bank = KalmanEstimator(p, vomega=[0.3, 0.3, 0.3])
@@ -631,12 +642,22 @@ class TestFilterBank:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(
-                ValueError, match="filter 1: forecast variance must stay positive"
-            ):
+                RejectedStep, match="^forecast variance must stay positive"
+            ) as rejected:
                 bank.update(np.ones(p), 1.0)
+        assert rejected.value.filter == 1
         np.testing.assert_array_equal(bank.P, state[0])
         np.testing.assert_array_equal(bank.beta, state[1])
         assert bank.t == state[2]
+
+    def test_bank_holds_narrow_filters_only(self):
+        assert filter_passes(BANK_MAX_P, 3) == [(0, 3)]
+        assert filter_passes(BANK_MAX_P + 1, 3) == [(0, 1), (1, 2), (2, 3)]
+        assert filter_passes(BANK_MAX_P + 1, 1) == [(0, 1)]
+        KalmanEstimator(BANK_MAX_P, vomega=[0.3, 0.7])
+        with pytest.raises(ValueError, match="a bank holds filters of at most"):
+            KalmanEstimator(BANK_MAX_P + 1, vomega=[0.3, 0.7])
+        KalmanEstimator(BANK_MAX_P + 1, vomega=0.3)
 
     @pytest.mark.parametrize("vomega", [0.3, [0.3, 0.7]], ids=["one", "bank"])
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 
 from flexls.estimator import (
     _DGER_MIN_P,
+    BANK_MAX_P,
     KalmanEstimator,
     Smoothing,
     write_coefficient_csv,
@@ -222,8 +223,8 @@ class TestEstimateSpreads:
 
 
 class TestGrid:
-    """A delta grid runs as one bank of filters below _DGER_MIN_P regressors
-    and as one pass per delta from it; a delta's outputs never depend on
+    """A delta grid runs as one bank of filters up to BANK_MAX_P regressors
+    and as one pass per delta past it; a delta's outputs never depend on
     which, nor on the grid around it."""
 
     GRID = (0.2, 0.5, 0.9, 0.98)
@@ -231,11 +232,12 @@ class TestGrid:
     @pytest.mark.parametrize(
         "n_streams, features",
         [
-            (8, FeatureConfig()),
+            (BANK_MAX_P, FeatureConfig()),
             (8, FeatureConfig(mode="svd", k=3)),
+            (12, FeatureConfig()),
             (_DGER_MIN_P + 1, FeatureConfig()),
         ],
-        ids=["raw-p8", "svd-k3", "raw-p17"],
+        ids=["raw-p8", "svd-k3", "raw-p12", "raw-p17"],
     )
     def test_a_delta_writes_the_same_bytes_alone_and_in_any_grid(
         self, tmp_path, n_streams, features
@@ -271,8 +273,12 @@ class TestGrid:
 
     @pytest.mark.parametrize(
         "n_streams, features",
-        [(8, FeatureConfig(mode="svd", k=3)), (_DGER_MIN_P + 1, FeatureConfig())],
-        ids=["svd-k3", "raw-p17"],
+        [
+            (8, FeatureConfig(mode="svd", k=3)),
+            (12, FeatureConfig()),
+            (_DGER_MIN_P + 1, FeatureConfig()),
+        ],
+        ids=["svd-k3", "raw-p12", "raw-p17"],
     )
     def test_filter_updates_per_ready_row(self, monkeypatch, n_streams, features):
         returns, _ = make_market(seed=22, steps=80, n_streams=n_streams)
@@ -287,10 +293,11 @@ class TestGrid:
         monkeypatch.setattr(KalmanEstimator, "update", counted)
         estimate_spreads(returns, [EstimatorConfig(d) for d in self.GRID], regressors)
         ready = int(regressors.ready.sum())
-        if n_streams < _DGER_MIN_P:     # one bank: one update per row
-            assert calls == [(4, 3, 3)] * ready
-        else:                           # one filter per pass
-            assert calls == [(n_streams, n_streams)] * (4 * ready)
+        p = regressors.values.shape[1]
+        if p <= BANK_MAX_P:     # one bank: one update per row
+            assert calls == [(4, p, p)] * ready
+        else:                   # one filter per pass
+            assert calls == [(p, p)] * (4 * ready)
 
     def test_wide_passes_hold_one_covariance_at_a_time(self):
         returns, _ = make_market(seed=24, steps=60, n_streams=200)
@@ -324,10 +331,23 @@ class TestGrid:
         estimate_spreads(returns, narrow)
         with pytest.raises(
             DataError,
-            match=f"regression update on {day} rejected: filter 2: "
+            match=f"regression update on {day} rejected at delta 0.9: "
             "forecast variance must stay positive",
         ):
             estimate_spreads(returns, narrow + [wide])
+
+    def test_a_rejecting_delta_is_named_on_every_path(self):
+        # One pass per delta past BANK_MAX_P, one bank up to it: the
+        # message names the delta, not a filter's place in either.
+        for n_streams in (BANK_MAX_P, BANK_MAX_P + 1):
+            returns, _ = make_market(seed=0, steps=300, n_streams=n_streams)
+            grid = [
+                EstimatorConfig(delta=0.2),
+                EstimatorConfig(delta=0.9, prior_scale=1e20),
+                EstimatorConfig(delta=0.5),
+            ]
+            with pytest.raises(DataError, match="rejected at delta 0.9: "):
+                estimate_spreads(returns, grid)
 
     def test_an_empty_grid_is_rejected(self):
         returns, _ = make_market(seed=23, steps=30)
