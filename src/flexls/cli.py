@@ -8,9 +8,12 @@ Subcommands:
 
 Config files are flat ``key = value`` text; ``#`` starts a comment.  Exit
 codes: 0 success, 2 configuration problem (unknown key, bad value, missing
-requirement), 3 data problem (unreadable or malformed input).  All input is
-loaded and every number computed before the first output file is opened, so
-a failing run leaves no partial outputs.  Given equal inputs, outputs are
+requirement), 3 data problem (unreadable or malformed input).  A run writes
+its outputs into a staging directory beside the output directory, as they
+are computed (a coefficient path row block by row block), and moves them
+into the output directory only when the whole run has succeeded; a failing
+run removes the staging directory, so it leaves no partial outputs and
+changes no file already there.  Given equal inputs, outputs are
 byte-identical across reruns.  ``flexls --version`` also names the filter
 kernel that runs: ``numba`` (JIT-compiled) or ``python`` (interpreted).
 """
@@ -18,8 +21,12 @@ kernel that runs: ``numba`` (JIT-compiled) or ``python`` (interpreted).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime as dt
+import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -386,21 +393,25 @@ def _resolve_warmup(job: BacktestJob, returns) -> int:
     return warmup
 
 
-def _run_grid(job: BacktestJob):
-    """Yield ``(delta, ledger, path, report)`` for each delta of the job.
+def _run_grid(job: BacktestJob, out: Path | None = None):
+    """Return ``(delta, ledger, path, report)`` for each delta of the job.
 
     Shared by ``backtest`` and ``sweep-sharpe``.  The data and the feature
     pass do not depend on delta, so both run once, and one
     :func:`run_backtest` call runs the whole grid over those regressors
-    (a bank of filters when they are narrow).  Bad data raises ``DataError``,
-    which ``main`` reports as a data error; callers collect every result
-    before opening an output file, so a failing run leaves no outputs.
+    (a bank of filters when they are narrow).  With ``out``, each delta's
+    coefficient path is written there as the filter makes it.  Bad data
+    raises ``DataError``, which ``main`` reports as a data error.
     """
     returns, index_prices = _load_returns(job)
     warmup = _resolve_warmup(job, returns)
     regressors = _library_config(
         "features", compute_features, returns=returns, features=job.features
     )
+
+    def write_coefficients(d, p, rows):
+        write_coefficient_csv(out / f"coefficients_{job.deltas[d]!r}.csv", p, rows)
+
     results = run_backtest(
         returns,
         index_prices,
@@ -409,39 +420,60 @@ def _run_grid(job: BacktestJob):
         job.sizing,
         warmup=warmup,
         rule=job.rule,
+        write_coefficients=None if out is None else write_coefficients,
     )
-    for delta, (ledger, path) in zip(job.deltas, results):
-        report = summarize(
-            ledger, job.sizing.endowment, split=warmup,
-            trading_days_per_year=job.trading_days,
+    return [
+        (
+            delta,
+            ledger,
+            path,
+            summarize(
+                ledger, job.sizing.endowment, split=warmup,
+                trading_days_per_year=job.trading_days,
+            ),
         )
-        yield delta, ledger, path, report
+        for delta, (ledger, path) in zip(job.deltas, results)
+    ]
 
 
-def _prepare_out_dir(job: BacktestJob) -> Path:
-    """Create the job's output directory and write its effective config."""
-    out = Path(job.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "effective_config.txt").write_text(
-        job.effective_text(), encoding="utf-8"
-    )
-    return out
+@contextlib.contextmanager
+def _staged(out_dir: str, effective_text: str):
+    """A staging directory for a run's outputs, holding its effective
+    config; moved into ``out_dir`` when the block completes, removed
+    whatever happens.
+
+    It sits beside ``out_dir``, in the nearest directory above it that
+    exists, so the output directory gains no entry until the run is over.
+    Where that directory takes no new entry (the parent of a home
+    directory, say), the staging directory goes inside ``out_dir``.
+    """
+    out = Path(os.path.abspath(out_dir))
+    base = out.parent
+    while not base.is_dir():
+        base = base.parent
+    prefix = f".{out.name}.staging-"
+    try:
+        stage = Path(tempfile.mkdtemp(prefix=prefix, dir=base))
+    except PermissionError:
+        out.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=prefix, dir=out))
+    try:
+        (stage / "effective_config.txt").write_text(effective_text, encoding="utf-8")
+        yield stage
+        out.mkdir(parents=True, exist_ok=True)
+        for path in sorted(stage.iterdir()):
+            shutil.move(path, out / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _cmd_backtest(args) -> int:
     job = _load_job_config(args, need_grid=False)
-    results = list(_run_grid(job))
-
-    out = _prepare_out_dir(job)
-    for delta, ledger, path, _ in results:
-        write_ledger_csv(out / f"ledger_{delta!r}.csv", ledger)
-        write_coefficient_csv(
-            out / f"coefficients_{delta!r}.csv",
-            path.betas,
-            path.innovations,
-            path.forecast_vars,
-        )
-    write_report_csv(out / "report.csv", [(d, r) for d, _, _, r in results])
+    with _staged(job.out_dir, job.effective_text()) as out:
+        results = _run_grid(job, out)
+        for delta, ledger, _, _ in results:
+            write_ledger_csv(out / f"ledger_{delta!r}.csv", ledger)
+        write_report_csv(out / "report.csv", [(d, r) for d, _, _, r in results])
     print(format_report_table([(d, r) for d, _, _, r in results]))
     return EXIT_OK
 
@@ -449,11 +481,10 @@ def _cmd_backtest(args) -> int:
 def _cmd_sweep_sharpe(args) -> int:
     job = _load_job_config(args, need_grid=True)
     curve = [(delta, report.sharpe) for delta, _, _, report in _run_grid(job)]
-
-    out = _prepare_out_dir(job)
     # dtype=float turns an absent Sharpe (None) into NaN.
     table = np.array(curve, dtype=float).reshape(len(curve), 2)
-    write_table(out / "sweep_sharpe.csv", ["delta", "sharpe"], table.T)
+    with _staged(job.out_dir, job.effective_text()) as out:
+        write_table(out / "sweep_sharpe.csv", ["delta", "sharpe"], table.T)
     width = max(len("delta"), *(len(f"{d:g}") for d, _ in curve))
     print("delta".rjust(width) + "  sharpe")
     for d, s in curve:
@@ -492,14 +523,6 @@ def _cmd_sim_fig2(args) -> int:
         ("all", 1, cfg.steps),
     ]
 
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
-    write_table(
-        out / "fig2_paths.csv",
-        ["t", "x", "y", "beta_true"] + list(paths),
-        [np.arange(1, T + 1), x, y, beta_true, *paths.values()],
-    )
     summary = [
         (name.removeprefix("beta_"), seg, lo, min(hi, T),
          float(np.mean((est[lo - 1 : hi] - beta_true[lo - 1 : hi]) ** 2)))
@@ -507,16 +530,22 @@ def _cmd_sim_fig2(args) -> int:
         for seg, lo, hi in segments
         if lo <= T
     ]
-    write_table(
-        out / "fig2_summary.csv",
-        ["mode", "segment", "t_start", "t_end", "mse"],
-        list(zip(*summary)),
-    )
-    (out / "effective_config.txt").write_text(
+    effective = (
         f"seed = {args.seed}\ndelta = {args.delta!r}\nmode = {args.mode}\n"
-        f"out_dir = {args.out_dir}\n",
-        encoding="utf-8",
+        f"out_dir = {args.out_dir}\n"
     )
+    with _staged(args.out_dir, effective) as out:
+        write_table(
+            out / "fig2_paths.csv",
+            ["t", "x", "y", "beta_true"] + list(paths),
+            [np.arange(1, T + 1), x, y, beta_true, *paths.values()],
+        )
+        write_table(
+            out / "fig2_summary.csv",
+            ["mode", "segment", "t_start", "t_end", "mse"],
+            list(zip(*summary)),
+        )
+    out = Path(args.out_dir)
     print(f"wrote {out / 'fig2_paths.csv'} and {out / 'fig2_summary.csv'}")
     return EXIT_OK
 

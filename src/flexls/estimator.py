@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .util import write_table
+from .util import write_blocks
 
 # Outcome of a filter step.  A rejected step writes nothing.
 _ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
@@ -526,6 +526,9 @@ class KalmanEstimator:
     O(p^2) route to the penalized least-squares path (see
     :meth:`fls_equivalent` for the exact correspondence).
 
+    The prior covariance is ``prior_scale * I`` (by default
+    ``DEFAULT_PRIOR_SCALE``) or a given ``P0``; giving both is an error.
+
     A sequence of ``vomega`` values builds a bank: one filter per value,
     all fed the same observations, the multi-process model of West &
     Harrison (1997, ch. 12).  ``P`` is then (D, p, p) and ``beta`` (D, p),
@@ -544,7 +547,7 @@ class KalmanEstimator:
         p: int,
         vomega,
         veps: float = 1.0,
-        prior_scale=DEFAULT_PRIOR_SCALE,
+        prior_scale=None,
         P0: NDArray[np.float64] | None = None,
     ) -> None:
         if not isinstance(p, (int, np.integer)) or p < 1:
@@ -564,7 +567,11 @@ class KalmanEstimator:
         self.p = int(p)
         self.vomega = bank if bank.ndim else float(bank)
         self.veps = float(veps)
+        if P0 is not None and prior_scale is not None:
+            raise ValueError("give prior_scale or P0, not both")
         if P0 is None:
+            if prior_scale is None:
+                prior_scale = DEFAULT_PRIOR_SCALE
             scale = np.asarray(prior_scale, dtype=float)
             if scale.shape not in ((), bank.shape):
                 raise ValueError("prior_scale must be a number or one per filter")
@@ -677,28 +684,31 @@ class KalmanEstimator:
         return KfDiagnostics(innovation=e, forecast_var=q, gain=K)
 
 
-def write_coefficient_csv(
-    path,
-    betas,
-    innovations: Sequence[float],
-    forecast_vars: Sequence[float],
-) -> None:
+def write_coefficient_csv(path, p: int, rows) -> None:
     """Write a coefficient path and the filter's diagnostics as CSV.
 
-    Columns are ``t`` (1-based), one ``beta_i`` per coefficient, then the
-    innovation ``e`` and its forecast variance ``Q``, written by
-    :func:`flexls.util.write_table`: lossless and byte-stable, and
-    formatted a block of rows at a time however long the path is.
+    ``rows`` yields the path in consecutive blocks ``(betas, e, Q)``: a
+    (k, p) array of coefficient rows, then the innovation and its forecast
+    variance for each of those rows.  Columns are ``t`` (1-based), one
+    ``beta_i`` per coefficient, then ``e`` and ``Q``, written by
+    :func:`flexls.util.write_blocks`: lossless and byte-stable, each block
+    written as it arrives, so the path need never be whole in memory.
+    A whole path is one block.
     """
-    betas = np.asarray(betas, dtype=float)
-    if betas.ndim != 2:
-        raise ValueError("betas must be (T, p)")
-    T, p = betas.shape
-    extras = [np.asarray(col, dtype=float) for col in (innovations, forecast_vars)]
-    if any(col.shape != (T,) for col in extras):
-        raise ValueError(f"e and Q columns must have length {T}")
-    write_table(
-        path,
-        ["t"] + [f"beta_{i + 1}" for i in range(p)] + ["e", "Q"],
-        [np.arange(1, T + 1), *betas.T, *extras],
+
+    def columns():
+        t = 1
+        for betas, innovations, forecast_vars in rows:
+            betas = np.asarray(betas, dtype=float)
+            if betas.ndim != 2 or betas.shape[1] != p:
+                raise ValueError(f"betas must be (k, {p}), got shape {betas.shape}")
+            k = len(betas)
+            extras = [np.asarray(c, dtype=float) for c in (innovations, forecast_vars)]
+            if any(c.shape != (k,) for c in extras):
+                raise ValueError(f"e and Q columns must have length {k}")
+            yield [np.arange(t, t + k), *betas.T, *extras]
+            t += k
+
+    write_blocks(
+        path, ["t"] + [f"beta_{i + 1}" for i in range(p)] + ["e", "Q"], columns()
     )

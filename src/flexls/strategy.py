@@ -27,7 +27,7 @@ from .estimator import (
     filter_passes,
 )
 from .ingest import DataError, ReturnMatrix
-from .util import write_table
+from .util import block_rows, write_table
 
 RULES = ("mean-reversion", "buy-hold")
 FEATURE_MODES = ("raw", "svd")
@@ -141,13 +141,13 @@ class SpreadPath:
     """Per-day estimation record from one pass over the returns.
 
     ``active`` marks rows where the estimator actually ran; during feature
-    warm-up the residual falls back to the raw target return and the
-    coefficient row stays NaN, as do that row's filter ``innovations`` and
-    ``forecast_vars``.
+    warm-up the residual falls back to the raw target return and that
+    row's filter ``innovations`` and ``forecast_vars`` stay NaN, as does
+    its coefficient row.  The coefficient rows are not kept: they go to
+    the writer of :func:`estimate_spreads` as they are made.
     """
 
     spreads: NDArray[np.float64]
-    betas: NDArray[np.float64]
     innovations: NDArray[np.float64]
     forecast_vars: NDArray[np.float64]
     active: NDArray[np.bool_]
@@ -200,6 +200,7 @@ def estimate_spreads(
     returns: ReturnMatrix,
     estimator: EstimatorConfig | Sequence[EstimatorConfig],
     features: FeatureConfig | Regressors = FeatureConfig(),
+    write_coefficients=None,
 ) -> SpreadPath | list[SpreadPath]:
     """Run the regression over the return rows and record the residuals.
 
@@ -215,12 +216,25 @@ def estimate_spreads(
     rejects raises :class:`~flexls.ingest.DataError` naming its date and
     the delta that rejected it.
 
+    The coefficient rows are handed on, not kept: ``write_coefficients``,
+    if given, is called once per configuration, in grid order, as
+    ``write_coefficients(index, p, rows)``.  ``rows`` yields that
+    configuration's rows, NaN where no regressors exist, in blocks
+    ``(betas, e, Q)`` of the rows the CSV writer formats at a time
+    (:func:`~flexls.util.block_rows`), as
+    :func:`~flexls.estimator.write_coefficient_csv` takes them; rows the
+    call leaves unread are still stepped.
+
     The grid runs in the passes :func:`~flexls.estimator.filter_passes`
-    gives: narrow regressors step every configuration as one bank of
-    filters, one :meth:`KalmanEstimator.update` per row for all of it;
-    wider ones give each configuration a pass of its own.  A
-    configuration's path is the same, bit for bit, either way, and
-    whether it runs alone or in a grid.
+    gives.  Regressors wider than :data:`~flexls.estimator.BANK_MAX_P`
+    give each configuration a pass of its own, whose filter steps as its
+    rows are read, so one block of its coefficient rows exists at a time.
+    Narrower ones step every configuration as one bank of filters, one
+    :meth:`KalmanEstimator.update` per row for all of it; the bank's first
+    configuration's rows are read as it steps, and the others' rows, at
+    most ``BANK_MAX_P`` columns each, wait for their turn.  A
+    configuration's path is the same, bit for bit, either way, and whether
+    it runs alone or in a grid.
     """
     grid = [estimator] if isinstance(estimator, EstimatorConfig) else list(estimator)
     if not grid:
@@ -237,46 +251,32 @@ def estimate_spreads(
     D = len(grid)
     spreads = np.empty((n, D))
     spreads[:] = returns.target[:, None]
-    betas = np.full((n, D, dim), np.nan)
     innovations = np.full((n, D), np.nan)
     forecast_vars = np.full((n, D), np.nan)
 
     for lo, hi in filter_passes(dim, D):
-        smoothing = [Smoothing(config.delta) for config in grid[lo:hi]]
-        scales = [config.prior_scale for config in grid[lo:hi]]
-        # A pass of one configuration runs one filter: a bank of one
-        # would pay for its stacks on every row.
-        kf = KalmanEstimator.from_smoothing(
-            dim,
-            smoothing[0] if hi - lo == 1 else smoothing,
-            prior_scale=scales[0] if hi - lo == 1 else scales,
+        blocks = _filter_pass(
+            returns, features, grid[lo:hi], spreads[:, lo:hi],
+            innovations[:, lo:hi], forecast_vars[:, lo:hi],
         )
-        s, b, e, q = (
-            out[:, lo:hi] for out in (spreads, betas, innovations, forecast_vars)
-        )
-        for i in np.flatnonzero(features.ready):
-            f = features.values[i]
-            try:
-                diag = kf.update(f, returns.target[i])
-            except RejectedStep as exc:
-                # A bank names its rejecting filter, unless all of them
-                # reject the row; a pass of one filter is that filter.
-                d = exc.filter if hi - lo > 1 else 0
-                at = "" if d is None else f" at delta {grid[lo + d].delta!r}"
-                raise DataError(
-                    f"regression update on {returns.dates[i]} rejected{at}: {exc}"
-                ) from None
-            e[i] = diag.innovation
-            q[i] = diag.forecast_var
-            b[i] = kf.beta
-            # Each filter's fit is its own dot product, as one filter's is.
-            s[i] -= (kf.beta[..., None, :] @ f)[..., 0]
-        del kf      # the next pass's covariance replaces it, not joins it
+        if write_coefficients is None:
+            for _ in blocks:
+                pass
+            continue
+        # The pass's first configuration is written as the filter steps;
+        # the rest of a bank's wait until the pass is over.
+        waiting = [[] for _ in range(lo + 1, hi)]
+        rows = _first_of_each(blocks, waiting)
+        write_coefficients(lo, dim, rows)
+        for _ in rows:
+            pass
+        for d, held in enumerate(waiting, lo + 1):
+            write_coefficients(d, dim, iter(held))
+            held.clear()
 
     paths = [
         SpreadPath(
             spreads=spreads[:, d],
-            betas=betas[:, d],
             innovations=innovations[:, d],
             forecast_vars=forecast_vars[:, d],
             active=features.ready.copy(),
@@ -284,6 +284,65 @@ def estimate_spreads(
         for d in range(D)
     ]
     return paths[0] if isinstance(estimator, EstimatorConfig) else paths
+
+
+def _first_of_each(blocks, waiting):
+    """Yield the first entry of each of ``blocks``; append its other
+    entries to the lists of ``waiting``, one list per entry."""
+    for block in blocks:
+        for held, rows in zip(waiting, block[1:]):
+            held.append(rows)
+        yield block[0]
+
+
+def _filter_pass(returns, features, configs, spreads, innovations, forecast_vars):
+    """Step the filters of ``configs`` over the return rows, writing each
+    row's residual and diagnostics into the ``(n, len(configs))`` columns
+    given.  Yields, for each block of rows, a list with each
+    configuration's ``(betas, e, Q)`` block."""
+    bank = len(configs) > 1
+    smoothing = [Smoothing(config.delta) for config in configs]
+    scales = [config.prior_scale for config in configs]
+    dim = features.values.shape[1]
+    # A pass of one configuration runs one filter, whose outputs are
+    # scalars and 1-d rows: a bank of one would pay for its stacks on every
+    # row.
+    kf = KalmanEstimator.from_smoothing(
+        dim,
+        smoothing if bank else smoothing[0],
+        prior_scale=scales if bank else scales[0],
+    )
+    s, e, q = (
+        out if bank else out[:, 0] for out in (spreads, innovations, forecast_vars)
+    )
+    n = len(returns)
+    step = block_rows(dim + 3)       # a coefficient file's t, betas, e and Q
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        betas = np.full((len(configs), stop - start, dim), np.nan)
+        for i in range(start, stop):
+            if not features.ready[i]:
+                continue
+            f = features.values[i]
+            try:
+                diag = kf.update(f, returns.target[i])
+            except RejectedStep as exc:
+                # A bank names its rejecting filter, unless all of them
+                # reject the row; a pass of one filter is that filter.
+                d = exc.filter if bank else 0
+                at = "" if d is None else f" at delta {configs[d].delta!r}"
+                raise DataError(
+                    f"regression update on {returns.dates[i]} rejected{at}: {exc}"
+                ) from None
+            e[i] = diag.innovation
+            q[i] = diag.forecast_var
+            betas[:, i - start] = kf.beta
+            # Each filter's fit is its own dot product, as one filter's is.
+            s[i] -= (kf.beta[:, None, :] @ f)[:, 0] if bank else kf.beta @ f
+        yield [
+            (betas[d], innovations[start:stop, d], forecast_vars[start:stop, d])
+            for d in range(len(configs))
+        ]
 
 
 @dataclass
@@ -403,18 +462,20 @@ def run_backtest(
     sizing: SizingConfig = SizingConfig(),
     warmup: int = 0,
     rule: str = "mean-reversion",
+    write_coefficients=None,
 ):
     """Estimate residuals, then trade them.  Returns (ledger, spread path),
     or a list of such pairs, in grid order, for a grid of configurations.
 
     ``index_prices`` must align with the return rows plus a leading anchor
-    price (length ``len(returns) + 1``).  ``estimator`` and ``features``
-    are passed to :func:`estimate_spreads`: give a grid and the
-    :class:`Regressors` of one :func:`compute_features` pass to run several
-    deltas over one dataset in one call, which steps them together when
-    the regressors are narrow (:func:`~flexls.estimator.filter_passes`).
+    price (length ``len(returns) + 1``).  ``estimator``, ``features`` and
+    ``write_coefficients`` are passed to :func:`estimate_spreads`: give a
+    grid and the :class:`Regressors` of one :func:`compute_features` pass
+    to run several deltas over one dataset in one call, which steps them
+    together when the regressors are narrow
+    (:func:`~flexls.estimator.filter_passes`).
     """
-    paths = estimate_spreads(returns, estimator, features)
+    paths = estimate_spreads(returns, estimator, features, write_coefficients)
     single = isinstance(paths, SpreadPath)
     results = [
         (

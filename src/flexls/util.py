@@ -6,12 +6,14 @@ byte-order mark skipped, and a line ends at ``\\n``, ``\\r`` or ``\\r\\n``
 :func:`write_table` writes every CSV: UTF-8, ``\\n`` line ends, a header
 row, and floats with 17 significant digits, which round-trip any double,
 so reruns are byte-identical and a re-read is lossless.
+:func:`write_blocks` writes the same bytes from rows handed over a block
+at a time, for tables too long to hold whole.
 
 The writer formats a block of about ``BLOCK_CELLS`` cells at a time with
 numpy, straight into a byte matrix.  Each cell gets a fixed-width slot
 holding every character any of its spellings could need, in order, and a
-boolean mask of the same shape marks the ones its spelling keeps, so one
-compress of the matrix gives the block's text.
+boolean mask of the same shape marks the ones its spelling keeps, so
+compressing the matrix, a few rows at a time, gives the block's text.
 
 A float is spelled exactly as ``'%.17g' % x`` spells it.  For
 ``1e-280 < |x| < 1e280`` the kernel finds the decimal exponent ``E``, then
@@ -30,8 +32,9 @@ lies within ``1e-9`` of one half (a true tie such as
 range.  The kernel spells a zero ``0`` or ``-0``, and a NaN or an
 infinity ``nan``, ``inf`` or ``-inf``, each from a fixed slot row, as
 ``'%.17g'`` does.  Ints are spelled from their 64-bit value, never
-through a float, and text is encoded as UTF-8.  The tables are built on
-the first write, not at import.
+through a float.  Text is written as UTF-8: ASCII text straight from
+its code points, other text through ``np.char.encode``.  The tables are
+built on the first write, not at import.
 """
 
 from __future__ import annotations
@@ -41,8 +44,12 @@ import functools
 import numpy as np
 
 # Cells formatted at a time: at 435 columns (a p=432 coefficient path) one
-# block is 18 rows, and its byte matrix and mask take about 0.75 MB.
+# block is 18 rows, and its byte matrix and mask take about 0.375 MB each.
 BLOCK_CELLS = 8192
+# Steps that gather or index a whole row of slots (the mask words, the
+# compress) take this many bytes of the byte matrix at a time, so that
+# their scratch stays a fraction of the matrix's own.
+_CHUNK_BYTES = 1 << 16
 
 # Every slot is a whole number of 8-byte words, so the byte matrix is also
 # a matrix of uint64 words and a float slot is built a word at a time:
@@ -78,6 +85,11 @@ def fmt_g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def block_rows(n_columns: int) -> int:
+    """Rows the writer formats at a time in a table of ``n_columns``."""
+    return max(1, BLOCK_CELLS // max(1, n_columns))
+
+
 def write_table(path, header: list[str], columns, blank_nan: bool = False) -> None:
     """Write ``columns``, one per ``header`` cell and all of one length.
 
@@ -86,8 +98,28 @@ def write_table(path, header: list[str], columns, blank_nan: bool = False) -> No
     ``blank_nan`` as an empty cell, the hole of a price file), text as
     given and unquoted.  Cells are formatted a block of rows at a time,
     about ``BLOCK_CELLS`` cells, so the scratch held at once stays small
-    however long the table is.
+    however long the table is.  A table it cannot write raises before the
+    file is opened.
     """
+    _write(path, header, [_checked(header, columns)], blank_nan)
+
+
+def write_blocks(path, header: list[str], blocks, blank_nan: bool = False) -> None:
+    """Write a table handed over a block of rows at a time.
+
+    ``blocks`` yields lists of columns, as :func:`write_table` takes them,
+    each block's rows following the last block's.  A block is formatted
+    and written as it arrives, so a producer can write a table it never
+    holds whole, and the bytes are those :func:`write_table` writes for the
+    same rows however they are split.  A block it cannot write raises,
+    leaving the rows before it in the file.
+    """
+    _write(path, header, (_checked(header, columns) for columns in blocks), blank_nan)
+
+
+def _checked(header, columns):
+    """``(columns, runs)``: the columns as arrays, and the runs of
+    neighbouring columns of one kind, which are formatted together."""
     columns = [np.asarray(col) for col in columns]
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(c.ndim != 1 or len(c) != n for c in columns):
@@ -95,41 +127,49 @@ def write_table(path, header: list[str], columns, blank_nan: bool = False) -> No
     kinds = [c.dtype.kind for c in columns]
     if not set(kinds) <= set(_DTYPES):
         raise TypeError(f"columns must hold ints, floats or text, got kinds {kinds}")
-    # Neighbouring columns of one kind are formatted together, as a run.
     starts = [j for j in range(len(kinds)) if j == 0 or kinds[j] != kinds[j - 1]]
     runs = [(kinds[a], a, b) for a, b in zip(starts, starts[1:] + [len(kinds)])]
-    step = max(1, BLOCK_CELLS // max(1, len(columns)))
+    return columns, runs
+
+
+def _write(path, header, blocks, blank_nan: bool) -> None:
+    """Write the header, then each ``(columns, runs)`` of ``blocks``."""
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for lo in range(0, n, step):
-            block = [col[lo : lo + step] for col in columns]
-            fh.write(_format_block(block, runs, blank_nan))
+        for columns, runs in blocks:
+            n = len(columns[0]) if columns else 0
+            step = block_rows(len(columns))
+            for lo in range(0, n, step):
+                block = [col[lo : lo + step] for col in columns]
+                fh.writelines(_format_block(block, runs, blank_nan))
 
 
-def _format_block(columns, runs, blank_nan: bool) -> np.ndarray:
-    """The text of one block of rows, as a 1-d ``uint8`` array."""
+def _format_block(columns, runs, blank_nan: bool) -> list[np.ndarray]:
+    """The text of one block of rows, as ``uint8`` arrays to write in turn."""
     parts = []
     for kind, a, b in runs:
         # The run's columns as one (rows, columns) array, copied in C.
         cells = np.ascontiguousarray(np.array(columns[a:b], dtype=_DTYPES[kind]).T)
+        shape = cells.shape
         if kind == "U":
-            cells = np.char.encode(cells, "utf-8")
-            slot, separator = -(-(cells.itemsize + 1) // 8) * 8, cells.itemsize
+            cells = _utf8(cells)        # (bytes, byte counts)
+            separator = cells[0].shape[-1]
+            slot = -(-(separator + 1) // 8) * 8
         else:
             slot = _F_WIDTH if kind == "f" else _I_WIDTH
             separator = _SEPARATOR[kind]
-        parts.append((kind, cells, slot))
+        parts.append((kind, cells, shape, slot))
     rows = len(columns[0])
-    width = sum(cells.shape[1] * slot for _, cells, slot in parts)
+    width = sum(shape[1] * slot for _, _, shape, slot in parts)
     out = np.empty((rows, width), np.uint8)
     keep = np.empty((rows, width), bool)
     lo = 0
-    for kind, cells, slot in parts:
-        hi = lo + cells.shape[1] * slot
-        slots = out[:, lo:hi].reshape(cells.shape + (slot,))
-        mask = keep[:, lo:hi].reshape(cells.shape + (slot,))
+    for kind, cells, shape, slot in parts:
+        hi = lo + shape[1] * slot
+        slots = out[:, lo:hi].reshape(shape + (slot,))
+        mask = keep[:, lo:hi].reshape(shape + (slot,))
         if kind == "U":
-            _text_slots(cells, slots, mask)
+            _text_slots(*cells, slots, mask)
         elif kind == "f":
             _float_slots(cells, slots, mask, blank_nan)
         else:
@@ -138,16 +178,36 @@ def _format_block(columns, runs, blank_nan: bool) -> np.ndarray:
     # The last cell's separator ends the row.
     out[:, width - slot + separator] = ord("\n")
     # compress (index, then gather) beats a boolean index on these masks,
-    # whose runs are too short for branch prediction.
-    return np.compress(keep.ravel(), out.ravel())
+    # whose runs are too short for branch prediction; its index takes 8
+    # bytes per kept byte, so it runs a chunk of rows at a time.
+    return [
+        np.compress(keep[chunk].ravel(), out[chunk].ravel())
+        for chunk in _row_chunks(rows, width)
+    ]
 
 
-def _text_slots(cells, slots, mask) -> None:
-    """Fill the slots of UTF-8 encoded text cells (an ``S`` array)."""
-    width = cells.itemsize
-    slots[..., :width] = cells.view(np.uint8).reshape(cells.shape + (width,))
+def _row_chunks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Whole rows of a block, about ``_CHUNK_BYTES`` of slots at a time."""
+    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+def _utf8(cells):
+    """Text cells (a ``U`` array) as UTF-8: a ``uint8`` array with one more
+    axis, each cell's bytes padded with zeros, and each cell's byte count."""
+    codes = cells.view(np.uint32).reshape(cells.shape + (-1,))
+    if codes.max(initial=0) < 0x80:     # ASCII: each code point is its byte
+        return codes.astype(np.uint8), np.char.str_len(cells)
+    encoded = np.char.encode(cells, "utf-8")
+    return encoded.view(np.uint8).reshape(cells.shape + (-1,)), np.char.str_len(encoded)
+
+
+def _text_slots(text, lengths, slots, mask) -> None:
+    """Fill the slots of text cells, given as :func:`_utf8` gives them."""
+    width = text.shape[-1]
+    slots[..., :width] = text
     slots[..., width] = ord(",")
-    mask[..., :width] = np.arange(width) < np.char.str_len(cells)[..., None]
+    mask[..., :width] = np.arange(width) < lengths[..., None]
     mask[..., width] = True
     mask[..., width + 1 :] = False
 
@@ -184,34 +244,92 @@ def _float_slots(values, slots, mask, blank_nan: bool) -> None:
     # mag lies in [2**(b-1), 2**b), so E = floor(log10(mag)) is
     # floor((b-1) * log10(2)), which this integer form gives exactly for
     # |b-1| < 1650, or one more.
-    e = (np.frexp(mag)[1].astype(np.intp) - 1) * 78913 >> 18
+    e = np.frexp(mag)[1].astype(np.intp)
+    e -= 1
+    e *= 78913
+    e >>= 18
     e += mag >= tables.ceil10[e + 1 - _P10_MIN]
-    # N = mag * 10**k, k = 16 - E: the exact product p + err of mag and hi,
-    # p an integer (every double above 2**53 is), plus mag * lo.
-    i = 16 - e - _P10_MIN
-    hi, lo, hi_hi, hi_lo = (t[i] for t in tables.pow10)
-    c = _SPLIT * mag
-    mag_hi = c - (c - mag)
-    mag_lo = mag - mag_hi
-    p = mag * hi
-    err = ((mag_hi * hi_hi - p) + mag_hi * hi_lo + mag_lo * hi_hi) + mag_lo * hi_lo
-    rest = err + mag * lo
-    frac = rest - np.floor(rest)
-    defer = ~(ok | zero | special) | (np.abs(frac - 0.5) < _TIE)
-    n = p.astype(np.int64) + np.rint(rest).astype(np.int64)
+    n, tie = _scaled(mag, e, tables)
+    defer = ~(ok | zero | special) | tie
     # Rounding can carry to 10**17 (9.99...95e-5 to 1e-4): one more decade.
     carry = n == 10**17
     n[carry] = 10**16
     e += carry
     n[zero] = 0         # spelled "0" or "-0": E = 0 and one digit, 0
 
+    words = slots.view(np.uint64)
+    trailing = _digit_words(n, words, tables)
+    e -= _P10_MIN
+    words[..., 5] = tables.exp_words[e]
+    # The mask's row: sign, spelling class (from E), significant digits.
+    code = tables.class_codes[e]
+    code -= trailing
+    code += np.signbit(values) * (_CLASSES * 17)
+    masks = mask.view(np.uint64)
+    for chunk in _row_chunks(len(code), masks[0].nbytes):
+        masks[chunk] = tables.float_masks.take(code[chunk], axis=0)
+    if special.any():
+        # Row 0 nan, 1 inf, 2 -inf, 3 the empty cell of a blank NaN.
+        odd = values[special]
+        row = np.where(odd > 0.0, 1, 2)
+        row[np.isnan(odd)] = 3 if blank_nan else 0
+        words[special, 0] = tables.special_words[row]
+        masks[special] = tables.special_masks[row]
+    for cell in zip(*np.nonzero(defer)):
+        text = fmt_g17(values[cell]).encode("ascii")
+        slots[cell][: len(text)] = np.frombuffer(text, np.uint8)
+        mask[cell][:] = np.arange(_F_WIDTH) < len(text)
+        mask[cell][_SEPARATOR["f"]] = True
+
+
+def _scaled(mag, e, tables):
+    """``(N, tie)``: ``N = mag * 10**(16 - E)`` rounded to an integer, and
+    where its fraction came within ``_TIE`` of one half.
+
+    ``N`` is the exact product ``p + err`` of mag and the power's ``hi``
+    (``p`` an integer: every double above 2**53 is), plus ``mag * lo``.
+    Each product and sum is rounded as the formula writes it, in a few
+    reused buffers.
+    """
+    i = (16 - _P10_MIN) - e
+    hi, lo, hi_hi, hi_lo = tables.pow10
+    mag_hi = _SPLIT * mag
+    mag_lo = mag_hi - mag
+    mag_hi -= mag_lo                # c - (c - mag), c = _SPLIT * mag
+    np.subtract(mag, mag_hi, out=mag_lo)
+    p = hi.take(i)
+    p *= mag
+    # err = ((mag_hi*hi_hi - p) + mag_hi*hi_lo + mag_lo*hi_hi) + mag_lo*hi_lo
+    part = hi_hi.take(i)
+    err = mag_hi * part
+    err -= p
+    part *= mag_lo                  # mag_lo * hi_hi, added after the next
+    low = hi_lo.take(i)
+    mag_hi *= low
+    err += mag_hi
+    err += part
+    low *= mag_lo
+    err += low
+    part = lo.take(i)
+    part *= mag
+    err += part                     # the remainder: N = p + rint(err)
+    frac = np.floor(err, out=low)
+    np.subtract(err, frac, out=frac)
+    frac -= 0.5
+    tie = np.abs(frac, out=frac) < _TIE
+    n = p.astype(np.int64)
+    n += np.rint(err, out=err).astype(np.int64)
+    return n, tie
+
+
+def _digit_words(n, words, tables):
+    """Write the 17 digits of each ``n`` (below 10**17) into words 0-4 of
+    its float slot; returns each cell's count of trailing zeros."""
     lead = n // 10**16
     groups = _groups16(n - lead * 10**16)
-    words = slots.view(np.uint64)
     words[..., 0] = tables.lead_words[lead]
     for k, group in enumerate(groups, 1):
         words[..., k] = tables.point_quads[group]
-    words[..., 5] = tables.exp_words[e - _P10_MIN]
     # Trailing zeros: those of the last group that is not 0000, plus four
     # for each group after it.  The lead digit is 0 only in a zero, which
     # is left one digit.  Most cells end in a nonzero group; the loop
@@ -222,22 +340,7 @@ def _float_slots(values, slots, mask, blank_nan: bool) -> None:
     for group in flat[2::-1]:
         trailing[tail] += tables.trailing_zeros[group[tail]]
         tail = tail[group[tail] == 0]
-    # The mask's row: sign, spelling class (from E), significant digits.
-    code = tables.class_codes[e - _P10_MIN] - trailing.reshape(e.shape)
-    code += np.signbit(values) * (_CLASSES * 17)
-    mask.view(np.uint64)[...] = tables.float_masks.take(code, axis=0)
-    if special.any():
-        # Row 0 nan, 1 inf, 2 -inf, 3 the empty cell of a blank NaN.
-        odd = values[special]
-        row = np.where(odd > 0.0, 1, 2)
-        row[np.isnan(odd)] = 3 if blank_nan else 0
-        words[special, 0] = tables.special_words[row]
-        mask.view(np.uint64)[special] = tables.special_masks[row]
-    for cell in zip(*np.nonzero(defer)):
-        text = fmt_g17(values[cell]).encode("ascii")
-        slots[cell][: len(text)] = np.frombuffer(text, np.uint8)
-        mask[cell][:] = np.arange(_F_WIDTH) < len(text)
-        mask[cell][_SEPARATOR["f"]] = True
+    return trailing.reshape(n.shape)
 
 
 def _groups16(low) -> tuple:

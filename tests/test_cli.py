@@ -34,10 +34,17 @@ import flexls.cli as cli_module
 from flexls import __version__
 from flexls.eigentrack import EigenTracker
 import flexls.estimator as estimator_module
-from flexls.estimator import KERNEL_BACKEND, _kf_step, _kf_step_impl
+from flexls.estimator import (
+    KERNEL_BACKEND,
+    KalmanEstimator,
+    RejectedStep,
+    Smoothing,
+    _kf_step,
+    _kf_step_impl,
+)
 from flexls.ingest import write_csv
 from flexls.synth import Fig2Config, MarketConfig, gen_market
-from flexls.util import fmt_g17
+from flexls.util import block_rows, fmt_g17
 
 from .test_strategy import SPECIAL_FLOATS
 
@@ -131,6 +138,43 @@ class TestBacktestCommand:
         # kalman engine exports diagnostics columns
         head = (out / "coefficients_0.5.csv").read_text().splitlines()[0]
         assert head.endswith(",e,Q")
+
+    def test_peak_memory_does_not_grow_with_the_coefficient_paths(self, tmp_path):
+        # 64 raw streams, 2 deltas: the coefficient paths are the run's
+        # largest outputs.  They are written a block of rows at a time, so
+        # quadrupling the rows grows the peak, less the price table, by the
+        # scalar columns kept per row (residuals, diagnostics, the ledger),
+        # not by the paths: under a quarter of the added rows' bytes.
+        n_streams, deltas = 64, (0.5, 0.9)
+        calm = 8 / n_streams
+        base = MarketConfig()
+        peaks = {}
+        for steps in (500, 2000):
+            table, _ = gen_market(MarketConfig(
+                seed=2, n_streams=n_streams, steps=steps,
+                factor_vol=base.factor_vol * calm, idio_vol=base.idio_vol * calm,
+            ))
+            nbytes = table.prices.nbytes
+            data = tmp_path / f"prices_{steps}.csv"
+            write_csv(table, data)
+            del table
+            cfg = write_config(
+                tmp_path,
+                f"data = {data}\ntarget = INDEX\nwarmup = 50\n"
+                f"delta_grid = {deltas[0]}, {deltas[1]}\n"
+                f"out_dir = {tmp_path / f'out_{steps}'}\n",
+                f"{steps}.conf",
+            )
+            argv = ["backtest", "--config", str(cfg)]
+            assert main(argv) == EXIT_OK      # loads scipy's BLAS
+            tracemalloc.start()
+            try:
+                assert main(argv) == EXIT_OK
+                peaks[steps] = tracemalloc.get_traced_memory()[1] - nbytes
+            finally:
+                tracemalloc.stop()
+        added_rows = len(deltas) * (2000 - 500) * n_streams * 8
+        assert peaks[2000] - peaks[500] < added_rows / 4
 
     def test_collapsed_tracker_component_skips_the_row(self, tmp_path):
         # A repeated price row (a forward-filled holiday) is an all-zero
@@ -627,6 +671,156 @@ class TestBacktestErrors:
         # rows before the boundary date hold no position
         flat = [row for row in ledger if row.split(",")[0] < "2001-02-10"]
         assert flat and all(row.split(",")[2] == "0" for row in flat)
+
+
+def tree(root):
+    """Every path under ``root``, with each file's bytes."""
+    return {
+        path.relative_to(root): path.read_bytes() if path.is_file() else None
+        for path in root.rglob("*")
+    }
+
+
+def tiny_market_with_an_unsizable_order(tmp_path):
+    # 1e8 / (250 * 1e-15) = 4e20 contracts, past the int64 range.
+    rng = np.random.default_rng(0)
+    lines = ["date,INDEX,A,B"]
+    for i in range(12):
+        index = 1e-15 if i == 8 else 100.0 + i
+        a, b = 50.0 + rng.normal(), 70.0 + rng.normal()
+        lines.append(f"2001-01-{i + 1:02d},{index!r},{a!r},{b!r}")
+    prices = tmp_path / "tiny.csv"
+    prices.write_text("\n".join(lines) + "\n")
+    return f"data = {prices}\ntarget = INDEX\nwarmup = 2\nrule = buy-hold\n"
+
+
+class TestStaging:
+    """Outputs are written beside the output directory and moved into it
+    only when the whole run succeeds: a failing run changes nothing there
+    and leaves no staging file or directory anywhere."""
+
+    DELTAS = (0.5, 0.9)
+    LATE_ROW = 350
+
+    def wide_market(self, tmp_path):
+        # 200 raw streams: one pass per delta, and rows enough for
+        # several blocks of coefficient rows per delta.
+        calm = 8 / 200
+        base = MarketConfig()
+        table, _ = gen_market(MarketConfig(
+            seed=4, n_streams=200, steps=401,
+            factor_vol=base.factor_vol * calm, idio_vol=base.idio_vol * calm,
+        ))
+        prices = tmp_path / "prices.csv"
+        write_csv(table, prices)
+        return f"data = {prices}\ntarget = INDEX\nwarmup = 50\n"
+
+    def reject_late(self, monkeypatch, tmp_path, before):
+        """Make the second delta's filter reject row LATE_ROW, and record
+        what had been written by then."""
+        update = KalmanEstimator.update
+        second = 1.0 / Smoothing(self.DELTAS[1]).mu
+        seen = {}
+
+        def late_rejection(kf, x, y):
+            if kf.vomega == second and kf.t == self.LATE_ROW:
+                for path, data in tree(tmp_path).items():
+                    if path not in before and path.suffix == ".csv":
+                        seen[path.name] = data.count(b"\n") - 1     # rows
+                raise RejectedStep("forecast variance must stay positive, got -1.0")
+            return update(kf, x, y)
+
+        monkeypatch.setattr(KalmanEstimator, "update", late_rejection)
+        return seen
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
+    @pytest.mark.parametrize(
+        "case", ["late-rejection", "order-overflow", "sweep-order-overflow"]
+    )
+    def test_a_failing_run_changes_nothing(
+        self, tmp_path, monkeypatch, capsys, case, existing
+    ):
+        out = tmp_path / "runs" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "report.csv").write_bytes(b"an earlier report\n")
+            (out / "notes.txt").write_bytes(b"kept\n")
+        command = "sweep-sharpe" if case.startswith("sweep") else "backtest"
+        if case == "late-rejection":
+            body = self.wide_market(tmp_path)
+        else:
+            body = tiny_market_with_an_unsizable_order(tmp_path)
+        grid = ", ".join(map(str, self.DELTAS))
+        cfg = write_config(tmp_path, body + f"delta_grid = {grid}\nout_dir = {out}\n")
+        before = tree(tmp_path)
+        if case == "late-rejection":
+            seen = self.reject_late(monkeypatch, tmp_path, before)
+        assert main([command, "--config", str(cfg)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert tree(tmp_path) == before
+        if case == "late-rejection":
+            assert "at delta 0.9: forecast variance must stay positive" in err
+            # The first delta's path was written whole and the second's
+            # in part, a block at a time, before the rejection.
+            rows = 400
+            block = block_rows(200 + 3)
+            assert seen == {
+                "coefficients_0.5.csv": rows,
+                "coefficients_0.9.csv": self.LATE_ROW // block * block,
+            }
+            assert 0 < seen["coefficients_0.9.csv"] < rows
+        else:
+            assert "data error: index price 1e-15 on 2001-01-09" in err
+
+    @pytest.mark.parametrize("command", ["backtest", "sweep-sharpe", "sim-fig2"])
+    def test_a_run_that_succeeds_leaves_only_its_outputs(
+        self, tmp_path, market_csv, command
+    ):
+        out = tmp_path / "runs" / "out"
+        out.mkdir(parents=True)
+        (out / "notes.txt").write_bytes(b"kept\n")
+        cfg = write_config(
+            tmp_path, base_config(market_csv, out, "delta_grid = 0.5, 0.9\n").replace(
+                "delta = 0.5\n", ""
+            )
+        )
+        before = tree(tmp_path)
+        argv = (
+            [command, "--out-dir", str(out)] if command == "sim-fig2"
+            else [command, "--config", str(cfg)]
+        )
+        assert main(argv) == EXIT_OK
+        added = {path.name for path in set(tree(tmp_path)) - set(before)}
+        names = {
+            "backtest": {"report.csv", "ledger_0.5.csv", "ledger_0.9.csv",
+                         "coefficients_0.5.csv", "coefficients_0.9.csv"},
+            "sweep-sharpe": {"sweep_sharpe.csv"},
+            "sim-fig2": {"fig2_paths.csv", "fig2_summary.csv"},
+        }[command]
+        assert added == names | {"effective_config.txt"}
+        assert {p.parent for p in set(tree(tmp_path)) - set(before)} == {Path("runs/out")}
+        assert (out / "notes.txt").read_bytes() == b"kept\n"
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+    def test_a_parent_that_takes_no_entry_stages_inside(
+        self, tmp_path, monkeypatch, market_csv, fails
+    ):
+        out = tmp_path / "out"
+        mkdtemp = cli_module.tempfile.mkdtemp
+
+        def parent_refuses(prefix, dir):
+            if Path(dir) != out:
+                raise PermissionError(13, "Permission denied", str(dir))
+            return mkdtemp(prefix=prefix, dir=dir)
+
+        monkeypatch.setattr(cli_module.tempfile, "mkdtemp", parent_refuses)
+        extra = "prior_scale = 1e20\n" if fails else ""
+        cfg = write_config(tmp_path, base_config(market_csv, out, extra))
+        code = main(["backtest", "--config", str(cfg)])
+        assert code == (EXIT_DATA if fails else EXIT_OK)
+        names = {"effective_config.txt", "report.csv", "ledger_0.5.csv",
+                 "coefficients_0.5.csv"}
+        assert {path.name for path in out.iterdir()} == (set() if fails else names)
 
 
 class TestSweepCommand:

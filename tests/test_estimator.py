@@ -443,6 +443,23 @@ class TestKalmanEstimator:
             with pytest.raises(ValueError, match="prior_scale must be finite"):
                 KalmanEstimator(2, vomega=1.0, prior_scale=bad)
 
+    @pytest.mark.parametrize(
+        "vomega, prior_scale",
+        [(0.1, -5.0), (0.1, 1e6), ([0.1, 0.2], [1.0, 2.0, 3.0])],
+        ids=["negative", "the-default-value", "three-for-a-bank-of-two"],
+    )
+    def test_prior_scale_and_P0_are_exclusive(self, vomega, prior_scale):
+        # P0 sets the prior, so a prior_scale beside it would be ignored.
+        p = 2
+        with pytest.raises(ValueError, match="prior_scale or P0, not both"):
+            KalmanEstimator(p, vomega=vomega, prior_scale=prior_scale, P0=np.eye(p))
+        est = KalmanEstimator(p, vomega=vomega, P0=np.eye(p))
+        np.testing.assert_array_equal(est.P, np.broadcast_to(np.eye(p), est.P.shape))
+
+    def test_default_prior_scale(self):
+        est = KalmanEstimator(2, vomega=0.1)
+        np.testing.assert_array_equal(est.P, DEFAULT_PRIOR_SCALE * np.eye(2))
+
     def test_nonpositive_forecast_variance_raises_and_keeps_state(self):
         est = KalmanEstimator(2, vomega=1.0)
         est.update([1.0, 0.5], 1.0)
@@ -696,7 +713,7 @@ class TestCoefficientCsv:
         es = rng.normal(size=7)
         qs = rng.uniform(1.0, 2.0, size=7)
         out = tmp_path / "coef.csv"
-        write_coefficient_csv(out, betas, innovations=es, forecast_vars=qs)
+        write_coefficient_csv(out, 2, [(betas, es, qs)])
         lines = out.read_text().splitlines()
         assert lines[0] == "t,beta_1,beta_2,e,Q"
         assert len(lines) == 8
@@ -711,10 +728,11 @@ class TestCoefficientCsv:
     def test_diagnostic_length_mismatch_raises(self, tmp_path):
         with pytest.raises(ValueError):
             write_coefficient_csv(
-                tmp_path / "bad.csv",
-                np.zeros((5, 1)),
-                innovations=np.zeros(4),
-                forecast_vars=np.zeros(5),
+                tmp_path / "bad.csv", 1, [(np.zeros((5, 1)), np.zeros(4), np.zeros(5))]
+            )
+        with pytest.raises(ValueError, match=r"betas must be \(k, 2\)"):
+            write_coefficient_csv(
+                tmp_path / "bad.csv", 2, [(np.zeros((5, 1)), np.zeros(5), np.zeros(5))]
             )
 
     # The table below has 6 columns, so the writer takes BLOCK_CELLS // 6
@@ -739,13 +757,20 @@ class TestCoefficientCsv:
         es[: T // 3] = np.nan
         qs[: T // 3] = np.nan
         out = tmp_path / "coef.csv"
-        write_coefficient_csv(out, betas, innovations=es, forecast_vars=qs)
         row_fmt = "%d" + ",%.17g" * 5 + "\n"
         whole = np.column_stack([betas, es, qs]).tolist()
         expected = "t,beta_1,beta_2,beta_3,e,Q\n" + "".join(
             row_fmt % (t, *row) for t, row in enumerate(whole, 1)
         )
-        assert out.read_bytes() == expected.encode("ascii")
+        # One block, then uneven blocks that straddle the writer's own.
+        cuts = [0, 1, 2, T // 2 + 1, T]
+        splits = [
+            [slice(0, T)],
+            [slice(a, b) for a, b in zip(cuts, cuts[1:])],
+        ]
+        for split in splits:
+            write_coefficient_csv(out, 3, [(betas[r], es[r], qs[r]) for r in split])
+            assert out.read_bytes() == expected.encode("ascii")
 
     def test_peak_memory_stays_small_on_a_wide_path(self, tmp_path):
         # 999 x 434 cells as Python floats and text would take over 17 MB;
@@ -756,9 +781,7 @@ class TestCoefficientCsv:
         qs = rng.uniform(1.0, 2.0, size=999)
         tracemalloc.start()
         try:
-            write_coefficient_csv(
-                tmp_path / "wide.csv", betas, innovations=es, forecast_vars=qs
-            )
+            write_coefficient_csv(tmp_path / "wide.csv", 432, [(betas, es, qs)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -31,7 +31,7 @@ from flexls.strategy import (
     write_ledger_csv,
 )
 from flexls.synth import MarketConfig, gen_market
-from flexls.util import fmt_g17
+from flexls.util import BLOCK_CELLS, fmt_g17
 
 
 # Floats whose text is easy to get wrong: NaN, both infinities, negative
@@ -44,6 +44,21 @@ def make_market(seed=0, **kwargs):
     table, _ = gen_market(MarketConfig(seed=seed, **kwargs))
     index_prices = table.prices[:, 0].copy()   # the returns overwrite the prices
     return to_log_returns(table), index_prices
+
+
+def with_coefficients(returns, estimator, features=FeatureConfig()):
+    """estimate_spreads, and each configuration's coefficient rows as one
+    array, gathered from the blocks it hands on."""
+    blocks = {}
+
+    def keep(d, p, rows):
+        blocks[d] = [b for b, _, _ in rows]
+
+    paths = estimate_spreads(returns, estimator, features, keep)
+    betas = [np.concatenate(blocks[d]) for d in sorted(blocks)]
+    if isinstance(estimator, EstimatorConfig):
+        return paths, betas[0]
+    return paths, betas
 
 
 class TestPureFunctions:
@@ -124,19 +139,17 @@ class TestPureFunctions:
 class TestEstimateSpreads:
     def test_raw_mode_runs_every_row(self):
         returns, _ = make_market(seed=1, steps=120)
-        path = estimate_spreads(returns, EstimatorConfig(delta=0.5))
+        path, betas = with_coefficients(returns, EstimatorConfig(delta=0.5))
         assert len(path) == len(returns)
         assert path.active.all()
         assert np.all(np.isfinite(path.spreads))
-        assert path.betas.shape == (len(returns), returns.features.shape[1])
+        assert betas.shape == (len(returns), returns.features.shape[1])
 
     def test_spread_uses_coefficients_after_the_update(self):
         returns, _ = make_market(seed=2, steps=80)
-        path = estimate_spreads(returns, EstimatorConfig(delta=0.5))
+        path, betas = with_coefficients(returns, EstimatorConfig(delta=0.5))
         i = 40
-        expected = returns.target[i] - float(
-            returns.features[i] @ path.betas[i]
-        )
+        expected = returns.target[i] - float(returns.features[i] @ betas[i])
         assert path.spreads[i] == pytest.approx(expected, abs=1e-15)
 
     def test_kalman_engine_records_diagnostics(self):
@@ -147,14 +160,15 @@ class TestEstimateSpreads:
 
     def test_svd_mode_warms_up_then_projects(self):
         returns, _ = make_market(seed=5, steps=100)
-        path = estimate_spreads(
+        path, betas = with_coefficients(
             returns,
             EstimatorConfig(delta=0.5),
             FeatureConfig(mode="svd", k=3),
         )
         assert not path.active[: 2].any()      # components seed one per row
         assert path.active[2:].all()
-        assert path.betas.shape[1] == 3
+        assert betas.shape == (len(returns), 3)
+        assert np.isnan(betas[:2]).all() and np.isfinite(betas[2:]).all()
         # warm-up rows fall back to the raw target return
         np.testing.assert_array_equal(path.spreads[:2], returns.target[:2])
 
@@ -166,9 +180,10 @@ class TestEstimateSpreads:
         regressors = compute_features(returns, features)
         for delta in (0.2, 0.9):
             config = EstimatorConfig(delta=delta)
-            once = estimate_spreads(returns, config, regressors)
-            fresh = estimate_spreads(returns, config, features)
-            for name in ("spreads", "betas", "innovations", "forecast_vars", "active"):
+            once, once_betas = with_coefficients(returns, config, regressors)
+            fresh, fresh_betas = with_coefficients(returns, config, features)
+            np.testing.assert_array_equal(once_betas, fresh_betas)
+            for name in ("spreads", "innovations", "forecast_vars", "active"):
                 np.testing.assert_array_equal(getattr(once, name), getattr(fresh, name))
 
     def test_raw_regressors_are_the_return_matrix(self):
@@ -195,12 +210,12 @@ class TestEstimateSpreads:
         returns, _ = make_market(seed=12, steps=501)
         p = returns.features.shape[1]
         mu = Smoothing(delta).mu
-        path = estimate_spreads(
+        path, path_betas = with_coefficients(
             returns,
             EstimatorConfig(delta=1.0 / (1.0 + mu * c), prior_scale=1e6 / c),
         )
         noisy = KalmanEstimator(p, vomega=1.0 / mu, veps=c, prior_scale=1e6)
-        betas = np.empty_like(path.betas)
+        betas = np.empty_like(path_betas)
         forecast_vars = np.empty(len(returns))
         for i in range(len(returns)):
             forecast_vars[i] = noisy.update(
@@ -208,7 +223,7 @@ class TestEstimateSpreads:
             ).forecast_var
             betas[i] = noisy.beta
         assert len(returns) == 500 and p == 8
-        row_error = np.abs(path.betas - betas).max(axis=1)
+        row_error = np.abs(path_betas - betas).max(axis=1)
         assert (row_error / np.abs(betas).max(axis=1)).max() <= 1e-9
         np.testing.assert_allclose(forecast_vars, c * path.forecast_vars, rtol=1e-9)
 
@@ -245,22 +260,22 @@ class TestGrid:
         returns, prices = make_market(seed=21, steps=160, n_streams=n_streams)
         regressors = compute_features(returns, features)
 
+        def write_coefficients(d, p, rows):
+            write_coefficient_csv(tmp_path / f"coefficients_{d}.csv", p, rows)
+
         def files(estimator):
-            results = run_backtest(returns, prices, estimator, regressors, warmup=20)
+            results = run_backtest(
+                returns, prices, estimator, regressors, warmup=20,
+                write_coefficients=write_coefficients,
+            )
             if isinstance(estimator, EstimatorConfig):
                 estimator, results = [estimator], [results]
             written = {}
-            for config, (ledger, path) in zip(estimator, results):
+            for d, (config, (ledger, _)) in enumerate(zip(estimator, results)):
                 write_ledger_csv(tmp_path / "ledger.csv", ledger)
-                write_coefficient_csv(
-                    tmp_path / "coefficients.csv",
-                    path.betas,
-                    path.innovations,
-                    path.forecast_vars,
-                )
                 written[config.delta] = [
                     (tmp_path / name).read_bytes()
-                    for name in ("ledger.csv", "coefficients.csv")
+                    for name in ("ledger.csv", f"coefficients_{d}.csv")
                 ]
             return written
 
@@ -313,8 +328,7 @@ class TestGrid:
         kept = sum(
             a.nbytes
             for path in paths
-            for a in (path.spreads, path.betas, path.innovations,
-                      path.forecast_vars, path.active)
+            for a in (path.spreads, path.innovations, path.forecast_vars, path.active)
         )
         covariance = 200 * 200 * 8
         assert peak - kept < 1.5 * covariance
@@ -348,6 +362,27 @@ class TestGrid:
             ]
             with pytest.raises(DataError, match="rejected at delta 0.9: "):
                 estimate_spreads(returns, grid)
+
+    @pytest.mark.parametrize("n_streams", [BANK_MAX_P, BANK_MAX_P + 1])
+    def test_rows_a_writer_leaves_unread_are_still_stepped(self, n_streams):
+        # A bank up to BANK_MAX_P, one pass per delta past it; the writer
+        # reads each delta's first block only.
+        steps = 2 * BLOCK_CELLS // 10      # more than two writer blocks
+        returns, _ = make_market(seed=25, steps=steps, n_streams=n_streams)
+        grid = [EstimatorConfig(d) for d in self.GRID]
+        unwritten = estimate_spreads(returns, grid)
+        first_blocks = {}
+
+        def read_one(d, p, rows):
+            first_blocks[d] = next(rows)[0].copy()
+
+        paths = estimate_spreads(returns, grid, write_coefficients=read_one)
+        _, betas = with_coefficients(returns, grid)
+        for d, (path, plain) in enumerate(zip(paths, unwritten)):
+            np.testing.assert_array_equal(path.spreads, plain.spreads)
+            first = first_blocks[d]
+            assert len(first) < len(returns)
+            np.testing.assert_array_equal(first, betas[d][: len(first)])
 
     def test_an_empty_grid_is_rejected(self):
         returns, _ = make_market(seed=23, steps=30)

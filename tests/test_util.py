@@ -1,12 +1,14 @@
 """Tests for the package's one home of its text formats."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flexls
-from flexls.util import BLOCK_CELLS, fmt_g17, write_table
+from flexls import util
+from flexls.util import BLOCK_CELLS, fmt_g17, write_blocks, write_table
 
 SRC = Path(flexls.__file__).parent
 
@@ -57,6 +59,71 @@ class TestWriteTable:
         with pytest.raises(error):
             write_table(out, header, columns)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ["2001-01-02", "", "a b", "x" * 30],
+            ["Zürich", "a", "", "日本", "\U0001f600", "naïve"],
+        ],
+        ids=["ascii", "not-ascii"],
+    )
+    def test_text_is_written_as_utf8(self, tmp_path, text):
+        # ASCII text is cast from its code points, other text encoded; a
+        # table whose later block holds the other kind takes both.
+        out = tmp_path / "t.csv"
+        column = np.array(text * 700)
+        header = ["name", "n"]
+        write_table(out, header, [column, np.arange(len(column))])
+        assert out.read_bytes() == reference(header, [column, np.arange(len(column))])
+        mixed = np.concatenate([np.array(["plain"] * BLOCK_CELLS), column])
+        write_table(out, header, [mixed, np.arange(len(mixed))])
+        assert out.read_bytes() == reference(header, [mixed, np.arange(len(mixed))])
+
+
+class TestWriteBlocks:
+    def test_any_split_writes_the_bytes_of_the_whole(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = BLOCK_CELLS + 5
+        columns = [np.arange(n), rng.normal(size=n), rng.normal(size=n) * 1e300]
+        header = ["t", "x", "y"]
+        whole = tmp_path / "whole.csv"
+        write_table(whole, header, columns)
+        cuts = [0, 1, 7, BLOCK_CELLS // 3 + 1, n - 1, n]
+        parts = tmp_path / "parts.csv"
+        write_blocks(
+            parts, header, ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:]))
+        )
+        assert parts.read_bytes() == whole.read_bytes() == reference(header, columns)
+
+    def test_a_bad_block_keeps_the_rows_before_it(self, tmp_path):
+        out = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_blocks(out, ["a", "b"], [[[1.5], [2.0]], [[3.0], [4.0, 5.0]]])
+        assert out.read_bytes() == b"a,b\n1.5,2\n"
+
+
+def test_one_block_holds_little_besides_its_byte_matrix():
+    # One block of a p=432 coefficient path: 18 rows of an int and 434
+    # floats.  Its byte matrix and mask take 18 x 20,856 bytes each; the
+    # rest of the scratch (the float arithmetic, the gathered mask words,
+    # the compress's index) is held to less than 1.5 times as much.  It
+    # was 2.5 times as much when the index and the mask words were made
+    # for the whole block at once.
+    rows = BLOCK_CELLS // 435
+    rng = np.random.default_rng(4)
+    columns = [np.arange(1, rows + 1), *rng.normal(size=(434, rows))]
+    header = [str(j) for j in range(435)]
+    block, runs = util._checked(header, columns)
+    util._format_block(block, runs, False)          # builds the tables
+    matrix = rows * (24 + 434 * 48)
+    tracemalloc.start()
+    try:
+        util._format_block(block, runs, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (2 * matrix)
 
 
 def reference(header, columns, blank_nan=False) -> bytes:
