@@ -59,7 +59,7 @@ from .strategy import (
     write_ledger_csv,
 )
 from .synth import Fig2Config, gen_fig2
-from .util import open_text, write_table
+from .util import iso_dates, open_text, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -471,8 +471,9 @@ def _cmd_backtest(args) -> int:
     job = _load_job_config(args, need_grid=False)
     with _staged(job.out_dir, job.effective_text()) as out:
         results = _run_grid(job, out)
+        dates = iso_dates(results[0][1].dates)     # every delta's ledger has them
         for delta, ledger, _, _ in results:
-            write_ledger_csv(out / f"ledger_{delta!r}.csv", ledger)
+            write_ledger_csv(out / f"ledger_{delta!r}.csv", ledger, dates)
         write_report_csv(out / "report.csv", [(d, r) for d, _, _, r in results])
     print(format_report_table([(d, r) for d, _, _, r in results]))
     return EXIT_OK

@@ -18,11 +18,17 @@ hindsight in O(p) per step.  The smoothed path is the global minimizer of
 the full objective; the penalized recursion and a dense solve are only the
 references it is checked against.
 
+The interpreted filter kernel keeps a wide covariance (``p >=
+_BLAS_MIN_P``) as one triangle: BLAS's symmetric level-2 routines
+(Dongarra et al. 1988, ACM TOMS 14) read it with ``dsymv`` and downdate it
+with ``dsyr``, and never touch the other triangle, so the state is
+symmetric by construction.
+
 Importing this module loads numpy alone.  scipy, which takes about twice
 as long as numpy to import, is loaded the first time a step needs it: by
-the interpreted filter kernel's first step at ``p >= _DGER_MIN_P``, by
+the interpreted filter kernel's first step at ``p >= _BLAS_MIN_P``, by
 ``fls_smooth_batch`` and by ``FlsEstimator``.  A run that only filters
-at ``p < _DGER_MIN_P`` never loads it.
+at ``p < _BLAS_MIN_P`` never loads it.
 """
 
 from __future__ import annotations
@@ -40,11 +46,14 @@ from .util import write_blocks
 # Outcome of a filter step.  A rejected step writes nothing.
 _ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
 
-# Narrowest covariance the interpreted kernel downdates with BLAS ``dger``.
-# Up to p=32 the broadcast product costs within about 10% of it per
-# interpreted update (some 30 us); from p=64 it falls behind, 1.3x at 64,
-# 1.8-2x at 128 and 4-5x at 432.  Below this width a step needs no scipy.
-_DGER_MIN_P = 16
+# Narrowest covariance the interpreted kernel steps with BLAS ``dsymv`` and
+# ``dsyr`` on one triangle.  At p=16 numpy's full-matrix product and
+# broadcast downdate cost the same per interpreted update (about 10 us);
+# from there they fall behind, 1.15x at 32, 1.5x at 64, 2.4x at 128 and
+# 8x at 432, where the one-triangle step takes about 50-60 us against
+# 90-105 us for ``dgemv`` and ``dger`` on the whole matrix (best and median
+# of 9).  Below this width a step needs no scipy.
+_BLAS_MIN_P = 16
 
 # Widest filter a bank holds (a KalmanEstimator built with a sequence of
 # vomega values).  A bank saves numpy's per-call overhead, most of a narrow
@@ -62,7 +71,7 @@ def filter_passes(p: int, n: int) -> list[tuple[int, int]]:
     the ``(lo, hi)`` index ranges of the passes over the rows.
 
     Up to :data:`BANK_MAX_P` coefficients, one pass steps them all as one
-    bank; wider, each filter gets a pass of its own.  From ``_DGER_MIN_P``
+    bank; wider, each filter gets a pass of its own.  From ``_BLAS_MIN_P``
     that is also the faster order: two covariances that wide overflow a
     core's L2 cache when stepped in turn.  A filter's path is the same, bit
     for bit, either way.
@@ -72,29 +81,13 @@ def filter_passes(p: int, n: int) -> list[tuple[int, int]]:
     return [(d, d + 1) for d in range(n)]
 
 
-def _dger_is_symmetric(dger) -> bool:
-    """Whether ``dger`` rounds ``a_ij - g_i*g_j`` and ``a_ji - g_j*g_i``
-    alike.
-
-    The BLAS interface does not promise it: a kernel may fuse the multiply
-    and the add in its vector body but not in its scalar tail.  47 rows
-    leave a tail after any vector width up to 32.
-    """
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((47, 47))
-    a = np.asfortranarray(a + a.T)
-    g = rng.standard_normal(47)
-    dger(-1.0, g, g, a=a, overwrite_a=1)
-    return bool(np.array_equal(a, a.T))
-
-
 @functools.cache
-def _blas_dger():
-    """``(dger, symmetric)``: scipy's BLAS rank-1 update, imported on the
-    first call, and whether :func:`_dger_is_symmetric` holds for it."""
-    from scipy.linalg.blas import dger
+def _blas():
+    """``(dsymv, dsyr, dger)``: scipy's BLAS routines, imported on the
+    first call."""
+    from scipy.linalg.blas import dger, dsymv, dsyr
 
-    return dger, _dger_is_symmetric(dger)
+    return dsymv, dsyr, dger
 
 
 def _status(e, q, beta_new) -> int:
@@ -113,7 +106,8 @@ def _status(e, q, beta_new) -> int:
 # step is rejected, so numpy need not warn about it.
 @np.errstate(all="ignore")
 def _kf_step_impl(P, beta, x, y, veps, vomega):
-    """One filter update, interpreted: numpy for the forecast and for P.
+    """One filter update, interpreted: numpy or BLAS for the forecast and
+    for P.
 
     Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
     ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
@@ -121,13 +115,20 @@ def _kf_step_impl(P, beta, x, y, veps, vomega):
     ``P <- P + vomega I - g g'`` with ``g = (P + vomega I) x / sqrt(q)``.
     A rejected step leaves every input as it was.
 
-    The rank-1 term subtracts the product ``g_i * g_j``, symmetric by
-    construction.  From ``p = _DGER_MIN_P`` it is one BLAS ``dger`` call
-    instead, several times faster at large p, where this BLAS rounds both
-    triangles alike (:func:`_dger_is_symmetric`, true of the OpenBLAS this
-    was tested with).  The form depends on p and that probe alone.
+    Below ``p = _BLAS_MIN_P`` the forecast multiplies the whole of ``P``
+    and the downdate subtracts the broadcast product ``g_i * g_j``, which
+    keeps both triangles equal.  From ``_BLAS_MIN_P`` the step reads and
+    writes P's lower triangle alone, the upper triangle of the
+    Fortran-ordered ``P.T``: ``dsymv`` forms ``P x`` from it and ``dsyr``
+    downdates it.  The other triangle is neither read nor written, so it
+    may hold anything.
     """
-    Rx = np.dot(P, x) + vomega * x
+    wide = P.shape[0] >= _BLAS_MIN_P
+    if wide:
+        dsymv, dsyr, _ = _blas()
+        Rx = dsymv(1.0, P.T, x, lower=0) + vomega * x
+    else:
+        Rx = np.dot(P, x) + vomega * x
     q = np.dot(x, Rx) + veps
     e = y - np.dot(x, beta)
     K = Rx / q
@@ -141,12 +142,10 @@ def _kf_step_impl(P, beta, x, y, veps, vomega):
             return status, beta, e, q, K
     P.ravel()[:: P.shape[0] + 1] += vomega
     g = Rx / math.sqrt(q)
-    if P.shape[0] >= _DGER_MIN_P:
-        dger, symmetric = _blas_dger()
-        if symmetric:
-            dger(-1.0, g, g, a=P.T, overwrite_a=1)     # P.T is Fortran-ordered
-            return _ACCEPTED, beta_new, e, q, K
-    P -= g[:, None] * g
+    if wide:
+        dsyr(-1.0, g, a=P.T, lower=0, overwrite_a=1)
+    else:
+        P -= g[:, None] * g
     return _ACCEPTED, beta_new, e, q, K
 
 
@@ -166,7 +165,7 @@ def _kf_bank_step(P, beta, x, y, veps, vomega):
     ``np.dot`` makes, so each filter's results equal, bit for bit, those of
     :func:`_kf_step_impl` run on it alone.  (One ``(D, p) @ x`` product
     would not: its rounding depends on D.)  The downdate subtracts the
-    broadcast product, as :func:`_kf_step_impl` does below ``_DGER_MIN_P``;
+    broadcast product, as :func:`_kf_step_impl` does below ``_BLAS_MIN_P``;
     no bank is that wide (:data:`BANK_MAX_P`).
     """
     vomega = vomega[:, None]
@@ -214,7 +213,7 @@ def _kf_downdate_loops(P, g, vomega) -> None:
     """The downdate of :func:`_kf_step_impl`, for numba to compile.
 
     Nothing is allocated at p x p: the loop walks the upper triangle and
-    mirrors each entry, so P stays symmetric by construction on any BLAS.
+    mirrors each entry, so both triangles hold the downdated covariance.
     """
     p = g.shape[0]
     for i in range(p):
@@ -465,7 +464,7 @@ def fls_smooth_batch(
         if S0.shape != (p, p) or s0.shape != (p,):
             raise ValueError("prior shapes must be (p, p) and (p,)")
     vomega = 1.0 / smoothing.mu
-    dger, _ = _blas_dger()      # dep -= K E' needs no symmetry
+    dger = _blas()[2]           # dep -= K E' needs no symmetry
 
     # Forward: the filter from a zero mean with the first row taken as
     # known, and dep = d(forecast mean)/d(first row).
@@ -537,9 +536,11 @@ class KalmanEstimator:
     of up to :data:`BANK_MAX_P` coefficients (see :func:`filter_passes`).
     Each filter's path is the one it follows alone, bit for bit.
 
-    Not thread-safe: ``update`` mutates in place.  The covariance ``P`` is
-    downdated in its own buffer, so an array read from ``P`` changes with
-    the next update; copy it for a snapshot.
+    Not thread-safe: ``update`` mutates in place.  The covariance state is
+    kept in one buffer, downdated in place; from ``p = _BLAS_MIN_P`` the
+    interpreted kernel keeps only its lower triangle current.  Reading
+    ``P`` gives a new read-only symmetric array, mirrored from that
+    triangle.
     """
 
     def __init__(
@@ -580,8 +581,8 @@ class KalmanEstimator:
                     f"prior_scale must be finite and positive, got {prior_scale}"
                 )
             # scale * I, without an identity matrix as scratch.
-            self.P = np.zeros(bank.shape + (self.p, self.p))
-            diagonal = self.P.reshape(-1, self.p * self.p)[:, :: self.p + 1]
+            self._cov = np.zeros(bank.shape + (self.p, self.p))
+            diagonal = self._cov.reshape(-1, self.p * self.p)[:, :: self.p + 1]
             diagonal[...] = scale.reshape(-1, 1)
         else:
             P0 = np.asarray(P0, dtype=float)
@@ -599,9 +600,23 @@ class KalmanEstimator:
                     f"{eigs[0]!r}"
                 )
             # Every filter of a bank starts from this one prior.
-            self.P = np.broadcast_to(P0, bank.shape + P0.shape).copy()
+            self._cov = np.broadcast_to(P0, bank.shape + P0.shape).copy()
         self.beta = np.zeros(bank.shape + (self.p,))
         self.t = 0
+
+    @property
+    def P(self) -> NDArray[np.float64]:
+        """The covariance, ``(p, p)``, or ``(D, p, p)`` for a bank.
+
+        A new read-only array on every read, symmetric: the stored lower
+        triangle, mirrored.  Every kernel keeps that triangle current (the
+        compiled and the narrow ones keep both), so the mirror is the
+        state on any backend.  The next update does not change it.
+        """
+        lower = np.tri(self.p, dtype=bool)
+        P = np.where(lower, self._cov, self._cov.swapaxes(-1, -2))
+        P.flags.writeable = False
+        return P
 
     @classmethod
     def from_smoothing(
@@ -660,9 +675,7 @@ class KalmanEstimator:
         if x.shape != (self.p,):
             raise ValueError(f"x must have shape ({self.p},), got {x.shape}")
         y = float(y)
-        # The step downdates P in its own buffer, which must be C-ordered;
-        # it is, unless the attribute was replaced with another layout.
-        self.P = P = np.ascontiguousarray(self.P)
+        P = self._cov
         step = _kf_bank if P.ndim == 3 else _kf_step
         status, beta_new, e, q, K = step(P, self.beta, x, y, self.veps, self.vomega)
         # A non-finite x or y makes e or q non-finite, so the kernel
@@ -706,7 +719,7 @@ def write_coefficient_csv(path, p: int, rows) -> None:
             extras = [np.asarray(c, dtype=float) for c in (innovations, forecast_vars)]
             if any(c.shape != (k,) for c in extras):
                 raise ValueError(f"e and Q columns must have length {k}")
-            yield [np.arange(t, t + k), *betas.T, *extras]
+            yield [np.arange(t, t + k), betas, *extras]
             t += k
 
     write_blocks(

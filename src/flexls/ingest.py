@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .util import open_text, write_table
+from .util import iso_dates, open_text, write_table
 
 
 class DataError(ValueError):
@@ -447,6 +447,6 @@ def write_csv(table: PriceTable, path) -> None:
     write_table(
         path,
         ["date"] + list(table.labels),
-        [[day.isoformat() for day in table.dates], *table.prices.T],
+        [iso_dates(table.dates), *table.prices.T],
         blank_nan=True,
     )

@@ -27,7 +27,7 @@ from .estimator import (
     filter_passes,
 )
 from .ingest import DataError, ReturnMatrix
-from .util import block_rows, write_table
+from .util import block_rows, iso_dates, write_table
 
 RULES = ("mean-reversion", "buy-hold")
 FEATURE_MODES = ("raw", "svd")
@@ -495,13 +495,17 @@ def run_backtest(
     return results[0] if single else results
 
 
-def write_ledger_csv(path, ledger: TradeLedger) -> None:
+def write_ledger_csv(path, ledger: TradeLedger, dates=None) -> None:
     """Write a ledger as CSV with a running cumulative profit column.
 
-    Written by :func:`flexls.util.write_table`, so reruns are
-    byte-identical and lossless.
+    ``dates``, if given, is the ledger's date column already spelled by
+    :func:`flexls.util.iso_dates`: the ledgers of one grid share their
+    dates, so a run spells them once.  Written by
+    :func:`flexls.util.write_table`, so reruns are byte-identical and
+    lossless.
     """
+    if dates is None:
+        dates = iso_dates(ledger.dates)
     names = ["spread", "signal", "position", "order", "pnl", "cum_pnl", "index_price"]
     columns = [getattr(ledger, name) for name in names]
-    dates = [day.isoformat() for day in ledger.dates]
     write_table(path, ["date", *names], [dates, *columns])

@@ -85,6 +85,11 @@ def fmt_g17(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def iso_dates(days) -> np.ndarray:
+    """Dates as a text column for :func:`write_table`, ``YYYY-MM-DD``."""
+    return np.asarray([day.isoformat() for day in days], dtype=str)
+
+
 def block_rows(n_columns: int) -> int:
     """Rows the writer formats at a time in a table of ``n_columns``."""
     return max(1, BLOCK_CELLS // max(1, n_columns))
@@ -96,10 +101,12 @@ def write_table(path, header: list[str], columns, blank_nan: bool = False) -> No
     A column's numpy dtype says how its cells are written: ints in decimal,
     floats as :func:`fmt_g17` spells them (NaN as ``nan``, or with
     ``blank_nan`` as an empty cell, the hole of a price file), text as
-    given and unquoted.  Cells are formatted a block of rows at a time,
-    about ``BLOCK_CELLS`` cells, so the scratch held at once stays small
-    however long the table is.  A table it cannot write raises before the
-    file is opened.
+    given and unquoted.  A 2-d ``(rows, k)`` array stands for ``k``
+    neighbouring columns of one kind, and takes ``k`` header cells; a 1-d
+    column is the case ``k = 1``.  Cells are formatted a block of rows at
+    a time, about ``BLOCK_CELLS`` cells, so the scratch held at once stays
+    small however long the table is.  A table it cannot write raises
+    before the file is opened.
     """
     _write(path, header, [_checked(header, columns)], blank_nan)
 
@@ -118,38 +125,44 @@ def write_blocks(path, header: list[str], blocks, blank_nan: bool = False) -> No
 
 
 def _checked(header, columns):
-    """``(columns, runs)``: the columns as arrays, and the runs of
-    neighbouring columns of one kind, which are formatted together."""
-    columns = [np.asarray(col) for col in columns]
-    n = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(c.ndim != 1 or len(c) != n for c in columns):
-        raise ValueError(f"need {len(header)} 1-d columns of one length")
-    kinds = [c.dtype.kind for c in columns]
+    """``(rows, runs)``: the row count, and the runs of neighbouring
+    columns of one kind, which are formatted together, each a
+    ``(kind, arrays)`` pair of ``(rows, k)`` arrays."""
+    arrays = [np.asarray(col) for col in columns]
+    arrays = [a[:, None] if a.ndim == 1 else a for a in arrays]
+    n = len(arrays[0]) if arrays else 0
+    ragged = any(a.ndim != 2 or len(a) != n for a in arrays)
+    if ragged or sum(a.shape[1] for a in arrays) != len(header):
+        raise ValueError(f"need {len(header)} columns of one length")
+    kinds = [a.dtype.kind for a in arrays]
     if not set(kinds) <= set(_DTYPES):
         raise TypeError(f"columns must hold ints, floats or text, got kinds {kinds}")
-    starts = [j for j in range(len(kinds)) if j == 0 or kinds[j] != kinds[j - 1]]
-    runs = [(kinds[a], a, b) for a, b in zip(starts, starts[1:] + [len(kinds)])]
-    return columns, runs
+    runs = []
+    for kind, a in zip(kinds, arrays):
+        if runs and runs[-1][0] == kind:
+            runs[-1][1].append(a)
+        else:
+            runs.append((kind, [a]))
+    return n, runs
 
 
 def _write(path, header, blocks, blank_nan: bool) -> None:
-    """Write the header, then each ``(columns, runs)`` of ``blocks``."""
+    """Write the header, then each ``(rows, runs)`` of ``blocks``."""
+    step = block_rows(len(header))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for columns, runs in blocks:
-            n = len(columns[0]) if columns else 0
-            step = block_rows(len(columns))
+        for n, runs in blocks:
             for lo in range(0, n, step):
-                block = [col[lo : lo + step] for col in columns]
-                fh.writelines(_format_block(block, runs, blank_nan))
+                block = [(kind, [a[lo : lo + step] for a in run]) for kind, run in runs]
+                fh.writelines(_format_block(block, blank_nan))
 
 
-def _format_block(columns, runs, blank_nan: bool) -> list[np.ndarray]:
+def _format_block(runs, blank_nan: bool) -> list[np.ndarray]:
     """The text of one block of rows, as ``uint8`` arrays to write in turn."""
     parts = []
-    for kind, a, b in runs:
+    for kind, arrays in runs:
         # The run's columns as one (rows, columns) array, copied in C.
-        cells = np.ascontiguousarray(np.array(columns[a:b], dtype=_DTYPES[kind]).T)
+        cells = np.concatenate(arrays, axis=1, dtype=_DTYPES[kind])
         shape = cells.shape
         if kind == "U":
             cells = _utf8(cells)        # (bytes, byte counts)
@@ -159,7 +172,7 @@ def _format_block(columns, runs, blank_nan: bool) -> list[np.ndarray]:
             slot = _F_WIDTH if kind == "f" else _I_WIDTH
             separator = _SEPARATOR[kind]
         parts.append((kind, cells, shape, slot))
-    rows = len(columns[0])
+    rows = shape[0]
     width = sum(shape[1] * slot for _, _, shape, slot in parts)
     out = np.empty((rows, width), np.uint8)
     keep = np.empty((rows, width), bool)

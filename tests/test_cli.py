@@ -1064,7 +1064,7 @@ class TestImportSurface:
         assert proc.stdout.split() == ["0", "1"]
 
     def test_wide_raw_run_loads_scipy(self, tmp_path):
-        p = estimator_module._DGER_MIN_P
+        p = estimator_module._BLAS_MIN_P
         table, _ = gen_market(MarketConfig(seed=0, n_streams=p, steps=80))
         data = tmp_path / "wide.csv"
         write_csv(table, data)

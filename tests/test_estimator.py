@@ -239,37 +239,42 @@ class TestKalmanEstimator:
                 if p < 10 or t == 199:
                     assert np.linalg.eigvalsh(est.P).min() >= -1e-12
 
-    def test_covariance_symmetric_where_dger_is_not(self, monkeypatch):
-        # Wide enough that the probe's verdict picks the downdate form.
-        rng = np.random.default_rng(19)
-        p = 17
-        assert p >= estimator_module._DGER_MIN_P
-        dger, _ = estimator_module._blas_dger()
-        xs, ys = rng.normal(size=(100, p)), rng.normal(size=100)
-        paths = []
-        for symmetric in (True, False):
-            monkeypatch.setattr(
-                estimator_module, "_blas_dger", lambda s=symmetric: (dger, s)
-            )
+    @pytest.mark.parametrize("p", [17, 433])
+    def test_wide_step_never_touches_the_upper_triangle(self, p):
+        # From _BLAS_MIN_P the interpreted step keeps P's lower triangle
+        # alone: NaN above the diagonal is never read (the path is the same
+        # bit for bit), and the zeros above the diagonal of the clean run
+        # are never written.  Odd p leaves BLAS a scalar tail after its
+        # vector body.
+        assert p >= estimator_module._BLAS_MIN_P
+        rng = np.random.default_rng(p)
+        xs, ys = rng.normal(size=(60, p)), rng.normal(size=60)
+        upper = np.triu_indices(p, 1)
+        clean, poisoned = np.eye(p) * 5.0, np.eye(p) * 5.0
+        poisoned[upper] = np.nan
+        b1 = b2 = np.zeros(p)
+        for x, y in zip(xs, ys):
+            s1, b1, e1, q1, K1 = _kf_step_impl(clean, b1, x, y, 1.0, 0.7)
+            s2, b2, e2, q2, K2 = _kf_step_impl(poisoned, b2, x, y, 1.0, 0.7)
+            assert s1 == s2 == estimator_module._ACCEPTED
+            assert b1.tobytes() == b2.tobytes() and K1.tobytes() == K2.tobytes()
+            assert e1 == e2 and q1 == q2
+        lower = np.tril_indices(p)
+        assert clean[lower].tobytes() == poisoned[lower].tobytes()
+        assert (clean[upper] == 0.0).all()
+
+    def test_P_is_the_mirrored_lower_triangle(self):
+        rng = np.random.default_rng(21)
+        for p in (5, 17):
             est = KalmanEstimator(p, vomega=0.5, prior_scale=1.0)
-            betas = []
-            for x, y in zip(xs, ys):
-                est.update(x, y)
-                np.testing.assert_array_equal(est.P, est.P.T)
-                betas.append(est.beta)
-            paths.append(np.array(betas))
-        np.testing.assert_allclose(paths[1], paths[0], rtol=1e-12, atol=1e-14)
-
-    def test_dger_probe_catches_asymmetric_rounding(self):
-        real_dger, symmetric = estimator_module._blas_dger()
-
-        def lopsided_dger(alpha, x, y, a, overwrite_a):
-            real_dger(alpha, x, y, a=a, overwrite_a=overwrite_a)
-            a[-1, 0] = np.nextafter(a[-1, 0], np.inf)   # one tail entry
-            return a
-
-        assert estimator_module._dger_is_symmetric(real_dger) == symmetric
-        assert not estimator_module._dger_is_symmetric(lopsided_dger)
+            for _ in range(30):
+                est.update(rng.normal(size=p), rng.normal())
+            P = est.P
+            lower = np.tril_indices(p)
+            assert P[lower].tobytes() == est._cov[lower].tobytes()
+            np.testing.assert_array_equal(P, P.T)
+            assert not P.flags.writeable
+            assert not np.shares_memory(P, est._cov)
 
     def test_covariance_symmetric_psd_at_p432(self):
         table, _ = gen_market(MarketConfig(seed=3, n_streams=432, steps=201))
@@ -464,7 +469,7 @@ class TestKalmanEstimator:
         est = KalmanEstimator(2, vomega=1.0)
         est.update([1.0, 0.5], 1.0)
         # A covariance set by hand can be indefinite: q = -10.25 here.
-        est.P = np.array([[-10.0, 0.0], [0.0, -10.0]])
+        est._cov[:] = [[-10.0, 0.0], [0.0, -10.0]]
         beta, P, t = est.beta.copy(), est.P.copy(), est.t
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -501,44 +506,55 @@ class TestKalmanEstimator:
         assert est.t == 0
 
     def test_update_downdates_covariance_in_its_own_buffer(self):
+        # The state is one buffer, downdated in place; P is a snapshot of
+        # it, which the next update leaves as it was.
         rng = np.random.default_rng(17)
         est = KalmanEstimator(6, vomega=0.4)
-        P = est.P
+        state = est._cov
         for _ in range(3):
-            before = est.P.copy()
+            before = est.P
+            snapshot = before.copy()
             est.update(rng.normal(size=6), rng.normal())
-            assert np.shares_memory(est.P, P)
+            assert est._cov is state
+            np.testing.assert_array_equal(before, snapshot)
             assert not np.array_equal(est.P, before)
 
     def test_fortran_ordered_covariance_gives_the_same_path(self):
+        # A Fortran-ordered prior is stored in C order like any other; the
+        # state cannot be replaced, so it keeps the layout the kernel needs.
         rng = np.random.default_rng(18)
-        p = 7
+        p = 17
         a = rng.normal(size=(p, p))
         P0 = a @ a.T
         xs = rng.normal(size=(40, p))
         ys = rng.normal(size=40)
 
-        def run(P0, refortran_at=None):
+        def run(P0):
             est = KalmanEstimator(p, vomega=0.2, P0=P0)
+            assert est._cov.flags.c_contiguous
             betas = []
-            for i, (x, y) in enumerate(zip(xs, ys)):
-                if i == refortran_at:
-                    est.P = np.asfortranarray(est.P)
+            for x, y in zip(xs, ys):
                 est.update(x, y)
                 betas.append(est.beta)
             return np.array(betas), est.P
 
         betas_c, P_c = run(np.ascontiguousarray(P0))
-        for betas, P in (run(np.asfortranarray(P0)), run(P0, refortran_at=20)):
-            np.testing.assert_array_equal(betas, betas_c)
-            np.testing.assert_array_equal(P, P_c)
+        betas_f, P_f = run(np.asfortranarray(P0))
+        np.testing.assert_array_equal(betas_f, betas_c)
+        np.testing.assert_array_equal(P_f, P_c)
+        est = KalmanEstimator(p, vomega=0.2, P0=P0)
+        with pytest.raises(AttributeError):
+            est.P = np.asfortranarray(P0)
 
     def test_loops_kernel_tracks_blas_kernel(self):
-        # From _DGER_MIN_P the interpreted kernel downdates with dger, which
-        # may fuse multiply and add, so the two forms agree to rounding;
-        # below it both subtract the same products, so they agree bitwise.
+        # From _BLAS_MIN_P the interpreted kernel steps P's lower triangle
+        # with dsymv and dsyr, which sum and may fuse in their own order,
+        # so the two forms agree to rounding, on the lower triangle
+        # mirrored; below it both take the same products, so they agree
+        # bitwise.
         rng = np.random.default_rng(20)
         for p in (6, 17):
+            lower = np.tri(p, dtype=bool)
             P1, P2 = np.eye(p) * 5.0, np.eye(p) * 5.0
             b1 = b2 = np.zeros(p)
             for _ in range(100):
@@ -549,9 +565,10 @@ class TestKalmanEstimator:
                 assert s1 == s2 == estimator_module._ACCEPTED
                 np.testing.assert_array_equal(P2, P2.T)
                 np.testing.assert_allclose(b2, b1, rtol=1e-12, atol=1e-14)
-                np.testing.assert_allclose(P2, P1, rtol=1e-12, atol=1e-14)
+                mirrored = np.where(lower, P1, P1.T)
+                np.testing.assert_allclose(P2, mirrored, rtol=1e-12, atol=1e-14)
                 assert e2 == pytest.approx(e1, rel=1e-12, abs=1e-14)
-                if p < estimator_module._DGER_MIN_P:
+                if p < estimator_module._BLAS_MIN_P:
                     np.testing.assert_array_equal(P1, P2)
                     np.testing.assert_array_equal(b1, b2)
 
@@ -654,7 +671,7 @@ class TestFilterBank:
         bank = KalmanEstimator(p, vomega=[0.3, 0.3, 0.3])
         bank.update(rng.normal(size=p), 0.2)
         # A covariance set by hand can be indefinite: filter 1's q < 0.
-        bank.P[1] = -10.0 * np.eye(p)
+        bank._cov[1] = -10.0 * np.eye(p)
         state = [bank.P.copy(), bank.beta.copy(), bank.t]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from flexls.estimator import (
-    _DGER_MIN_P,
+    _BLAS_MIN_P,
     BANK_MAX_P,
     KalmanEstimator,
     Smoothing,
@@ -31,7 +31,7 @@ from flexls.strategy import (
     write_ledger_csv,
 )
 from flexls.synth import MarketConfig, gen_market
-from flexls.util import BLOCK_CELLS, fmt_g17
+from flexls.util import BLOCK_CELLS, fmt_g17, iso_dates
 
 
 # Floats whose text is easy to get wrong: NaN, both infinities, negative
@@ -250,7 +250,7 @@ class TestGrid:
             (BANK_MAX_P, FeatureConfig()),
             (8, FeatureConfig(mode="svd", k=3)),
             (12, FeatureConfig()),
-            (_DGER_MIN_P + 1, FeatureConfig()),
+            (_BLAS_MIN_P + 1, FeatureConfig()),
         ],
         ids=["raw-p8", "svd-k3", "raw-p12", "raw-p17"],
     )
@@ -291,7 +291,7 @@ class TestGrid:
         [
             (8, FeatureConfig(mode="svd", k=3)),
             (12, FeatureConfig()),
-            (_DGER_MIN_P + 1, FeatureConfig()),
+            (_BLAS_MIN_P + 1, FeatureConfig()),
         ],
         ids=["svd-k3", "raw-p12", "raw-p17"],
     )
@@ -573,6 +573,18 @@ class TestLedgerCsv:
         assert float(cells[5]) == ledger.pnl[i]
         assert float(cells[6]) == ledger.cum_pnl[i]
         assert float(cells[7]) == ledger.index_price[i]
+
+    def test_dates_spelled_once_give_the_same_bytes(self, tmp_path):
+        returns, prices = make_market(seed=16, steps=60)
+        ledger, _ = run_backtest(
+            returns, prices, EstimatorConfig(delta=0.5), warmup=5
+        )
+        alone, shared = tmp_path / "alone.csv", tmp_path / "shared.csv"
+        write_ledger_csv(alone, ledger)
+        write_ledger_csv(shared, ledger, iso_dates(returns.dates))
+        assert shared.read_bytes() == alone.read_bytes()
+        with pytest.raises(ValueError, match="columns of one length"):
+            write_ledger_csv(shared, ledger, iso_dates(returns.dates[1:]))
 
     def test_special_values_match_the_per_cell_formatter(self, tmp_path):
         floats = SPECIAL_FLOATS

@@ -49,10 +49,12 @@ class TestWriteTable:
             (["a", "b"], [[1.0]], ValueError),
             (["a", "b"], [[1.0], [1.0, 2.0]], ValueError),
             (["a"], [np.ones((2, 2))], ValueError),
+            (["a", "b", "c"], [np.ones((2, 2)), np.ones(3)], ValueError),
+            (["a"], [np.ones((2, 1, 1))], ValueError),
             (["a"], [[True, False]], TypeError),
             (["a"], [[1 + 2j]], TypeError),
         ],
-        ids=["too-few-columns", "ragged", "2-d", "bool", "complex"],
+        ids=["too-few-columns", "ragged", "2-d", "2-d-ragged", "3-d", "bool", "complex"],
     )
     def test_rejects_what_it_cannot_write(self, tmp_path, header, columns, error):
         out = tmp_path / "t.csv"
@@ -96,6 +98,34 @@ class TestWriteBlocks:
         )
         assert parts.read_bytes() == whole.read_bytes() == reference(header, columns)
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_a_2d_run_writes_the_bytes_of_its_columns(self, tmp_path, offset):
+        # A (rows, k) array is k neighbouring columns, however the rows are
+        # cut into blocks: a table a row short of, on, and a row past a
+        # block edge, NaN rows as a coefficient path's warm-up writes them,
+        # and each NaN written as nan and as an empty cell.
+        k = 7
+        rows = 2 * util.block_rows(k + 3) + offset
+        rng = np.random.default_rng(rows)
+        run = rng.normal(size=(rows, k)) * 10.0 ** rng.integers(-9, 20, size=k)
+        run[::5] = np.nan
+        t, tail = np.arange(1, rows + 1), rng.normal(size=(2, rows))
+        header = ["t", *(f"b{j}" for j in range(k)), "e", "Q"]
+        by_column = [t, *run.T, *tail]
+        cuts = [0, 1, util.block_rows(k + 3) + 1, rows]
+        for blank_nan in (False, True):
+            expected = reference(header, by_column, blank_nan)
+            one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+            write_table(one, header, by_column, blank_nan=blank_nan)
+            write_table(two, header, [t, run, *tail], blank_nan=blank_nan)
+            assert one.read_bytes() == two.read_bytes() == expected
+            write_blocks(
+                two, header,
+                ([t[a:b], run[a:b], *tail[:, a:b]] for a, b in zip(cuts, cuts[1:])),
+                blank_nan=blank_nan,
+            )
+            assert two.read_bytes() == expected
+
     def test_a_bad_block_keeps_the_rows_before_it(self, tmp_path):
         out = tmp_path / "t.csv"
         with pytest.raises(ValueError):
@@ -112,14 +142,15 @@ def test_one_block_holds_little_besides_its_byte_matrix():
     # for the whole block at once.
     rows = BLOCK_CELLS // 435
     rng = np.random.default_rng(4)
-    columns = [np.arange(1, rows + 1), *rng.normal(size=(434, rows))]
+    # As the coefficient writer hands it over: t, the betas, e and Q.
+    columns = [np.arange(1, rows + 1), rng.normal(size=(rows, 432)), *rng.normal(size=(2, rows))]
     header = [str(j) for j in range(435)]
-    block, runs = util._checked(header, columns)
-    util._format_block(block, runs, False)          # builds the tables
+    _, runs = util._checked(header, columns)
+    util._format_block(runs, False)          # builds the tables
     matrix = rows * (24 + 434 * 48)
     tracemalloc.start()
     try:
-        util._format_block(block, runs, False)
+        util._format_block(runs, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
