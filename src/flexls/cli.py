@@ -399,15 +399,25 @@ def _run_grid(job: BacktestJob, out: Path | None = None):
     Shared by ``backtest`` and ``sweep-sharpe``.  The data and the feature
     pass do not depend on delta, so both run once, and one
     :func:`run_backtest` call runs the whole grid over those regressors
-    (a bank of filters when they are narrow).  With ``out``, each delta's
-    coefficient path is written there as the filter makes it.  Bad data
-    raises ``DataError``, which ``main`` reports as a data error.
+    (a bank of filters when they are narrow).  Factor-score regressors
+    leave the raw returns dead after the feature pass, so only a copy of
+    the target is kept and the price table's array is freed before the
+    filter runs; raw regressors are that array.  With ``out``, each
+    delta's coefficient path is written there as the filter makes it.  Bad
+    data raises ``DataError``, which ``main`` reports as a data error.
     """
     returns, index_prices = _load_returns(job)
     warmup = _resolve_warmup(job, returns)
     regressors = _library_config(
         "features", compute_features, returns=returns, features=job.features
     )
+    if regressors.values is not returns.features:
+        returns = replace(
+            returns,
+            target=returns.target.copy(),
+            features=np.empty((len(returns), 0)),
+            feature_labels=[],
+        )
 
     def write_coefficients(d, p, rows):
         write_coefficient_csv(out / f"coefficients_{job.deltas[d]!r}.csv", p, rows)

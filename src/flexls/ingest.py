@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import datetime as dt
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .util import iso_dates, open_text, write_table
+from .util import count_lines, iso_dates, open_text, write_table
 
 
 class DataError(ValueError):
@@ -103,14 +104,16 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     forward-filling that much data would manufacture prices.
 
     A file without holes or bad cells is parsed in C by one ``np.loadtxt``
-    call that reads the open file, so the text is never held whole.  The
-    array it parses into is the only one of table size: the target column
-    is rotated into place in row blocks, and ``prices`` is a view of that
-    array (``table[:, 1:]``; column 0 holds the dates' ordinals), each row
-    contiguous.  Out-of-order dates are sorted in that array, in place.
-    Any other file is read again, one line at a time, and parsed cell by
-    cell into the same layout, which gives the same values and names the
-    first bad line.
+    call that reads the open file a line at a time, so the text is never
+    held whole.  The file's lines are counted first
+    (:func:`flexls.util.count_lines`), so the array it parses into is sized
+    once, exactly, and is the only one of table size: the target column is
+    rotated into place, the cells checked and the holes counted in row
+    blocks, and ``prices`` is a view of that array (``table[:, 1:]``;
+    column 0 holds the dates' ordinals), each row contiguous.  Out-of-order
+    dates are sorted in that array, in place.  Any other file is read
+    again, one line at a time, and parsed cell by cell into the same
+    layout, which gives the same values and names the first bad line.
     """
     if not (0.0 <= max_missing_frac <= 1.0):
         raise ValueError(
@@ -123,7 +126,7 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
             if target not in labels:
                 raise DataError(f"{path}: target column {target!r} not in header")
             ti = labels.index(target)
-            parsed = _parse_clean(fh, len(labels), ti)
+            parsed = _parse_clean(fh, count_lines(path) - 1, len(labels), ti)
         if parsed is None:
             with open_text(path) as fh:
                 parsed = _parse_rows(path, fh.readlines()[1:], labels, ti)
@@ -133,13 +136,13 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
 
     if not dates:
         raise DataError(f"{path}: no data rows")
-    seen: set[dt.date] = set()
-    for day in dates:
-        if day in seen:
-            raise DataError(f"{path}: duplicate date {day.isoformat()}")
-        seen.add(day)
-    by_date = sorted(range(len(dates)), key=dates.__getitem__)
-    if by_date != list(range(len(dates))):
+    if any(a >= b for a, b in itertools.pairwise(dates)):
+        seen: set[dt.date] = set()
+        for day in dates:
+            if day in seen:
+                raise DataError(f"{path}: duplicate date {day.isoformat()}")
+            seen.add(day)
+        by_date = sorted(range(len(dates)), key=dates.__getitem__)
         dates = [dates[i] for i in by_date]
         _permute_rows(table, by_date)
 
@@ -148,8 +151,10 @@ def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
     prices = table[:, 1:]
     labels = [labels[ti]] + labels[:ti] + labels[ti + 1 :]
 
-    hole_frac = np.isnan(prices).mean(axis=0)
-    for j, frac in enumerate(hole_frac):
+    holes = np.zeros(prices.shape[1], dtype=np.int64)
+    for _, block in _row_blocks(prices):
+        holes += np.isnan(block).sum(axis=0)
+    for j, frac in enumerate(holes / len(prices)):
         if frac > max_missing_frac:
             raise DataError(
                 f"{path}: stream {labels[j]} is {frac:.1%} holes, "
@@ -200,24 +205,30 @@ def _date_ordinal(cell: str) -> int:
 
 
 def _parse_clean(
-    fh, n_streams: int, target: int
+    fh, lines: int, n_streams: int, target: int
 ) -> tuple[list[dt.date], NDArray[np.float64]] | None:
     """Parse the rest of an open file in C, if it holds no hole and no bad cell.
 
-    Returns ``(dates, table)`` with rows in file order, ``table`` being the
-    (T, 1 + n_streams) array ``np.loadtxt`` parsed into: the dates'
-    ordinals in column 0, then stream ``target`` (an index into the
-    header's streams), then the other streams in header order.  The target
-    is moved there in place (``usecols`` would reorder in the parse, but it
-    lets a row with an extra field through).  Returns None when any
-    line might need :func:`_parse_rows`: an empty cell, a wrong field count,
-    a whitespace-only line, a cell ``np.loadtxt`` rejects or reads as
-    infinite, or no data at all.  ``loadtxt`` and ``float()`` share CPython's
-    correctly rounded string-to-double, so the values are the ones
-    ``_parse_rows`` would give; the few spellings only ``float()`` accepts
-    (``1_0``, non-ASCII digits) fall back to it.
+    ``lines`` counts the file's lines after the header, blank ones
+    included.  At most that many are read, blank ones skipped, and
+    ``np.loadtxt`` is told that many rows at most, so it sizes its array
+    once rather than growing it.  Returns ``(dates, table)`` with rows in
+    file order, ``table`` being the (T, 1 + n_streams) array
+    ``np.loadtxt`` parsed into: the dates' ordinals in column 0, then
+    stream ``target`` (an index into the header's streams), then the other
+    streams in header order.  The target is moved there in place
+    (``usecols`` would reorder in the parse, but it lets a row with an
+    extra field through).  Returns None when any line might need
+    :func:`_parse_rows`: an empty cell, a wrong field count, a cell
+    ``np.loadtxt`` rejects or reads as infinite, no data at all, or a line
+    left unread that is not blank, so a short count loses no row.  The
+    infinite cells are looked for in row blocks.  ``loadtxt`` and
+    ``float()`` share CPython's correctly rounded string-to-double, so the
+    values are the ones ``_parse_rows`` would give; the few spellings only
+    ``float()`` accepts (``1_0``, non-ASCII digits) fall back to it.
     """
     try:
+        rows = (line for line in itertools.islice(fh, lines) if line.strip())
         with warnings.catch_warnings():
             # loadtxt warns, rather than raises, on input with no data rows.
             warnings.simplefilter("error")
@@ -225,17 +236,22 @@ def _parse_clean(
             # usecols, loadtxt rejects a row whose field count differs from
             # the first row's; an empty cell fails to convert.
             table = np.loadtxt(
-                fh,
+                rows,
                 delimiter=",",
                 comments=None,
                 converters={0: _date_ordinal},
                 dtype=float,
                 ndmin=2,
+                max_rows=lines,
             )
     except (ValueError, Warning):
         return None
+    if any(line.strip() for line in fh):
+        return None
     # "inf" and "1e999" load as infinite: for _parse_rows to report.
-    if table.shape[1] != 1 + n_streams or np.isinf(table).any():
+    if table.shape[1] != 1 + n_streams or any(
+        np.isinf(block).any() for _, block in _row_blocks(table)
+    ):
         return None
     dates = list(map(dt.date.fromordinal, table[:, 0].astype(np.int64).tolist()))
     _rotate_right(table[:, 1 : target + 2])
@@ -245,15 +261,22 @@ def _parse_clean(
 _BLOCK_CELLS = 1 << 15
 
 
+def _row_blocks(a: NDArray, cells: int = _BLOCK_CELLS):
+    """``(first row, block)`` for ``a``'s rows in blocks of about ``cells``
+    cells, so a temporary made from one block stays small however long the
+    table is."""
+    step = max(1, cells // max(1, a.shape[1]))
+    for lo in range(0, len(a), step):
+        yield lo, a[lo : lo + step]
+
+
 def _rotate_right(cols: NDArray[np.float64]) -> None:
     """Move the last column of ``cols`` to the front, in place.
 
-    Works through the rows in blocks of about ``_BLOCK_CELLS`` cells, so
-    the temporary stays small however long the table is.
+    ``np.roll`` copies a block of floats, so the blocks are an eighth of
+    the usual size: the copy takes the bytes of one block's bool mask.
     """
-    step = max(1, _BLOCK_CELLS // cols.shape[1])
-    for lo in range(0, len(cols), step):
-        block = cols[lo : lo + step]
+    for _, block in _row_blocks(cols, _BLOCK_CELLS // 8):
         block[:] = np.roll(block, 1, axis=1)
 
 
@@ -315,7 +338,8 @@ def forward_fill(table: PriceTable) -> PriceTable:
     table is consumed, as :func:`to_log_returns` consumes one: its holes
     are filled in its own price array, which the returned table shares, so
     no copy of the table is made.  Only the rows that hold a hole are
-    visited, in date order, each filled from the row above it.
+    visited, in date order, each filled from the row above it; they are
+    found a row block at a time.
     """
     prices = table.prices
     first_holes = np.isnan(prices[0])
@@ -325,43 +349,48 @@ def forward_fill(table: PriceTable) -> PriceTable:
             f"stream {table.labels[j]} has no price on the first row "
             f"({table.dates[0].isoformat()}); nothing to fill from"
         )
-    for i in np.flatnonzero(np.isnan(prices).any(axis=1)).tolist():
-        row = prices[i]
-        holes = np.isnan(row)
-        row[holes] = prices[i - 1][holes]
+    for lo, block in _row_blocks(prices):
+        for i in np.flatnonzero(np.isnan(block).any(axis=1)).tolist():
+            row = block[i]
+            holes = np.isnan(row)
+            row[holes] = prices[lo + i - 1][holes]
     return PriceTable(dates=list(table.dates), prices=prices, labels=list(table.labels))
 
 
 def to_log_returns(table: PriceTable) -> ReturnMatrix:
     """Convert a complete price table to daily log returns, in place.
 
-    Every price must be present and positive; the error names the first
-    offending stream and date, and leaves the table as it was.  Otherwise
-    the table is consumed: the logs are taken into ``table.prices`` itself
-    and differenced there from the last row up, which gives bit for bit
-    what ``np.diff`` of the logs gives, and ``target`` and ``features`` are
-    views into that array (its first row unused).  The table is left with
-    zero rows, so a late read of its prices fails rather than returning
-    returns; any other table sharing the array (such as :func:`forward_fill`'s
-    input) holds returns from then on.
+    Every price must be present and positive, which is checked a row block
+    at a time; the error names the first offending stream and date, and
+    leaves the table as it was.  Otherwise the table is consumed: the logs
+    are taken into ``table.prices`` itself and differenced there from the
+    last row up, which gives bit for bit what ``np.diff`` of the logs
+    gives, and ``target`` and ``features`` are views into that array (its
+    first row unused).  The table is left with zero rows, in an array of
+    its own so that it pins no part of the returns' array, and a late read
+    of its prices fails rather than returning returns; any other table
+    sharing the array (such as :func:`forward_fill`'s input) holds returns
+    from then on.
     """
     prices = table.prices
-    if not (prices > 0.0).all():    # catches NaN and non-positive in one test
-        bad = ~(prices > 0.0)
-        flat = int(np.argmax(bad.any(axis=1)))
-        j = int(np.argmax(bad[flat]))
-        value = prices[flat, j]
+    for lo, block in _row_blocks(prices):
+        if (block > 0.0).all():    # catches NaN and non-positive in one test
+            continue
+        bad = ~(block > 0.0)
+        i = int(np.argmax(bad.any(axis=1)))
+        j = int(np.argmax(bad[i]))
+        value = block[i, j]
         what = "missing" if math.isnan(value) else f"non-positive ({value:g})"
         raise DataError(
             f"{what} price for stream {table.labels[j]} "
-            f"on {table.dates[flat].isoformat()}"
+            f"on {table.dates[lo + i].isoformat()}"
         )
     np.log(prices, out=prices)
     for i in range(len(prices) - 1, 0, -1):
         prices[i] -= prices[i - 1]
     rets = prices[1:]
     dates = table.dates[1:]
-    table.dates, table.prices = [], prices[:0]
+    table.dates, table.prices = [], np.empty((0, prices.shape[1]))
     return ReturnMatrix(
         dates=dates,
         target=rets[:, 0],

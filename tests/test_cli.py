@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -361,6 +362,42 @@ class TestGridRunner:
             assert main(argv + ["--delta", delta, "--out-dir", str(single)]) == EXIT_OK
             for name in (f"ledger_{delta}.csv", f"coefficients_{delta}.csv"):
                 assert (grid / name).read_bytes() == (single / name).read_bytes()
+
+    @pytest.mark.parametrize("features", ["raw", "svd:3"])
+    def test_parse_buffer_lives_only_as_long_as_its_regressors(
+        self, tmp_path, market_csv, monkeypatch, features
+    ):
+        # Factor scores leave the raw returns, and with them the array the
+        # prices were parsed into, dead before the filter runs; raw
+        # regressors are that array, uncopied.
+        buffers = []
+        load_csv = cli_module.load_csv
+        run_backtest = cli_module.run_backtest
+
+        def loaded(*args):
+            table = load_csv(*args)
+            buffers.append(weakref.ref(table.prices.base))
+            return table
+
+        def checked(returns, index_prices, estimator, regressors, *args, **kwargs):
+            (buffer,) = buffers
+            if features == "raw":
+                assert regressors.values.base is buffer()
+            else:
+                assert buffer() is None
+            return run_backtest(
+                returns, index_prices, estimator, regressors, *args, **kwargs
+            )
+
+        monkeypatch.setattr(cli_module, "load_csv", loaded)
+        monkeypatch.setattr(cli_module, "run_backtest", checked)
+        body = (
+            f"data = {market_csv}\ntarget = INDEX\nfeatures = {features}\n"
+            f"delta_grid = 0.2, 0.9\nwarmup = 40\nout_dir = {tmp_path / 'o'}\n"
+        )
+        cfg = write_config(tmp_path, body)
+        assert main(["sweep-sharpe", "--config", str(cfg)]) == EXIT_OK
+        assert len(buffers) == 1
 
 
 class TestBacktestErrors:
@@ -907,7 +944,7 @@ class TestSweepCommand:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert peak < 1.35 * nbytes
+        assert peak < 1.1 * nbytes
 
 
 class TestSimFig2Command:

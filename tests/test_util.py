@@ -27,6 +27,28 @@ def test_only_util_spells_the_text_formats():
     assert found == []
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "a", "a\n", "a\nb", "a\r\nb\r\n", "a\rb\r", "a\r\r\nb", "\n\n\r\n\r",
+        "\ufeffa\nb", "a\x0bb\x0cc\x85d\u2028e\n",
+        # a \r\n split across two binary reads, and a \r ending the first
+        "x" * (util._CHUNK_BYTES - 1) + "\r\nb",
+        "x" * (util._CHUNK_BYTES - 1) + "\rb\n",
+    ],
+    ids=[
+        "empty", "no-end", "lf", "lf-no-end", "crlf", "cr", "cr-crlf", "breaks-only",
+        "bom", "other-breaks-are-text", "crlf-across-reads", "cr-ends-a-read",
+    ],
+)
+def test_count_lines_counts_the_lines_open_text_reads(tmp_path, text):
+    f = tmp_path / "lines.txt"
+    f.write_bytes(text.encode("utf-8"))
+    with util.open_text(f) as fh:
+        want = len(fh.readlines())
+    assert util.count_lines(f) == want
+
+
 class TestWriteTable:
     def test_kinds_and_holes(self, tmp_path):
         out = tmp_path / "t.csv"
