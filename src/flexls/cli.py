@@ -373,6 +373,10 @@ def _load_returns(job: BacktestJob):
             table = apply_split_factors(table, load_split_file(job.splits))
     except OSError as exc:
         raise DataError(str(exc)) from exc
+    if table.prices.shape[1] < 2:
+        raise DataError(
+            f"{job.data}: no explanatory stream besides the target {job.target!r}"
+        )
     table = forward_fill(table)
     # Taken first: to_log_returns writes the returns over the prices.
     index_prices = table.prices[:, 0].copy()

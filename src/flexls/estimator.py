@@ -18,17 +18,22 @@ hindsight in O(p) per step.  The smoothed path is the global minimizer of
 the full objective; the penalized recursion and a dense solve are only the
 references it is checked against.
 
-The interpreted filter kernel keeps a wide covariance (``p >=
-_BLAS_MIN_P``) as one triangle: BLAS's symmetric level-2 routines
-(Dongarra et al. 1988, ACM TOMS 14) read it with ``dsymv`` and downdate it
-with ``dsyr``, and never touch the other triangle, so the state is
-symmetric by construction.
+The filter step is chosen by width alone, once per filter
+(:func:`_step_for_width`).  From ``_BLAS_MIN_P`` coefficients it is
+:func:`_kf_step_impl` on every backend, which keeps the covariance as one
+triangle: BLAS's symmetric level-2 routines (Dongarra et al. 1988, ACM
+TOMS 14) read it with ``dsymv`` and downdate it with ``dsyr``, and never
+touch the other triangle, so the state is symmetric by construction.  A
+narrower filter steps with ``_kf_step``: numba's compiled loops when numba
+imports, else :func:`_kf_step_impl`, whose narrow step multiplies the
+whole matrix.  A bank, always narrow, steps with ``_kf_bank``.  So a wide
+filter's outputs are the same with numba or without it.
 
 Importing this module loads numpy alone.  scipy, which takes about twice
 as long as numpy to import, is loaded the first time a step needs it: by
-the interpreted filter kernel's first step at ``p >= _BLAS_MIN_P``, by
-``fls_smooth_batch`` and by ``FlsEstimator``.  A run that only filters
-at ``p < _BLAS_MIN_P`` never loads it.
+the first filter step at ``p >= _BLAS_MIN_P``, by ``fls_smooth_batch``
+and by ``FlsEstimator``.  A run that only filters at ``p < _BLAS_MIN_P``
+never loads it.
 """
 
 from __future__ import annotations
@@ -46,13 +51,14 @@ from .util import write_blocks
 # Outcome of a filter step.  A rejected step writes nothing.
 _ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
 
-# Narrowest covariance the interpreted kernel steps with BLAS ``dsymv`` and
-# ``dsyr`` on one triangle.  At p=16 numpy's full-matrix product and
+# Narrowest covariance stepped with BLAS ``dsymv`` and ``dsyr`` on one
+# triangle, on every backend.  At p=16 numpy's full-matrix product and
 # broadcast downdate cost the same per interpreted update (about 10 us);
 # from there they fall behind, 1.15x at 32, 1.5x at 64, 2.4x at 128 and
 # 8x at 432, where the one-triangle step takes about 50-60 us against
 # 90-105 us for ``dgemv`` and ``dger`` on the whole matrix (best and median
-# of 9).  Below this width a step needs no scipy.
+# of 9).  Below this width a step needs no scipy.  numba's compiled loops
+# have not been timed against the one-triangle step at any width.
 _BLAS_MIN_P = 16
 
 # Widest filter a bank holds (a KalmanEstimator built with a sequence of
@@ -105,9 +111,9 @@ def _status(e, q, beta_new) -> int:
 # Finite inputs can still overflow against a badly scaled state.  Such a
 # step is rejected, so numpy need not warn about it.
 @np.errstate(all="ignore")
-def _kf_step_impl(P, beta, x, y, veps, vomega):
+def _kf_step_impl(P, beta, x, y, vomega):
     """One filter update, interpreted: numpy or BLAS for the forecast and
-    for P.
+    for P, with unit observation noise.
 
     Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
     ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
@@ -129,7 +135,7 @@ def _kf_step_impl(P, beta, x, y, veps, vomega):
         Rx = dsymv(1.0, P.T, x, lower=0) + vomega * x
     else:
         Rx = np.dot(P, x) + vomega * x
-    q = np.dot(x, Rx) + veps
+    q = np.dot(x, Rx) + 1.0
     e = y - np.dot(x, beta)
     K = Rx / q
     beta_new = beta + e * K
@@ -150,12 +156,12 @@ def _kf_step_impl(P, beta, x, y, veps, vomega):
 
 
 @np.errstate(all="ignore")
-def _kf_bank_step(P, beta, x, y, veps, vomega):
+def _kf_bank_step(P, beta, x, y, vomega):
     """One update of a bank of filters, interpreted: each array of
     :func:`_kf_step_impl` gains a leading axis, one entry per filter.
 
-    ``P`` is (D, p, p), ``beta`` (D, p) and ``vomega`` (D,); ``x``, ``y``
-    and ``veps`` are shared.  Returns ``(status, beta', e, q, K)`` with
+    ``P`` is (D, p, p), ``beta`` (D, p) and ``vomega`` (D,); ``x`` and
+    ``y`` are shared.  Returns ``(status, beta', e, q, K)`` with
     ``status`` a list of one code per filter.  If any filter rejects the
     step, none of them is written.
 
@@ -172,7 +178,7 @@ def _kf_bank_step(P, beta, x, y, veps, vomega):
     Rx = P @ x
     Rx += vomega * x
     q = Rx[:, None] @ x         # (D, 1), as is e
-    q += veps
+    q += 1.0
     e = y - beta[:, None] @ x
     K = Rx / q
     beta_new = beta + e * K
@@ -188,14 +194,14 @@ def _kf_bank_step(P, beta, x, y, veps, vomega):
     return [_ACCEPTED] * len(P), beta_new, e[:, 0], q[:, 0], K
 
 
-def _kf_forecast_loops(P, beta, x, y, veps, vomega):
+def _kf_forecast_loops(P, beta, x, y, vomega):
     """The forecast and checks of :func:`_kf_step_impl`, for numba to
     compile; writes nothing.
 
     Returns ``(status, beta', e, q, K, g)``, ``g`` the downdate's vector.
     """
     Rx = np.dot(P, x) + vomega * x
-    q = np.dot(x, Rx) + veps
+    q = np.dot(x, Rx) + 1.0
     e = y - np.dot(x, beta)
     if not (math.isfinite(q) and math.isfinite(e)):
         return _NONFINITE, beta, e, q, Rx, Rx
@@ -225,16 +231,16 @@ def _kf_downdate_loops(P, g, vomega) -> None:
             P[j, i] = v
 
 
-def _kf_step_loops(P, beta, x, y, veps, vomega):
+def _kf_step_loops(P, beta, x, y, vomega):
     """The update of :func:`_kf_step_impl` as loops: same contract and
     checks."""
-    status, beta_new, e, q, K, g = _kf_forecast_loops(P, beta, x, y, veps, vomega)
+    status, beta_new, e, q, K, g = _kf_forecast_loops(P, beta, x, y, vomega)
     if status == _ACCEPTED:
         _kf_downdate_loops(P, g, vomega)
     return status, beta_new, e, q, K
 
 
-def _filter_by_filter(forecast, downdate, P, beta, x, y, veps, vomega):
+def _filter_by_filter(forecast, downdate, P, beta, x, y, vomega):
     """The update of :func:`_kf_bank_step`, one filter at a time.
 
     ``forecast`` and ``downdate`` are the two halves of one filter's step,
@@ -242,7 +248,7 @@ def _filter_by_filter(forecast, downdate, P, beta, x, y, veps, vomega):
     filter passes its checks before any is downdated, so a step that one
     filter rejects writes none of them.
     """
-    steps = [forecast(P[d], beta[d], x, y, veps, vomega[d]) for d in range(len(P))]
+    steps = [forecast(P[d], beta[d], x, y, vomega[d]) for d in range(len(P))]
     status = [step[0] for step in steps]
     if not any(status):
         for d, step in enumerate(steps):
@@ -263,9 +269,9 @@ try:
     _kf_downdate_jit = njit(cache=True)(_kf_downdate_loops)
 
     @njit(cache=True)
-    def _kf_step(P, beta, x, y, veps, vomega):
+    def _kf_step(P, beta, x, y, vomega):
         """:func:`_kf_step_loops`, compiled: one call per filter update."""
-        status, beta_new, e, q, K, g = _kf_forecast_jit(P, beta, x, y, veps, vomega)
+        status, beta_new, e, q, K, g = _kf_forecast_jit(P, beta, x, y, vomega)
         if status == _ACCEPTED:
             _kf_downdate_jit(P, g, vomega)
         return status, beta_new, e, q, K
@@ -278,6 +284,16 @@ except ImportError:   # pragma: no cover - numba is a declared dependency
     _kf_step = _kf_step_impl
     _kf_bank = _kf_bank_step
     KERNEL_BACKEND = "python"
+
+
+def _step_for_width(p: int):
+    """The step of one filter of ``p`` coefficients: :func:`_kf_step_impl`
+    from ``_BLAS_MIN_P``, on every backend, else ``_kf_step``.
+
+    Reads the module's names when called, so a stand-in installed there is
+    the one chosen.
+    """
+    return _kf_step_impl if p >= _BLAS_MIN_P else _kf_step
 
 # Reciprocal-condition floor below which a normal-equations solve is
 # treated as underdetermined rather than silently amplified.
@@ -464,6 +480,7 @@ def fls_smooth_batch(
         if S0.shape != (p, p) or s0.shape != (p,):
             raise ValueError("prior shapes must be (p, p) and (p,)")
     vomega = 1.0 / smoothing.mu
+    step = _step_for_width(p)
     dger = _blas()[2]           # dep -= K E' needs no symmetry
 
     # Forward: the filter from a zero mean with the first row taken as
@@ -476,8 +493,8 @@ def fls_smooth_batch(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T):
             E[t] = xs[t] @ dep
-            status, beta, e[t], q[t], K[t] = _kf_step(
-                P, beta, xs[t], ys[t], 1.0, vomega if t else 0.0
+            status, beta, e[t], q[t], K[t] = step(
+                P, beta, xs[t], ys[t], vomega if t else 0.0
             )
             if status != _ACCEPTED:
                 raise ValueError(
@@ -520,10 +537,12 @@ class KalmanEstimator:
     """Inversion-free recursive estimator for drifting coefficients.
 
     Random-walk coefficient dynamics with isotropic state noise ``vomega``
-    per step and observation noise ``veps``.  No distributional assumptions
-    are needed for the algebra; the recursion is used here purely as the
-    O(p^2) route to the penalized least-squares path (see
-    :meth:`fls_equivalent` for the exact correspondence).
+    per step and unit observation noise.  Another noise level ``c`` is the
+    unit-noise filter fed ``x/sqrt(c)`` and ``y/sqrt(c)``, so it needs no
+    argument.  No distributional assumptions are needed for the algebra;
+    the recursion is used here purely as the O(p^2) route to the penalized
+    least-squares path (see :meth:`fls_equivalent` for the exact
+    correspondence).
 
     The prior covariance is ``prior_scale * I`` (by default
     ``DEFAULT_PRIOR_SCALE``) or a given ``P0``; giving both is an error.
@@ -536,18 +555,25 @@ class KalmanEstimator:
     of up to :data:`BANK_MAX_P` coefficients (see :func:`filter_passes`).
     Each filter's path is the one it follows alone, bit for bit.
 
+    The step is chosen once, at construction, by width
+    (:func:`_step_for_width`): from ``p = _BLAS_MIN_P`` the one-triangle
+    BLAS step of :func:`_kf_step_impl` on every backend, below it
+    ``_kf_step`` (compiled when numba imports), and ``_kf_bank`` for a
+    bank.  ``prior_scale`` and ``P0`` are keyword-only, so a call that
+    still passes an observation noise third fails rather than setting the
+    prior.
+
     Not thread-safe: ``update`` mutates in place.  The covariance state is
     kept in one buffer, downdated in place; from ``p = _BLAS_MIN_P`` the
-    interpreted kernel keeps only its lower triangle current.  Reading
-    ``P`` gives a new read-only symmetric array, mirrored from that
-    triangle.
+    step keeps only its lower triangle current.  Reading ``P`` gives a new
+    read-only symmetric array, mirrored from that triangle.
     """
 
     def __init__(
         self,
         p: int,
         vomega,
-        veps: float = 1.0,
+        *,
         prior_scale=None,
         P0: NDArray[np.float64] | None = None,
     ) -> None:
@@ -563,11 +589,9 @@ class KalmanEstimator:
                 f"a bank holds filters of at most {BANK_MAX_P} coefficients, "
                 f"got p={p}: run wider filters one at a time"
             )
-        if not (veps > 0.0) or not math.isfinite(veps):
-            raise ValueError(f"veps must be finite and positive, got {veps}")
         self.p = int(p)
         self.vomega = bank if bank.ndim else float(bank)
-        self.veps = float(veps)
+        self._step = _kf_bank if bank.ndim else _step_for_width(self.p)
         if P0 is not None and prior_scale is not None:
             raise ValueError("give prior_scale or P0, not both")
         if P0 is None:
@@ -610,7 +634,7 @@ class KalmanEstimator:
 
         A new read-only array on every read, symmetric: the stored lower
         triangle, mirrored.  Every kernel keeps that triangle current (the
-        compiled and the narrow ones keep both), so the mirror is the
+        narrow ones, compiled or not, keep both), so the mirror is the
         state on any backend.  The next update does not change it.
         """
         lower = np.tri(self.p, dtype=bool)
@@ -660,7 +684,7 @@ class KalmanEstimator:
                 f"s0_scale {s0_scale} exceeds mu {smoothing.mu}; "
                 "no matching filter prior exists"
             )
-        return cls(p, vomega=vom, veps=1.0, P0=np.eye(p) * p0)
+        return cls(p, vomega=vom, P0=np.eye(p) * p0)
 
     def update(self, x, y: float) -> KfDiagnostics:
         """Consume one observation; returns the step diagnostics.
@@ -676,8 +700,7 @@ class KalmanEstimator:
             raise ValueError(f"x must have shape ({self.p},), got {x.shape}")
         y = float(y)
         P = self._cov
-        step = _kf_bank if P.ndim == 3 else _kf_step
-        status, beta_new, e, q, K = step(P, self.beta, x, y, self.veps, self.vomega)
+        status, beta_new, e, q, K = self._step(P, self.beta, x, y, self.vomega)
         # A non-finite x or y makes e or q non-finite, so the kernel
         # rejects it; its message is chosen here, on that path alone.
         if any(status) if P.ndim == 3 else status != _ACCEPTED:

@@ -471,7 +471,9 @@ def write_csv(table: PriceTable, path) -> None:
     """Write a price table back to CSV.  Holes become empty cells.
 
     Floats carry 17 significant digits; a load of the written file
-    reproduces the table exactly.
+    reproduces the table exactly.  This is the writer for synthetic price
+    files (:func:`flexls.synth.gen_market`'s tables); only the tests read
+    it.
     """
     write_table(
         path,

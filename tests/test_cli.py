@@ -461,6 +461,31 @@ class TestBacktestErrors:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("features", ["raw", "svd:2"])
+    @pytest.mark.parametrize("command", ["backtest", "sweep-sharpe"])
+    def test_target_alone_is_data_error_and_leaves_no_outputs(
+        self, tmp_path, capsys, command, features
+    ):
+        lines = ["date,SPX"] + [
+            f"2001-{1 + i // 28:02d}-{1 + i % 28:02d},{1400.0 + i!r}" for i in range(60)
+        ]
+        prices = tmp_path / "spx.csv"
+        prices.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "never"
+        cfg = write_config(
+            tmp_path,
+            f"data = {prices}\ntarget = SPX\nfeatures = {features}\n"
+            f"delta_grid = 0.5\nwarmup = 10\nout_dir = {out}\n",
+        )
+        before = sorted(tmp_path.iterdir())
+        self.run_expecting(
+            EXIT_DATA,
+            [command, "--config", str(cfg)],
+            capsys,
+            f"data error: {prices}: no explanatory stream besides the target 'SPX'",
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_warmup_beyond_sample_is_data_error(self, tmp_path, market_csv, capsys):
         body = base_config(market_csv, tmp_path / "o").replace(
             "warmup = 40", "warmup = 100000"

@@ -26,10 +26,12 @@ from flexls.estimator import (
     write_coefficient_csv,
 )
 from flexls.ingest import to_log_returns
+from flexls.strategy import EstimatorConfig
 from flexls.synth import MarketConfig, gen_market
 from flexls.util import BLOCK_CELLS
 
 from .oracle import ols_fit, penalized_path_direct, path_cost
+from .test_strategy import make_market, with_coefficients
 
 
 class TestSmoothing:
@@ -162,6 +164,28 @@ class TestSmoothBatch:
             c_smooth = path_cost(xs, ys, sm.mu, smoothed, S0=S0)
             assert c_smooth <= c_online + 1e-9 * abs(c_online)
 
+    @pytest.mark.parametrize("p", [1, 8, 17, 40])
+    def test_last_row_is_the_filtered_estimate(self, p):
+        # The smoother's default prior S0 = I/1e6 gives the first row a
+        # spread of 1e6 I.  A filter forecasts the first row with that
+        # spread from P0 = (1e6 - 1/mu) I, and the last row has no future
+        # data, so the filter's last estimate is the smoother's last row.
+        # The widths cover both sides of _BLAS_MIN_P.
+        returns = to_log_returns(
+            gen_market(MarketConfig(seed=p, n_streams=p, steps=600))[0]
+        )
+        for delta in (0.2, 0.9, 0.995):
+            smoothing = Smoothing(delta)
+            path = fls_smooth_batch(returns.features, returns.target, smoothing)
+            vomega = 1.0 / smoothing.mu
+            kf = KalmanEstimator(
+                p, vomega=vomega, P0=(DEFAULT_PRIOR_SCALE - vomega) * np.eye(p)
+            )
+            for x, y in zip(returns.features, returns.target):
+                kf.update(x, y)
+            error = np.abs(kf.beta - path[-1]).max()
+            assert error <= 1e-12 * np.abs(path[-1]).max()
+
     def test_singular_terminal_system_raises(self):
         # Two observations cannot pin down three coefficients without a prior.
         xs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
@@ -207,7 +231,7 @@ class TestSmoothBatch:
 class TestKalmanEstimator:
     def test_single_step_by_hand(self):
         """Scalar update worked out by hand: P0=1, both noises 1, x=1, y=3."""
-        est = KalmanEstimator(1, vomega=1.0, veps=1.0, P0=np.array([[1.0]]))
+        est = KalmanEstimator(1, vomega=1.0, P0=np.array([[1.0]]))
         diag = est.update([1.0], 3.0)
         assert diag.innovation == 3.0
         assert diag.forecast_var == 3.0
@@ -254,8 +278,8 @@ class TestKalmanEstimator:
         poisoned[upper] = np.nan
         b1 = b2 = np.zeros(p)
         for x, y in zip(xs, ys):
-            s1, b1, e1, q1, K1 = _kf_step_impl(clean, b1, x, y, 1.0, 0.7)
-            s2, b2, e2, q2, K2 = _kf_step_impl(poisoned, b2, x, y, 1.0, 0.7)
+            s1, b1, e1, q1, K1 = _kf_step_impl(clean, b1, x, y, 0.7)
+            s2, b2, e2, q2, K2 = _kf_step_impl(poisoned, b2, x, y, 0.7)
             assert s1 == s2 == estimator_module._ACCEPTED
             assert b1.tobytes() == b2.tobytes() and K1.tobytes() == K2.tobytes()
             assert e1 == e2 and q1 == q2
@@ -300,7 +324,7 @@ class TestKalmanEstimator:
         beta = rng.normal(size=p)
         x = rng.normal(size=p)
         P_then, beta_then, x_then = P.copy(), beta.copy(), x.copy()
-        status, beta_new, e, q, K = step(P, beta, x, 0.7, 1.0, 0.3)
+        status, beta_new, e, q, K = step(P, beta, x, 0.7, 0.3)
         assert status == estimator_module._ACCEPTED
         assert beta_new.shape == K.shape == (p,)
         assert np.ndim(e) == np.ndim(q) == 0
@@ -322,17 +346,19 @@ class TestKalmanEstimator:
     )
     def test_kernel_leaves_its_inputs_untouched(self, step):
         """A rejected step writes none of its inputs."""
+        # The second case has finite e and q, but a gain near 5e7 that
+        # carries the 1e305 innovation past the float range.
         P = np.array([[2.0, 0.5], [0.5, 1.0]])
         cases = [
-            (estimator_module._NONFINITE, P, np.full(2, 1e200), 1.0, 1.0),
-            (estimator_module._NONFINITE, P, np.full(2, 1e-8), 1e305, 1e-14),
-            (estimator_module._NONPOSITIVE, -10.0 * P, np.ones(2), 1.0, 1.0),
+            (estimator_module._NONFINITE, P, np.full(2, 1e200), 1.0),
+            (estimator_module._NONFINITE, 1e16 * P, np.full(2, 1e-8), 1e305),
+            (estimator_module._NONPOSITIVE, -10.0 * P, np.ones(2), 1.0),
         ]
-        for expected, P0, x, y, veps in cases:
+        for expected, P0, x, y in cases:
             P, beta = P0.copy(), np.array([0.1, -0.2])
             before = [v.copy() for v in (P, beta, x)]
             with np.errstate(all="ignore"):   # the interpreted loops warn
-                status = step(P, beta, x, y, veps, 0.3)[0]
+                status = step(P, beta, x, y, 0.3)[0]
             assert status == expected
             for now, then in zip((P, beta, x), before):
                 np.testing.assert_array_equal(now, then)
@@ -340,13 +366,13 @@ class TestKalmanEstimator:
     def test_indefinite_prior_rejected_without_warning(self):
         with pytest.raises(ValueError, match="P0 must be positive semidefinite"):
             KalmanEstimator(1, vomega=0.0, P0=np.array([[-10.0]]))
-        # The kernel handed that prior gets q = x'(P + vomega I)x + veps = -9
+        # The kernel handed that prior gets q = x'(P + vomega I)x + 1 = -9
         # and takes no square root of it, so it warns about nothing.
         P = np.array([[-10.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             status, beta_new, e, q, K = _kf_step_impl(
-                P, np.zeros(1), np.ones(1), 1.0, 1.0, 0.0
+                P, np.zeros(1), np.ones(1), 1.0, 0.0
             )
         assert status == estimator_module._NONPOSITIVE
         assert beta_new.shape == K.shape == (1,)
@@ -376,9 +402,9 @@ class TestKalmanEstimator:
         np.testing.assert_array_equal(est.P, np.zeros((3, 3)))
 
     def test_forecast_variance_positive(self):
-        est = KalmanEstimator(2, vomega=0.0, veps=0.5)
-        diag = est.update([0.0, 0.0], 1.0)   # zero regressor still has veps
-        assert diag.forecast_var == pytest.approx(0.5)
+        est = KalmanEstimator(2, vomega=0.0)
+        diag = est.update([0.0, 0.0], 1.0)   # zero regressor: unit noise alone
+        assert diag.forecast_var == pytest.approx(1.0)
 
     def test_matches_fls_path(self):
         rng = np.random.default_rng(11)
@@ -423,7 +449,6 @@ class TestKalmanEstimator:
     def test_from_smoothing_sets_state_noise(self):
         est = KalmanEstimator.from_smoothing(2, Smoothing(0.2))
         assert est.vomega == pytest.approx(0.25)
-        assert est.veps == 1.0
 
     def test_rejects_bad_inputs(self):
         est = KalmanEstimator(2, vomega=1.0)
@@ -435,8 +460,10 @@ class TestKalmanEstimator:
             est.update([1.0, 2.0], float("nan"))
         with pytest.raises(ValueError):
             KalmanEstimator(2, vomega=-1.0)
-        with pytest.raises(ValueError):
-            KalmanEstimator(2, vomega=1.0, veps=0.0)
+        with pytest.raises(TypeError):   # the observation noise is 1
+            KalmanEstimator(2, vomega=1.0, veps=1.0)
+        with pytest.raises(TypeError):   # not a prior_scale
+            KalmanEstimator(2, 1.0, 1.0)
         with pytest.raises(ValueError):
             KalmanEstimator(2, vomega=1.0, P0=np.eye(3))
 
@@ -494,15 +521,15 @@ class TestKalmanEstimator:
         assert est.t == t
 
     def test_overflowing_coefficients_rejected(self):
-        # e and q are finite here, but e * K overflows: with x = sqrt(veps/P)
-        # the gain is sqrt(P/veps)/2 = 5e7, and the innovation is 1e305.
-        est = KalmanEstimator(1, vomega=0.0, veps=1e-10, prior_scale=1e6)
+        # e and q are finite here, but e * K overflows: with x = 1/sqrt(P)
+        # the gain is sqrt(P)/2 = 5e7, and the innovation is 1e305.
+        est = KalmanEstimator(1, vomega=0.0, prior_scale=1e16)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite update"):
                 est.update([1e-8], 1e305)
         np.testing.assert_array_equal(est.beta, [0.0])
-        np.testing.assert_array_equal(est.P, [[1e6]])
+        np.testing.assert_array_equal(est.P, [[1e16]])
         assert est.t == 0
 
     def test_update_downdates_covariance_in_its_own_buffer(self):
@@ -560,8 +587,8 @@ class TestKalmanEstimator:
             for _ in range(100):
                 x = rng.normal(size=p)
                 y = float(rng.normal())
-                s1, b1, e1, q1, K1 = _kf_step_impl(P1, b1, x, y, 1.0, 0.7)
-                s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 1.0, 0.7)
+                s1, b1, e1, q1, K1 = _kf_step_impl(P1, b1, x, y, 0.7)
+                s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 0.7)
                 assert s1 == s2 == estimator_module._ACCEPTED
                 np.testing.assert_array_equal(P2, P2.T)
                 np.testing.assert_allclose(b2, b1, rtol=1e-12, atol=1e-14)
@@ -582,8 +609,8 @@ class TestKalmanEstimator:
         for _ in range(50):
             x = rng.normal(size=p)
             y = float(rng.normal())
-            s1, b1, e1, q1, K1 = _kf_step(P1, b1, x, y, 1.0, 0.7)
-            s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 1.0, 0.7)
+            s1, b1, e1, q1, K1 = _kf_step(P1, b1, x, y, 0.7)
+            s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 0.7)
             assert s1 == s2 == estimator_module._ACCEPTED
             assert b1.shape == K1.shape == (p,)
             assert np.array_equal(b1, b2)
@@ -638,10 +665,10 @@ class TestFilterBank:
         singles = [(P[d].copy(), beta[d].copy()) for d in range(4)]
         for _ in range(30):
             x, y = rng.normal(size=p), float(rng.normal())
-            status, beta, e, q, K = bank_step(P, beta, x, y, 1.0, vomega)
+            status, beta, e, q, K = bank_step(P, beta, x, y, vomega)
             assert list(status) == [estimator_module._ACCEPTED] * 4
             for d, (P1, b1) in enumerate(singles):
-                s1, b1, e1, q1, K1 = step(P1, b1, x, y, 1.0, vomega[d])
+                s1, b1, e1, q1, K1 = step(P1, b1, x, y, vomega[d])
                 singles[d] = (P1, b1)
                 assert e[d] == e1 and q[d] == q1
                 np.testing.assert_array_equal(K[d], K1)
@@ -650,7 +677,7 @@ class TestFilterBank:
         P[2] = -10.0 * np.eye(p)
         before = [P.copy(), beta.copy()]
         with np.errstate(all="ignore"):   # the interpreted loops warn
-            status, beta_out, *_ = bank_step(P, beta, np.ones(p), 1.0, 1.0, vomega)
+            status, beta_out, *_ = bank_step(P, beta, np.ones(p), 1.0, vomega)
         assert list(status) == [0, 0, estimator_module._NONPOSITIVE, 0]
         np.testing.assert_array_equal(P, before[0])
         np.testing.assert_array_equal(beta_out, before[1])
@@ -710,6 +737,70 @@ class TestFilterBank:
         np.testing.assert_array_equal(est.P, state[0])
         np.testing.assert_array_equal(est.beta, state[1])
         assert est.t == state[2]
+
+
+
+class TestKernelChoice:
+    """A filter's step is chosen by its width alone: from _BLAS_MIN_P the
+    one-triangle BLAS step on every backend, below it the module's
+    _kf_step, which numba compiles when it imports.  _kf_step_loops
+    stands in for the compiled kernel here."""
+
+    WIDTHS = (1, 8, 15, 16, 432)
+
+    def spy_on_steps(self, monkeypatch, narrow):
+        calls = []
+
+        def spy(name, step):
+            def recorded(*args):
+                calls.append(name)
+                return step(*args)
+
+            monkeypatch.setattr(estimator_module, name, recorded)
+
+        spy("_kf_step_impl", _kf_step_impl)
+        spy("_kf_step", narrow)
+        spy("_kf_bank", _kf_bank)
+        return calls
+
+    @pytest.mark.parametrize(
+        "narrow", [_kf_step, _kf_step_loops], ids=["as-is", "stand-in"]
+    )
+    def test_each_width_steps_with_one_kernel(self, monkeypatch, narrow):
+        calls = self.spy_on_steps(monkeypatch, narrow)
+        rng = np.random.default_rng(40)
+        for p in self.WIDTHS:
+            wide = p >= estimator_module._BLAS_MIN_P
+            est = KalmanEstimator(p, vomega=0.5)
+            est.update(rng.normal(size=p), 0.1)
+            fls_smooth_batch(rng.normal(size=(3, p)), rng.normal(size=3), Smoothing(0.5))
+            assert calls == ["_kf_step_impl" if wide else "_kf_step"] * 4, p
+            calls.clear()
+        bank = KalmanEstimator(3, vomega=[0.5, 0.7])
+        bank.update(rng.normal(size=3), 0.1)
+        assert calls == ["_kf_bank"]
+
+    def test_wide_outputs_do_not_depend_on_the_narrow_kernel(self, monkeypatch):
+        # The loops kernel sums in another order than dsymv and dsyr, so a
+        # wide filter that took it would move in its last bits.
+        returns, _ = make_market(seed=41, n_streams=17, steps=300)
+        grid = [EstimatorConfig(delta) for delta in (0.5, 0.98)]
+
+        def outputs():
+            paths, betas = with_coefficients(returns, grid)
+            smoothed = fls_smooth_batch(
+                returns.features, returns.target, Smoothing(0.9)
+            )
+            columns = [
+                column
+                for path in paths
+                for column in (path.spreads, path.innovations, path.forecast_vars)
+            ]
+            return [a.tobytes() for a in [*columns, *betas, smoothed]]
+
+        expected = outputs()
+        monkeypatch.setattr(estimator_module, "_kf_step", _kf_step_loops)
+        assert outputs() == expected
 
 
 class TestOlsFit:

@@ -202,10 +202,12 @@ class TestEstimateSpreads:
 
     @pytest.mark.parametrize("delta", [0.2, 0.9, 0.98])
     def test_observation_noise_is_a_smoothing_and_prior_rescale(self, delta):
-        # A filter with observation noise c gives the coefficients of the
-        # unit-noise filter at mu*c and prior_scale/c, and c times its
-        # forecast variances: the pipeline's filter loses nothing by
-        # fixing the noise at 1.
+        # A filter with observation noise c is the unit-noise filter fed
+        # x/sqrt(c) and y/sqrt(c), whose forecast variances are 1/c times
+        # the noisy filter's.  It gives the coefficients of the pipeline's
+        # filter at mu*c and prior_scale/c, and the same forecast
+        # variances: the pipeline's filter loses nothing by fixing the
+        # noise at 1.
         c = 3.7
         returns, _ = make_market(seed=12, steps=501)
         p = returns.features.shape[1]
@@ -214,18 +216,19 @@ class TestEstimateSpreads:
             returns,
             EstimatorConfig(delta=1.0 / (1.0 + mu * c), prior_scale=1e6 / c),
         )
-        noisy = KalmanEstimator(p, vomega=1.0 / mu, veps=c, prior_scale=1e6)
+        scaled = KalmanEstimator(p, vomega=1.0 / mu, prior_scale=1e6)
+        scale = 1.0 / np.sqrt(c)
         betas = np.empty_like(path_betas)
         forecast_vars = np.empty(len(returns))
         for i in range(len(returns)):
-            forecast_vars[i] = noisy.update(
-                returns.features[i], returns.target[i]
+            forecast_vars[i] = scaled.update(
+                returns.features[i] * scale, returns.target[i] * scale
             ).forecast_var
-            betas[i] = noisy.beta
+            betas[i] = scaled.beta
         assert len(returns) == 500 and p == 8
         row_error = np.abs(path_betas - betas).max(axis=1)
         assert (row_error / np.abs(betas).max(axis=1)).max() <= 1e-9
-        np.testing.assert_allclose(forecast_vars, c * path.forecast_vars, rtol=1e-9)
+        np.testing.assert_allclose(forecast_vars, path.forecast_vars, rtol=1e-9)
 
     def test_svd_mode_rejects_too_many_components(self):
         returns, _ = make_market(seed=6, steps=60, n_streams=2)
