@@ -15,7 +15,9 @@ into the output directory only when the whole run has succeeded; a failing
 run removes the staging directory, so it leaves no partial outputs and
 changes no file already there.  Given equal inputs, outputs are
 byte-identical across reruns.  ``flexls --version`` also names the filter
-kernel that runs: ``numba`` (JIT-compiled) or ``python`` (interpreted).
+step each width takes: below ``p = 16`` the narrow kernel, ``numba``
+(JIT-compiled) or ``python`` (interpreted), and from ``p = 16`` BLAS's
+one-triangle step on every backend.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import numpy as np
 
 from . import __version__
 from .estimator import (
+    _BLAS_MIN_P,
+    DEFAULT_PRIOR_SCALE,
     KERNEL_BACKEND,
     KalmanEstimator,
     Smoothing,
@@ -41,6 +45,7 @@ from .estimator import (
     write_coefficient_csv,
 )
 from .ingest import (
+    MAX_MISSING_FRAC,
     DataError,
     apply_split_factors,
     forward_fill,
@@ -48,7 +53,12 @@ from .ingest import (
     load_split_file,
     to_log_returns,
 )
-from .metrics import format_report_table, summarize, write_report_csv
+from .metrics import (
+    TRADING_DAYS_PER_YEAR,
+    format_report_table,
+    summarize,
+    write_report_csv,
+)
 from .strategy import (
     RULES,
     EstimatorConfig,
@@ -96,17 +106,18 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+# Each default but out_dir is the library's own, spelled as a config value.
 _JOB_DEFAULTS = {
-    "features": "raw",
-    "amnesia": "0",
-    "prior_scale": "1e6",
-    "multiplier": "250",
-    "endowment": "1e8",
-    "cost_per_contract": "0",
-    "rule": "mean-reversion",
-    "max_missing": "0.1",
+    "features": FeatureConfig().mode,
+    "amnesia": repr(FeatureConfig().amnesia),
+    "prior_scale": repr(DEFAULT_PRIOR_SCALE),
+    "multiplier": repr(SizingConfig().multiplier),
+    "endowment": repr(SizingConfig().endowment),
+    "cost_per_contract": repr(SizingConfig().cost_per_contract),
+    "rule": RULES[0],
+    "max_missing": repr(MAX_MISSING_FRAC),
     "out_dir": ".",
-    "trading_days": "252",
+    "trading_days": str(TRADING_DAYS_PER_YEAR),
 }
 _JOB_KEYS = set(_JOB_DEFAULTS) | {
     "data",
@@ -398,7 +409,7 @@ def _resolve_warmup(job: BacktestJob, returns) -> int:
 
 
 def _run_grid(job: BacktestJob, out: Path | None = None):
-    """Return ``(delta, ledger, path, report)`` for each delta of the job.
+    """Return ``(delta, ledger, report)`` for each delta of the job.
 
     Shared by ``backtest`` and ``sweep-sharpe``.  The data and the feature
     pass do not depend on delta, so both run once, and one
@@ -426,7 +437,7 @@ def _run_grid(job: BacktestJob, out: Path | None = None):
     def write_coefficients(d, p, rows):
         write_coefficient_csv(out / f"coefficients_{job.deltas[d]!r}.csv", p, rows)
 
-    results = run_backtest(
+    ledgers = run_backtest(
         returns,
         index_prices,
         [job.estimator_config(delta) for delta in job.deltas],
@@ -440,13 +451,12 @@ def _run_grid(job: BacktestJob, out: Path | None = None):
         (
             delta,
             ledger,
-            path,
             summarize(
                 ledger, job.sizing.endowment, split=warmup,
                 trading_days_per_year=job.trading_days,
             ),
         )
-        for delta, (ledger, path) in zip(job.deltas, results)
+        for delta, ledger in zip(job.deltas, ledgers)
     ]
 
 
@@ -486,16 +496,16 @@ def _cmd_backtest(args) -> int:
     with _staged(job.out_dir, job.effective_text()) as out:
         results = _run_grid(job, out)
         dates = iso_dates(results[0][1].dates)     # every delta's ledger has them
-        for delta, ledger, _, _ in results:
+        for delta, ledger, _ in results:
             write_ledger_csv(out / f"ledger_{delta!r}.csv", ledger, dates)
-        write_report_csv(out / "report.csv", [(d, r) for d, _, _, r in results])
-    print(format_report_table([(d, r) for d, _, _, r in results]))
+        write_report_csv(out / "report.csv", [(d, r) for d, _, r in results])
+    print(format_report_table([(d, r) for d, _, r in results]))
     return EXIT_OK
 
 
 def _cmd_sweep_sharpe(args) -> int:
     job = _load_job_config(args, need_grid=True)
-    curve = [(delta, report.sharpe) for delta, _, _, report in _run_grid(job)]
+    curve = [(delta, report.sharpe) for delta, _, report in _run_grid(job)]
     # dtype=float turns an absent Sharpe (None) into NaN.
     table = np.array(curve, dtype=float).reshape(len(curve), 2)
     with _staged(job.out_dir, job.effective_text()) as out:
@@ -573,8 +583,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"flexls {__version__} (kernel: {KERNEL_BACKEND})",
-        help="print the version and the filter kernel in use (numba or python)",
+        version=(
+            f"flexls {__version__} (kernel: {KERNEL_BACKEND} below p={_BLAS_MIN_P}, "
+            f"BLAS from p={_BLAS_MIN_P})"
+        ),
+        help="print the version and the filter step of each width",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

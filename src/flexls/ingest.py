@@ -23,6 +23,9 @@ from numpy.typing import NDArray
 
 from .util import count_lines, iso_dates, open_text, write_table
 
+# The hole fraction above which load_csv rejects a stream.
+MAX_MISSING_FRAC = 0.1
+
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
@@ -93,7 +96,9 @@ class ReturnMatrix:
         return len(self.dates)
 
 
-def load_csv(path, target: str, max_missing_frac: float = 0.1) -> PriceTable:
+def load_csv(
+    path, target: str, max_missing_frac: float = MAX_MISSING_FRAC
+) -> PriceTable:
     """Load a price CSV and put ``target`` in column 0.
 
     The file is read by :func:`flexls.util.open_text`: UTF-8, a leading

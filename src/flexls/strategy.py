@@ -29,7 +29,7 @@ from .estimator import (
 from .ingest import DataError, ReturnMatrix
 from .util import block_rows, iso_dates, write_table
 
-RULES = ("mean-reversion", "buy-hold")
+RULES = ("mean-reversion", "buy-hold")     # the first is the default
 FEATURE_MODES = ("raw", "svd")
 
 
@@ -137,26 +137,6 @@ def daily_pnl(
 
 
 @dataclass
-class SpreadPath:
-    """Per-day estimation record from one pass over the returns.
-
-    ``active`` marks rows where the estimator actually ran; during feature
-    warm-up the residual falls back to the raw target return and that
-    row's filter ``innovations`` and ``forecast_vars`` stay NaN, as does
-    its coefficient row.  The coefficient rows are not kept: they go to
-    the writer of :func:`estimate_spreads` as they are made.
-    """
-
-    spreads: NDArray[np.float64]
-    innovations: NDArray[np.float64]
-    forecast_vars: NDArray[np.float64]
-    active: NDArray[np.bool_]
-
-    def __len__(self) -> int:
-        return len(self.spreads)
-
-
-@dataclass
 class Regressors:
     """Regressor rows of one feature pass over the returns.
 
@@ -198,67 +178,49 @@ def compute_features(
 
 def estimate_spreads(
     returns: ReturnMatrix,
-    estimator: EstimatorConfig | Sequence[EstimatorConfig],
-    features: FeatureConfig | Regressors = FeatureConfig(),
+    grid: Sequence[EstimatorConfig],
+    regressors: Regressors,
     write_coefficients=None,
-) -> SpreadPath | list[SpreadPath]:
-    """Run the regression over the return rows and record the residuals.
+) -> NDArray[np.float64]:
+    """Residuals of each configuration of ``grid`` over the return rows:
+    an ``(n, len(grid))`` array, one column per configuration in grid order.
 
-    ``estimator`` is one configuration, which gives one :class:`SpreadPath`,
-    or a grid of them, which gives a list of paths in grid order.
-    ``features`` is either a feature configuration, run here, or the
-    :class:`Regressors` of an earlier :func:`compute_features` pass over
-    the same returns.  Each row's estimator update uses that row's
-    regressors and target return; the residual uses the just-updated
-    coefficients.  Everything consumed at row ``i`` is known at row ``i``,
-    so downstream trading sees no future data.  Rows without regressors
-    keep the raw target return as their residual.  A row the filter
-    rejects raises :class:`~flexls.ingest.DataError` naming its date and
-    the delta that rejected it.
+    ``regressors`` is a :func:`compute_features` pass over the same returns.
+    Each row's update uses that row's regressors and target return, and its
+    residual the just-updated coefficients, so trading on it sees no future
+    data.  Rows without regressors keep the raw target return.  A row the
+    filter rejects raises :class:`~flexls.ingest.DataError` naming its date
+    and delta.
 
-    The coefficient rows are handed on, not kept: ``write_coefficients``,
-    if given, is called once per configuration, in grid order, as
-    ``write_coefficients(index, p, rows)``.  ``rows`` yields that
-    configuration's rows, NaN where no regressors exist, in blocks
-    ``(betas, e, Q)`` of the rows the CSV writer formats at a time
-    (:func:`~flexls.util.block_rows`), as
-    :func:`~flexls.estimator.write_coefficient_csv` takes them; rows the
-    call leaves unread are still stepped.
+    Nothing keeps the coefficient rows: ``write_coefficients(index, p,
+    rows)``, if given, is called once per configuration, in grid order, and
+    ``rows`` yields that configuration's blocks ``(betas, e, Q)`` (NaN where
+    no regressors exist) of the rows
+    :func:`~flexls.estimator.write_coefficient_csv` formats at a time.  Rows
+    it leaves unread are still stepped.
 
     The grid runs in the passes :func:`~flexls.estimator.filter_passes`
-    gives.  Regressors wider than :data:`~flexls.estimator.BANK_MAX_P`
-    give each configuration a pass of its own, whose filter steps as its
-    rows are read, so one block of its coefficient rows exists at a time.
-    Narrower ones step every configuration as one bank of filters, one
-    :meth:`KalmanEstimator.update` per row for all of it; the bank's first
-    configuration's rows are read as it steps, and the others' rows, at
-    most ``BANK_MAX_P`` columns each, wait for their turn.  A
-    configuration's path is the same, bit for bit, either way, and whether
-    it runs alone or in a grid.
+    gives: past :data:`~flexls.estimator.BANK_MAX_P` regressors, a pass per
+    configuration, whose filter steps as its rows are read; up to it, one
+    bank, whose first configuration's rows are read as it steps while the
+    others' wait.  A configuration's outputs are the same, bit for bit,
+    either way, and alone or in a grid.
     """
-    grid = [estimator] if isinstance(estimator, EstimatorConfig) else list(estimator)
+    grid = list(grid)
     if not grid:
         raise ValueError("need at least one estimator configuration")
-    if isinstance(features, FeatureConfig):
-        features = compute_features(returns, features)
     n = len(returns)
-    if features.ready.shape != (n,) or len(features.values) != n:
+    if regressors.ready.shape != (n,) or len(regressors.values) != n:
         raise ValueError(f"regressors must have {n} rows, one per return row")
-    dim = features.values.shape[1]
+    dim = regressors.values.shape[1]
 
     # One row per return row and one column per configuration, so that a
-    # row's results land in one contiguous write.
-    D = len(grid)
-    spreads = np.empty((n, D))
+    # row's residuals land in one contiguous write.
+    spreads = np.empty((n, len(grid)))
     spreads[:] = returns.target[:, None]
-    innovations = np.full((n, D), np.nan)
-    forecast_vars = np.full((n, D), np.nan)
 
-    for lo, hi in filter_passes(dim, D):
-        blocks = _filter_pass(
-            returns, features, grid[lo:hi], spreads[:, lo:hi],
-            innovations[:, lo:hi], forecast_vars[:, lo:hi],
-        )
+    for lo, hi in filter_passes(dim, len(grid)):
+        blocks = _filter_pass(returns, regressors, grid[lo:hi], spreads[:, lo:hi])
         if write_coefficients is None:
             for _ in blocks:
                 pass
@@ -273,17 +235,7 @@ def estimate_spreads(
         for d, held in enumerate(waiting, lo + 1):
             write_coefficients(d, dim, iter(held))
             held.clear()
-
-    paths = [
-        SpreadPath(
-            spreads=spreads[:, d],
-            innovations=innovations[:, d],
-            forecast_vars=forecast_vars[:, d],
-            active=features.ready.copy(),
-        )
-        for d in range(D)
-    ]
-    return paths[0] if isinstance(estimator, EstimatorConfig) else paths
+    return spreads
 
 
 def _first_of_each(blocks, waiting):
@@ -295,35 +247,33 @@ def _first_of_each(blocks, waiting):
         yield block[0]
 
 
-def _filter_pass(returns, features, configs, spreads, innovations, forecast_vars):
+def _filter_pass(returns, regressors, configs, spreads):
     """Step the filters of ``configs`` over the return rows, writing each
-    row's residual and diagnostics into the ``(n, len(configs))`` columns
-    given.  Yields, for each block of rows, a list with each
-    configuration's ``(betas, e, Q)`` block."""
+    row's residuals into the ``(n, len(configs))`` columns given.  Yields,
+    for each block of rows, a list with each configuration's
+    ``(betas, e, Q)`` block."""
     bank = len(configs) > 1
     smoothing = [Smoothing(config.delta) for config in configs]
     scales = [config.prior_scale for config in configs]
-    dim = features.values.shape[1]
-    # A pass of one configuration runs one filter, whose outputs are
-    # scalars and 1-d rows: a bank of one would pay for its stacks on every
-    # row.
+    dim = regressors.values.shape[1]
+    # A pass of one configuration runs one filter, with scalar and 1-d
+    # outputs: a bank of one would pay for its stacks on every row.
     kf = KalmanEstimator.from_smoothing(
         dim,
         smoothing if bank else smoothing[0],
         prior_scale=scales if bank else scales[0],
     )
-    s, e, q = (
-        out if bank else out[:, 0] for out in (spreads, innovations, forecast_vars)
-    )
+    s = spreads if bank else spreads[:, 0]
     n = len(returns)
     step = block_rows(dim + 3)       # a coefficient file's t, betas, e and Q
     for start in range(0, n, step):
         stop = min(start + step, n)
         betas = np.full((len(configs), stop - start, dim), np.nan)
+        e, q = np.full((2, len(configs), stop - start), np.nan)
         for i in range(start, stop):
-            if not features.ready[i]:
+            if not regressors.ready[i]:
                 continue
-            f = features.values[i]
+            f = regressors.values[i]
             try:
                 diag = kf.update(f, returns.target[i])
             except RejectedStep as exc:
@@ -334,15 +284,12 @@ def _filter_pass(returns, features, configs, spreads, innovations, forecast_vars
                 raise DataError(
                     f"regression update on {returns.dates[i]} rejected{at}: {exc}"
                 ) from None
-            e[i] = diag.innovation
-            q[i] = diag.forecast_var
+            e[:, i - start] = diag.innovation
+            q[:, i - start] = diag.forecast_var
             betas[:, i - start] = kf.beta
             # Each filter's fit is its own dot product, as one filter's is.
             s[i] -= (kf.beta[:, None, :] @ f)[:, 0] if bank else kf.beta @ f
-        yield [
-            (betas[d], innovations[start:stop, d], forecast_vars[start:stop, d])
-            for d in range(len(configs))
-        ]
+        yield [(betas[d], e[d], q[d]) for d in range(len(configs))]
 
 
 @dataclass
@@ -377,13 +324,29 @@ class TradeLedger:
         return np.cumsum(self.pnl)
 
 
+def _trading_inputs(n: int, index_prices, warmup: int, rule: str):
+    """``index_prices`` as floats, once it and ``warmup`` and ``rule`` are
+    checked for ``n`` rows of residuals; raises ``ValueError`` otherwise."""
+    if rule not in RULES:
+        raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
+    index_prices = np.asarray(index_prices, dtype=float)
+    if index_prices.shape != (n + 1,):
+        raise ValueError(
+            f"index_prices must have length {n + 1} (one leading anchor price), "
+            f"got {len(index_prices)}"
+        )
+    if not (warmup >= 0):
+        raise ValueError("warmup must be >= 0")
+    return index_prices
+
+
 def simulate_trading(
     dates,
     spreads,
     index_prices,
     sizing: SizingConfig = SizingConfig(),
     warmup: int = 0,
-    rule: str = "mean-reversion",
+    rule: str = RULES[0],
     active=None,
 ) -> TradeLedger:
     """Fold residuals and prices into a trade ledger.
@@ -395,20 +358,11 @@ def simulate_trading(
     A price so low that the day's order no longer fits in an int64 contract
     count raises :class:`~flexls.ingest.DataError`.
     """
-    if rule not in RULES:
-        raise ValueError(f"rule must be one of {RULES}, got {rule!r}")
     spreads = np.asarray(spreads, dtype=float)
-    index_prices = np.asarray(index_prices, dtype=float)
     n = len(spreads)
     if len(dates) != n:
         raise ValueError(f"{len(dates)} dates for {n} spread rows")
-    if index_prices.shape != (n + 1,):
-        raise ValueError(
-            f"index_prices must have length {n + 1} (one leading anchor price), "
-            f"got {len(index_prices)}"
-        )
-    if not (warmup >= 0):
-        raise ValueError("warmup must be >= 0")
+    index_prices = _trading_inputs(n, index_prices, warmup, rule)
 
     signals = np.zeros(n, dtype=np.int64)
     positions = np.zeros(n)
@@ -457,42 +411,28 @@ def simulate_trading(
 def run_backtest(
     returns: ReturnMatrix,
     index_prices,
-    estimator: EstimatorConfig | Sequence[EstimatorConfig],
-    features: FeatureConfig | Regressors = FeatureConfig(),
+    grid: Sequence[EstimatorConfig],
+    regressors: Regressors,
     sizing: SizingConfig = SizingConfig(),
     warmup: int = 0,
-    rule: str = "mean-reversion",
+    rule: str = RULES[0],
     write_coefficients=None,
-):
-    """Estimate residuals, then trade them.  Returns (ledger, spread path),
-    or a list of such pairs, in grid order, for a grid of configurations.
+) -> list[TradeLedger]:
+    """Trade the residuals of :func:`estimate_spreads`, which is given
+    ``grid``, ``regressors`` and ``write_coefficients``: one ledger per
+    configuration, in grid order, flat on rows without regressors.
 
     ``index_prices`` must align with the return rows plus a leading anchor
-    price (length ``len(returns) + 1``).  ``estimator``, ``features`` and
-    ``write_coefficients`` are passed to :func:`estimate_spreads`: give a
-    grid and the :class:`Regressors` of one :func:`compute_features` pass
-    to run several deltas over one dataset in one call, which steps them
-    together when the regressors are narrow
-    (:func:`~flexls.estimator.filter_passes`).
+    price (length ``len(returns) + 1``).  It, ``warmup`` and ``rule`` are
+    checked before the filter takes a step.
     """
-    paths = estimate_spreads(returns, estimator, features, write_coefficients)
-    single = isinstance(paths, SpreadPath)
-    results = [
-        (
-            simulate_trading(
-                returns.dates,
-                path.spreads,
-                index_prices,
-                sizing=sizing,
-                warmup=warmup,
-                rule=rule,
-                active=path.active,
-            ),
-            path,
-        )
-        for path in ([paths] if single else paths)
+    index_prices = _trading_inputs(len(returns), index_prices, warmup, rule)
+    spreads = estimate_spreads(returns, grid, regressors, write_coefficients)
+    return [
+        simulate_trading(returns.dates, column, index_prices, sizing, warmup, rule,
+                         active=regressors.ready)
+        for column in spreads.T
     ]
-    return results[0] if single else results
 
 
 def write_ledger_csv(path, ledger: TradeLedger, dates=None) -> None:

@@ -33,16 +33,11 @@ from flexls.estimator import (
 from flexls.eigentrack import EigenTracker
 from flexls.ingest import ReturnMatrix, to_log_returns, write_csv
 from flexls.metrics import max_drawdown, sharpe, summarize
-from flexls.strategy import (
-    EstimatorConfig,
-    TradeLedger,
-    estimate_spreads,
-    run_backtest,
-    simulate_trading,
-)
+from flexls.strategy import EstimatorConfig, TradeLedger, simulate_trading
 from flexls.synth import Fig2Config, MarketConfig, gen_fig2, gen_market
 
 from .oracle import ols_fit, penalized_path_direct, path_cost
+from .test_strategy import backtest, spreads_of
 
 
 def warm_filter_kernel():
@@ -304,7 +299,7 @@ class TestLedgerIntegrity:
         d = 70
         for seed in range(100):
             returns, prices = make_market(seed, steps=130)
-            ledger, spread_path = run_backtest(returns, prices, cfg, warmup=40)
+            ledger = backtest(returns, prices, cfg, warmup=40)
 
             total = 0.0
             for i, value in enumerate(ledger.pnl):
@@ -324,14 +319,14 @@ class TestLedgerIntegrity:
             )
             scrambled_prices = prices.copy()
             scrambled_prices[d + 1 :] = scrambled_prices[d + 1 :][::-1]
-            other, _ = run_backtest(scrambled, scrambled_prices, cfg, warmup=40)
+            other = backtest(scrambled, scrambled_prices, cfg, warmup=40)
             np.testing.assert_array_equal(ledger.spread[:d], other.spread[:d])
             np.testing.assert_array_equal(ledger.position[:d], other.position[:d])
             np.testing.assert_array_equal(ledger.order[:d], other.order[:d])
             np.testing.assert_array_equal(ledger.pnl[:d], other.pnl[:d])
 
             mirrored = simulate_trading(
-                returns.dates, -spread_path.spreads, prices, warmup=40
+                returns.dates, -ledger.spread, prices, warmup=40
             )
             np.testing.assert_array_equal(mirrored.position, -ledger.position)
             np.testing.assert_array_equal(mirrored.pnl, -ledger.pnl)
@@ -347,10 +342,8 @@ class TestStrategySanity:
         wins = 0
         for seed in range(50):
             returns, prices = make_market(seed, spread_reversion=0.7)
-            fls_ledger, _ = run_backtest(returns, prices, cfg, warmup=warmup)
-            hold_ledger, _ = run_backtest(
-                returns, prices, cfg, warmup=warmup, rule="buy-hold"
-            )
+            fls_ledger = backtest(returns, prices, cfg, warmup=warmup)
+            hold_ledger = backtest(returns, prices, cfg, warmup=warmup, rule="buy-hold")
             fls_sharpe = summarize(fls_ledger, 1e8, warmup).sharpe
             hold_sharpe = summarize(hold_ledger, 1e8, warmup).sharpe
             assert fls_sharpe is not None and hold_sharpe is not None
@@ -362,8 +355,8 @@ class TestStrategySanity:
         """Criterion 7b: exact linear pricing leaves no residual to trade."""
         table, _ = gen_market(MarketConfig(seed=0, spread_vol=0.0, steps=1500))
         returns = to_log_returns(table)
-        spread_path = estimate_spreads(returns, EstimatorConfig(delta=0.98))
-        assert float(np.max(np.abs(spread_path.spreads[700:]))) <= 1e-8
+        spreads = spreads_of(returns, EstimatorConfig(delta=0.98))
+        assert float(np.max(np.abs(spreads[700:]))) <= 1e-8
 
 
 class TestMetricsFixtures:

@@ -6,6 +6,7 @@ nothing behind.
 """
 
 import importlib.util
+import inspect
 import math
 import os
 import re
@@ -36,6 +37,7 @@ from flexls import __version__
 from flexls.eigentrack import EigenTracker
 import flexls.estimator as estimator_module
 from flexls.estimator import (
+    DEFAULT_PRIOR_SCALE,
     KERNEL_BACKEND,
     KalmanEstimator,
     RejectedStep,
@@ -43,7 +45,14 @@ from flexls.estimator import (
     _kf_step,
     _kf_step_impl,
 )
-from flexls.ingest import write_csv
+from flexls.ingest import MAX_MISSING_FRAC, load_csv, write_csv
+from flexls.metrics import TRADING_DAYS_PER_YEAR, summarize
+from flexls.strategy import (
+    EstimatorConfig,
+    FeatureConfig,
+    SizingConfig,
+    simulate_trading,
+)
 from flexls.synth import Fig2Config, MarketConfig, gen_market
 from flexls.util import block_rows, fmt_g17
 
@@ -96,6 +105,35 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="frobnicate: unknown key"):
             build_job({"frobnicate": "1"}, Args(), need_grid=False)
 
+    def test_minimal_config_takes_the_library_defaults(self):
+        class Args:
+            delta = None
+            features = None
+            out_dir = None
+
+        raw = {"data": "p.csv", "target": "INDEX", "delta": "0.5", "warmup": "10"}
+        job = build_job(raw, Args(), need_grid=False)
+        assert job.sizing == SizingConfig()
+        assert job.features == FeatureConfig()
+        assert job.estimator == EstimatorConfig(delta=0.5)
+        assert job.estimator.prior_scale == DEFAULT_PRIOR_SCALE
+        default = {
+            name: param.default
+            for fn in (load_csv, simulate_trading, summarize)
+            for name, param in inspect.signature(fn).parameters.items()
+        }
+        assert job.rule == default["rule"]
+        assert job.max_missing == default["max_missing_frac"] == MAX_MISSING_FRAC
+        assert job.trading_days == default["trading_days_per_year"]
+        assert job.trading_days == TRADING_DAYS_PER_YEAR
+        assert job.effective_text() == (
+            "data = p.csv\ntarget = INDEX\ndelta = 0.5\nfeatures = raw\n"
+            "amnesia = 0.0\nprior_scale = 1000000.0\nmultiplier = 250.0\n"
+            "endowment = 100000000.0\ncost_per_contract = 0.0\n"
+            "rule = mean-reversion\nwarmup = 10\nmax_missing = 0.1\nout_dir = .\n"
+            "trading_days = 252\n"
+        )
+
 
 class TestReadme:
     def test_config_table_lists_exactly_the_accepted_keys(self):
@@ -113,13 +151,16 @@ class TestReadme:
 
 class TestVersion:
     def test_prints_version_and_kernel(self, capsys):
+        # Narrow filters take the backend's kernel; from _BLAS_MIN_P every
+        # filter takes the one-triangle BLAS step.
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == EXIT_OK
         expected = "python" if _kf_step is _kf_step_impl else "numba"
         assert KERNEL_BACKEND == expected
+        assert estimator_module._BLAS_MIN_P == 16
         assert capsys.readouterr().out == (
-            f"flexls {__version__} (kernel: {expected})\n"
+            f"flexls {__version__} (kernel: {expected} below p=16, BLAS from p=16)\n"
         )
 
 
@@ -912,7 +953,7 @@ class TestSweepCommand:
         deltas = list(np.roll(SPECIAL_FLOATS, 1)) + [0.5]
         sharpes = SPECIAL_FLOATS + [None]
         monkeypatch.setattr(cli_module, "_run_grid", lambda job: (
-            (d, None, None, SimpleNamespace(sharpe=s)) for d, s in zip(deltas, sharpes)
+            (d, None, SimpleNamespace(sharpe=s)) for d, s in zip(deltas, sharpes)
         ))
         out = tmp_path / "sweep"
         body = (

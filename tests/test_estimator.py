@@ -787,15 +787,16 @@ class TestKernelChoice:
         grid = [EstimatorConfig(delta) for delta in (0.5, 0.98)]
 
         def outputs():
-            paths, betas = with_coefficients(returns, grid)
+            spreads, paths = with_coefficients(returns, grid)
             smoothed = fls_smooth_batch(
                 returns.features, returns.target, Smoothing(0.9)
             )
             columns = [
                 column
-                for path in paths
-                for column in (path.spreads, path.innovations, path.forecast_vars)
+                for d, (_, e, Q) in enumerate(paths)
+                for column in (spreads[:, d], e, Q)
             ]
+            betas = [b for b, _, _ in paths]
             return [a.tobytes() for a in [*columns, *betas, smoothed]]
 
         expected = outputs()

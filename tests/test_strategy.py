@@ -46,19 +46,34 @@ def make_market(seed=0, **kwargs):
     return to_log_returns(table), index_prices
 
 
-def with_coefficients(returns, estimator, features=FeatureConfig()):
-    """estimate_spreads, and each configuration's coefficient rows as one
-    array, gathered from the blocks it hands on."""
+def with_coefficients(returns, grid, regressors=None):
+    """estimate_spreads over ``regressors`` (by default the raw returns),
+    and each configuration's coefficient rows, innovations and forecast
+    variances, each gathered whole from the ``(betas, e, Q)`` blocks the
+    writer is handed."""
+    if regressors is None:
+        regressors = compute_features(returns)
     blocks = {}
 
     def keep(d, p, rows):
-        blocks[d] = [b for b, _, _ in rows]
+        blocks[d] = list(rows)
 
-    paths = estimate_spreads(returns, estimator, features, keep)
-    betas = [np.concatenate(blocks[d]) for d in sorted(blocks)]
-    if isinstance(estimator, EstimatorConfig):
-        return paths, betas[0]
-    return paths, betas
+    spreads = estimate_spreads(returns, grid, regressors, keep)
+    paths = [[np.concatenate(c) for c in zip(*blocks[d])] for d in sorted(blocks)]
+    return spreads, paths
+
+
+def spreads_of(returns, config, features=FeatureConfig()):
+    """The residual column of ``config`` run as a grid of one."""
+    regressors = compute_features(returns, features)
+    return estimate_spreads(returns, [config], regressors)[:, 0]
+
+
+def backtest(returns, prices, config, features=FeatureConfig(), **kwargs):
+    """The ledger of ``config`` run as a grid of one."""
+    regressors = compute_features(returns, features)
+    (ledger,) = run_backtest(returns, prices, [config], regressors, **kwargs)
+    return ledger
 
 
 class TestPureFunctions:
@@ -139,52 +154,62 @@ class TestPureFunctions:
 class TestEstimateSpreads:
     def test_raw_mode_runs_every_row(self):
         returns, _ = make_market(seed=1, steps=120)
-        path, betas = with_coefficients(returns, EstimatorConfig(delta=0.5))
-        assert len(path) == len(returns)
-        assert path.active.all()
-        assert np.all(np.isfinite(path.spreads))
+        regressors = compute_features(returns)
+        spreads, [(betas, _, _)] = with_coefficients(
+            returns, [EstimatorConfig(delta=0.5)], regressors
+        )
+        assert spreads.shape == (len(returns), 1)
+        assert regressors.ready.all()
+        assert np.all(np.isfinite(spreads))
         assert betas.shape == (len(returns), returns.features.shape[1])
 
     def test_spread_uses_coefficients_after_the_update(self):
         returns, _ = make_market(seed=2, steps=80)
-        path, betas = with_coefficients(returns, EstimatorConfig(delta=0.5))
+        spreads, [(betas, _, _)] = with_coefficients(
+            returns, [EstimatorConfig(delta=0.5)]
+        )
         i = 40
         expected = returns.target[i] - float(returns.features[i] @ betas[i])
-        assert path.spreads[i] == pytest.approx(expected, abs=1e-15)
+        assert spreads[i, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_kalman_engine_records_diagnostics(self):
         returns, _ = make_market(seed=3, steps=60)
-        path = estimate_spreads(returns, EstimatorConfig(delta=0.5))
-        assert np.all(np.isfinite(path.innovations))
-        assert np.all(path.forecast_vars > 0.0)
+        _, [(_, innovations, forecast_vars)] = with_coefficients(
+            returns, [EstimatorConfig(delta=0.5)]
+        )
+        assert np.all(np.isfinite(innovations))
+        assert np.all(forecast_vars > 0.0)
 
     def test_svd_mode_warms_up_then_projects(self):
         returns, _ = make_market(seed=5, steps=100)
-        path, betas = with_coefficients(
-            returns,
-            EstimatorConfig(delta=0.5),
-            FeatureConfig(mode="svd", k=3),
+        regressors = compute_features(returns, FeatureConfig(mode="svd", k=3))
+        spreads, [(betas, _, _)] = with_coefficients(
+            returns, [EstimatorConfig(delta=0.5)], regressors
         )
-        assert not path.active[: 2].any()      # components seed one per row
-        assert path.active[2:].all()
+        assert not regressors.ready[: 2].any()      # components seed one per row
+        assert regressors.ready[2:].all()
         assert betas.shape == (len(returns), 3)
         assert np.isnan(betas[:2]).all() and np.isfinite(betas[2:]).all()
         # warm-up rows fall back to the raw target return
-        np.testing.assert_array_equal(path.spreads[:2], returns.target[:2])
+        np.testing.assert_array_equal(spreads[:2, 0], returns.target[:2])
 
     @pytest.mark.parametrize(
         "features", [FeatureConfig(), FeatureConfig(mode="svd", k=3)]
     )
     def test_precomputed_regressors_give_the_same_path(self, features):
+        # One feature pass serves every delta: reusing it gives what a
+        # fresh pass per delta gives.
         returns, _ = make_market(seed=7, steps=90)
         regressors = compute_features(returns, features)
         for delta in (0.2, 0.9):
-            config = EstimatorConfig(delta=delta)
-            once, once_betas = with_coefficients(returns, config, regressors)
-            fresh, fresh_betas = with_coefficients(returns, config, features)
-            np.testing.assert_array_equal(once_betas, fresh_betas)
-            for name in ("spreads", "innovations", "forecast_vars", "active"):
-                np.testing.assert_array_equal(getattr(once, name), getattr(fresh, name))
+            config = [EstimatorConfig(delta=delta)]
+            fresh_regressors = compute_features(returns, features)
+            once, [once_path] = with_coefficients(returns, config, regressors)
+            fresh, [fresh_path] = with_coefficients(returns, config, fresh_regressors)
+            np.testing.assert_array_equal(once, fresh)
+            for a, b in zip(once_path, fresh_path):     # betas, e and Q
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(regressors.ready, fresh_regressors.ready)
 
     def test_raw_regressors_are_the_return_matrix(self):
         returns, _ = make_market(seed=8, steps=40)
@@ -197,7 +222,7 @@ class TestEstimateSpreads:
         shorter, _ = make_market(seed=9, steps=30)
         with pytest.raises(ValueError, match="one per return row"):
             estimate_spreads(
-                returns, EstimatorConfig(delta=0.5), compute_features(shorter)
+                returns, [EstimatorConfig(delta=0.5)], compute_features(shorter)
             )
 
     @pytest.mark.parametrize("delta", [0.2, 0.9, 0.98])
@@ -212,9 +237,9 @@ class TestEstimateSpreads:
         returns, _ = make_market(seed=12, steps=501)
         p = returns.features.shape[1]
         mu = Smoothing(delta).mu
-        path, path_betas = with_coefficients(
+        _, [(path_betas, _, path_forecast_vars)] = with_coefficients(
             returns,
-            EstimatorConfig(delta=1.0 / (1.0 + mu * c), prior_scale=1e6 / c),
+            [EstimatorConfig(delta=1.0 / (1.0 + mu * c), prior_scale=1e6 / c)],
         )
         scaled = KalmanEstimator(p, vomega=1.0 / mu, prior_scale=1e6)
         scale = 1.0 / np.sqrt(c)
@@ -228,16 +253,12 @@ class TestEstimateSpreads:
         assert len(returns) == 500 and p == 8
         row_error = np.abs(path_betas - betas).max(axis=1)
         assert (row_error / np.abs(betas).max(axis=1)).max() <= 1e-9
-        np.testing.assert_allclose(forecast_vars, path.forecast_vars, rtol=1e-9)
+        np.testing.assert_allclose(forecast_vars, path_forecast_vars, rtol=1e-9)
 
     def test_svd_mode_rejects_too_many_components(self):
         returns, _ = make_market(seed=6, steps=60, n_streams=2)
         with pytest.raises(ValueError, match="factor scores from 2 streams"):
-            estimate_spreads(
-                returns,
-                EstimatorConfig(delta=0.5),
-                FeatureConfig(mode="svd", k=3),
-            )
+            compute_features(returns, FeatureConfig(mode="svd", k=3))
 
 
 class TestGrid:
@@ -266,15 +287,13 @@ class TestGrid:
         def write_coefficients(d, p, rows):
             write_coefficient_csv(tmp_path / f"coefficients_{d}.csv", p, rows)
 
-        def files(estimator):
-            results = run_backtest(
-                returns, prices, estimator, regressors, warmup=20,
+        def files(grid):
+            ledgers = run_backtest(
+                returns, prices, grid, regressors, warmup=20,
                 write_coefficients=write_coefficients,
             )
-            if isinstance(estimator, EstimatorConfig):
-                estimator, results = [estimator], [results]
             written = {}
-            for d, (config, (ledger, _)) in enumerate(zip(estimator, results)):
+            for d, (config, ledger) in enumerate(zip(grid, ledgers)):
                 write_ledger_csv(tmp_path / "ledger.csv", ledger)
                 written[config.delta] = [
                     (tmp_path / name).read_bytes()
@@ -285,7 +304,7 @@ class TestGrid:
         grid = files([EstimatorConfig(d) for d in self.GRID])
         reordered = files([EstimatorConfig(d) for d in (0.9, 0.2, 0.98, 0.5)])
         for delta in self.GRID:
-            alone = files(EstimatorConfig(delta))[delta]
+            alone = files([EstimatorConfig(delta)])[delta]
             assert grid[delta] == alone
             assert reordered[delta] == alone
 
@@ -317,41 +336,49 @@ class TestGrid:
         else:                   # one filter per pass
             assert calls == [(p, p)] * (4 * ready)
 
-    def test_wide_passes_hold_one_covariance_at_a_time(self):
-        returns, _ = make_market(seed=24, steps=60, n_streams=200)
+    @pytest.mark.parametrize(
+        "steps, reads", [(60, False), (600, True)], ids=["no-writer", "writer"]
+    )
+    def test_wide_passes_hold_one_covariance_at_a_time(self, steps, reads):
+        # With a writer, 600 rows make one delta's coefficient path (0.96 MB)
+        # three times its covariance: a pass that kept its rows for the
+        # writer, rather than handing each block on, would break the bound.
+        returns, _ = make_market(seed=24, steps=steps, n_streams=200)
         regressors = compute_features(returns)
         grid = [EstimatorConfig(d) for d in (0.5, 0.9)]
-        estimate_spreads(returns, grid, regressors)     # loads scipy's BLAS
+
+        def read_and_drop(d, p, rows):
+            for _ in rows:
+                pass
+
+        write = read_and_drop if reads else None
+        estimate_spreads(returns, grid, regressors, write)  # loads scipy's BLAS
         tracemalloc.start()
         try:
-            paths = estimate_spreads(returns, grid, regressors)
+            spreads = estimate_spreads(returns, grid, regressors, write)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(
-            a.nbytes
-            for path in paths
-            for a in (path.spreads, path.innovations, path.forecast_vars, path.active)
-        )
         covariance = 200 * 200 * 8
-        assert peak - kept < 1.5 * covariance
+        assert peak - spreads.nbytes < 1.5 * covariance
 
     def test_a_step_one_delta_rejects_fails_on_its_date(self):
         # A prior this wide drives delta 0.9's forecast variance below zero
         # within the first rows; the narrow priors never do.
         returns, _ = make_market(seed=0, steps=300)
+        regressors = compute_features(returns)
         wide = EstimatorConfig(delta=0.9, prior_scale=1e20)
         with pytest.raises(DataError) as alone:
-            estimate_spreads(returns, wide)
+            estimate_spreads(returns, [wide], regressors)
         day = re.search(r"on (\S+) rejected", str(alone.value)).group(1)
         narrow = [EstimatorConfig(delta=0.2), EstimatorConfig(delta=0.5)]
-        estimate_spreads(returns, narrow)
+        estimate_spreads(returns, narrow, regressors)
         with pytest.raises(
             DataError,
             match=f"regression update on {day} rejected at delta 0.9: "
             "forecast variance must stay positive",
         ):
-            estimate_spreads(returns, narrow + [wide])
+            estimate_spreads(returns, narrow + [wide], regressors)
 
     def test_a_rejecting_delta_is_named_on_every_path(self):
         # One pass per delta past BANK_MAX_P, one bank up to it: the
@@ -364,7 +391,7 @@ class TestGrid:
                 EstimatorConfig(delta=0.5),
             ]
             with pytest.raises(DataError, match="rejected at delta 0.9: "):
-                estimate_spreads(returns, grid)
+                estimate_spreads(returns, grid, compute_features(returns))
 
     @pytest.mark.parametrize("n_streams", [BANK_MAX_P, BANK_MAX_P + 1])
     def test_rows_a_writer_leaves_unread_are_still_stepped(self, n_streams):
@@ -372,25 +399,26 @@ class TestGrid:
         # reads each delta's first block only.
         steps = 2 * BLOCK_CELLS // 10      # more than two writer blocks
         returns, _ = make_market(seed=25, steps=steps, n_streams=n_streams)
+        regressors = compute_features(returns)
         grid = [EstimatorConfig(d) for d in self.GRID]
-        unwritten = estimate_spreads(returns, grid)
+        unwritten = estimate_spreads(returns, grid, regressors)
         first_blocks = {}
 
         def read_one(d, p, rows):
             first_blocks[d] = next(rows)[0].copy()
 
-        paths = estimate_spreads(returns, grid, write_coefficients=read_one)
-        _, betas = with_coefficients(returns, grid)
-        for d, (path, plain) in enumerate(zip(paths, unwritten)):
-            np.testing.assert_array_equal(path.spreads, plain.spreads)
+        spreads = estimate_spreads(returns, grid, regressors, read_one)
+        _, paths = with_coefficients(returns, grid, regressors)
+        for d, (betas, _, _) in enumerate(paths):
+            np.testing.assert_array_equal(spreads[:, d], unwritten[:, d])
             first = first_blocks[d]
             assert len(first) < len(returns)
-            np.testing.assert_array_equal(first, betas[d][: len(first)])
+            np.testing.assert_array_equal(first, betas[: len(first)])
 
     def test_an_empty_grid_is_rejected(self):
         returns, _ = make_market(seed=23, steps=30)
         with pytest.raises(ValueError, match="at least one estimator"):
-            estimate_spreads(returns, [])
+            estimate_spreads(returns, [], compute_features(returns))
 
 
 class TestSimulateTrading:
@@ -420,9 +448,7 @@ class TestSimulateTrading:
 
     def test_cumulative_pnl_is_running_sum(self):
         returns, prices = make_market(seed=7, steps=200)
-        ledger, _ = run_backtest(
-            returns, prices, EstimatorConfig(delta=0.5), warmup=20
-        )
+        ledger = backtest(returns, prices, EstimatorConfig(delta=0.5), warmup=20)
         acc = 0.0
         for i, v in enumerate(ledger.pnl):
             acc += v
@@ -430,17 +456,15 @@ class TestSimulateTrading:
 
     def test_book_tracks_suggestion_within_half_contract(self):
         returns, prices = make_market(seed=8, steps=300)
-        ledger, _ = run_backtest(
-            returns, prices, EstimatorConfig(delta=0.5), warmup=10
-        )
+        ledger = backtest(returns, prices, EstimatorConfig(delta=0.5), warmup=10)
         book = np.cumsum(ledger.order)
         assert np.max(np.abs(book - ledger.position)) <= 0.5 + 1e-9
 
     def test_sign_antisymmetry(self):
         returns, prices = make_market(seed=9, steps=250)
-        path = estimate_spreads(returns, EstimatorConfig(delta=0.5))
-        base = simulate_trading(returns.dates, path.spreads, prices, warmup=5)
-        flipped = simulate_trading(returns.dates, -path.spreads, prices, warmup=5)
+        spreads = spreads_of(returns, EstimatorConfig(delta=0.5))
+        base = simulate_trading(returns.dates, spreads, prices, warmup=5)
+        flipped = simulate_trading(returns.dates, -spreads, prices, warmup=5)
         np.testing.assert_array_equal(flipped.position, -base.position)
         np.testing.assert_array_equal(flipped.pnl, -base.pnl)
         assert np.max(np.abs(flipped.order + base.order)) <= 1
@@ -448,11 +472,11 @@ class TestSimulateTrading:
     def test_no_lookahead(self):
         """Scrambling every row after day d leaves rows up to d unchanged."""
         returns, prices = make_market(seed=10, steps=150)
-        path = estimate_spreads(returns, EstimatorConfig(delta=0.5))
+        spreads = spreads_of(returns, EstimatorConfig(delta=0.5))
         d = 70
-        full = simulate_trading(returns.dates, path.spreads, prices, warmup=5)
+        full = simulate_trading(returns.dates, spreads, prices, warmup=5)
         rng = np.random.default_rng(0)
-        scrambled_spreads = path.spreads.copy()
+        scrambled_spreads = spreads.copy()
         scrambled_spreads[d:] = rng.permutation(scrambled_spreads[d:])
         scrambled_prices = prices.copy()
         scrambled_prices[d + 1 :] = scrambled_prices[d + 1 :][::-1]
@@ -465,8 +489,8 @@ class TestSimulateTrading:
 
     def test_warmup_rows_stay_flat(self):
         returns, prices = make_market(seed=11, steps=100)
-        path = estimate_spreads(returns, EstimatorConfig(delta=0.5))
-        ledger = simulate_trading(returns.dates, path.spreads, prices, warmup=30)
+        spreads = spreads_of(returns, EstimatorConfig(delta=0.5))
+        ledger = simulate_trading(returns.dates, spreads, prices, warmup=30)
         np.testing.assert_array_equal(ledger.signal[:30], 0)
         np.testing.assert_array_equal(ledger.position[:30], 0.0)
         np.testing.assert_array_equal(ledger.pnl[:30], 0.0)
@@ -486,10 +510,10 @@ class TestSimulateTrading:
 
     def test_per_contract_cost_charged_on_orders(self):
         returns, prices = make_market(seed=13, steps=100)
-        path = estimate_spreads(returns, EstimatorConfig(delta=0.5))
-        free = simulate_trading(returns.dates, path.spreads, prices)
+        spreads = spreads_of(returns, EstimatorConfig(delta=0.5))
+        free = simulate_trading(returns.dates, spreads, prices)
         sizing = SizingConfig(cost_per_contract=2.0)
-        costly = simulate_trading(returns.dates, path.spreads, prices, sizing=sizing)
+        costly = simulate_trading(returns.dates, spreads, prices, sizing=sizing)
         expected = free.pnl - 2.0 * np.abs(costly.order)
         np.testing.assert_allclose(costly.pnl, expected, atol=1e-9)
 
@@ -535,16 +559,60 @@ class TestSimulateTrading:
 class TestRunBacktest:
     def test_returns_aligned_ledger_and_path(self):
         returns, prices = make_market(seed=14, steps=150)
-        ledger, path = run_backtest(
-            returns, prices, EstimatorConfig(delta=0.5), warmup=20
-        )
-        assert len(ledger) == len(returns) == len(path)
-        assert ledger.dates == returns.dates
+        grid = [EstimatorConfig(delta=0.5), EstimatorConfig(delta=0.9)]
+        regressors = compute_features(returns)
+        ledgers = run_backtest(returns, prices, grid, regressors, warmup=20)
+        spreads = estimate_spreads(returns, grid, regressors)
+        assert len(ledgers) == len(grid)
+        for ledger, column in zip(ledgers, spreads.T):
+            assert len(ledger) == len(returns) == len(column)
+            assert ledger.dates == returns.dates
+            np.testing.assert_array_equal(ledger.spread, column)
+
+    def test_rows_without_regressors_trade_flat(self):
+        returns, prices = make_market(seed=14, steps=150)
+        features = FeatureConfig(mode="svd", k=3)
+        ledger = backtest(returns, prices, EstimatorConfig(delta=0.5), features)
+        np.testing.assert_array_equal(ledger.signal[:2], 0)
+        assert np.any(ledger.signal[2:] != 0)
 
     def test_misaligned_prices_rejected(self):
         returns, prices = make_market(seed=15, steps=100)
         with pytest.raises(ValueError):
-            run_backtest(returns, prices[:-5], EstimatorConfig(delta=0.5))
+            backtest(returns, prices[:-5], EstimatorConfig(delta=0.5))
+
+    @pytest.mark.parametrize(
+        "trim, bad, match",
+        [
+            (5, {}, "one leading anchor price"),
+            (0, {"rule": "martingale"}, "rule must be one of"),
+            (0, {"warmup": -1}, "warmup must be >= 0"),
+        ],
+        ids=["prices", "rule", "warmup"],
+    )
+    def test_bad_trading_inputs_fail_before_the_filter_steps(
+        self, monkeypatch, trim, bad, match
+    ):
+        returns, prices = make_market(seed=15, steps=100)
+        calls = []
+        update = KalmanEstimator.update
+
+        def counted(self, x, y):
+            calls.append("update")
+            return update(self, x, y)
+
+        def write_coefficients(d, p, rows):
+            calls.append("write")
+
+        monkeypatch.setattr(KalmanEstimator, "update", counted)
+        with pytest.raises(ValueError, match=match):
+            run_backtest(
+                returns, prices[: len(prices) - trim],
+                [EstimatorConfig(delta=0.5), EstimatorConfig(delta=0.9)],
+                compute_features(returns),
+                write_coefficients=write_coefficients, **bad,
+            )
+        assert calls == []
 
     def test_prices_read_after_the_returns_are_rejected(self):
         # to_log_returns spends the table: a late read gets no rows, never
@@ -552,15 +620,13 @@ class TestRunBacktest:
         table, _ = gen_market(MarketConfig(seed=15, steps=100))
         returns = to_log_returns(table)
         with pytest.raises(ValueError, match=r"must have length 100 .*, got 0$"):
-            run_backtest(returns, table.prices[:, 0], EstimatorConfig(delta=0.5))
+            backtest(returns, table.prices[:, 0], EstimatorConfig(delta=0.5))
 
 
 class TestLedgerCsv:
     def test_round_trip(self, tmp_path):
         returns, prices = make_market(seed=16, steps=60)
-        ledger, _ = run_backtest(
-            returns, prices, EstimatorConfig(delta=0.5), warmup=5
-        )
+        ledger = backtest(returns, prices, EstimatorConfig(delta=0.5), warmup=5)
         out = tmp_path / "ledger.csv"
         write_ledger_csv(out, ledger)
         lines = out.read_text().splitlines()
@@ -579,9 +645,7 @@ class TestLedgerCsv:
 
     def test_dates_spelled_once_give_the_same_bytes(self, tmp_path):
         returns, prices = make_market(seed=16, steps=60)
-        ledger, _ = run_backtest(
-            returns, prices, EstimatorConfig(delta=0.5), warmup=5
-        )
+        ledger = backtest(returns, prices, EstimatorConfig(delta=0.5), warmup=5)
         alone, shared = tmp_path / "alone.csv", tmp_path / "shared.csv"
         write_ledger_csv(alone, ledger)
         write_ledger_csv(shared, ledger, iso_dates(returns.dates))
