@@ -15,9 +15,11 @@ into the output directory only when the whole run has succeeded; a failing
 run removes the staging directory, so it leaves no partial outputs and
 changes no file already there.  Given equal inputs, outputs are
 byte-identical across reruns.  ``flexls --version`` also names the filter
-step each width takes: below ``p = 16`` the narrow kernel, ``numba``
-(JIT-compiled) or ``python`` (interpreted), and from ``p = 16`` BLAS's
-one-triangle step on every backend.
+steps each width takes.  A single row (``KalmanEstimator.update``) steps
+below ``p = 16`` with the narrow kernel, ``numba`` (JIT-compiled) or
+``python`` (interpreted), and from ``p = 16`` with BLAS's one-triangle
+step on every backend.  The backtest's engine steps most rows a block at
+a time, with numpy below ``p = 16`` and BLAS from it, on every backend.
 """
 
 from __future__ import annotations
@@ -413,8 +415,8 @@ def _run_grid(job: BacktestJob, out: Path | None = None):
 
     Shared by ``backtest`` and ``sweep-sharpe``.  The data and the feature
     pass do not depend on delta, so both run once, and one
-    :func:`run_backtest` call runs the whole grid over those regressors
-    (a bank of filters when they are narrow).  Factor-score regressors
+    :func:`run_backtest` call runs the whole grid over those regressors,
+    a pass per delta.  Factor-score regressors
     leave the raw returns dead after the feature pass, so only a copy of
     the target is kept and the price table's array is freed before the
     filter runs; raw regressors are that array.  With ``out``, each
@@ -576,18 +578,21 @@ def _cmd_sim_fig2(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # The raw formatter prints the version line unwrapped at any width.
     parser = argparse.ArgumentParser(
         prog="flexls",
         description="Streaming time-varying regression backtests",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "--version",
         action="version",
         version=(
             f"flexls {__version__} (kernel: {KERNEL_BACKEND} below p={_BLAS_MIN_P}, "
+            f"BLAS from p={_BLAS_MIN_P}; block step: numpy below p={_BLAS_MIN_P}, "
             f"BLAS from p={_BLAS_MIN_P})"
         ),
-        help="print the version and the filter step of each width",
+        help="print the version and the filter steps of each width",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -77,6 +77,7 @@ class EigenTracker:
             raise ValueError("sample contains non-finite values")
         self._basis = None
         u = r.copy()
+        product = np.empty(self.p)
         # Deflation leaves rounding dust (~eps * sample norm) even when a
         # sample is fully explained; anything below this floor carries no
         # usable direction and must not seed a component.
@@ -108,8 +109,12 @@ class EigenTracker:
             ell = self.amnesia if n_j > 1.0 + self.amnesia else 0.0
             w_old = (n_j - 1.0 - ell) / n_j
             w_new = (1.0 + ell) / n_j
-            hj = w_old * self.h[j] + w_new * float(u @ g) * u
-            self.h[j] = hj
+            # h_j <- w_old h_j + (w_new u.g) u, and below u <- u - (u.g) g,
+            # each written in place with the products rounded as written.
+            hj = self.h[j]
+            hj *= w_old
+            np.multiply(u, w_new * float(u @ g), out=product)
+            hj += product
             self.counts[j] = n_j
             # Deflate against the freshly updated direction before the
             # residual feeds the next component.
@@ -117,9 +122,12 @@ class EigenTracker:
             self._norms[j] = norm_h
             if norm_h == 0.0:
                 break
-            g = hj / norm_h
-            self._units[j] = g
-            u = u - float(u @ g) * g
+            if self._units[j] is None:
+                self._units[j] = np.empty(self.p)
+            g = self._units[j]
+            np.divide(hj, norm_h, out=g)
+            np.multiply(g, float(u @ g), out=product)
+            u -= product
             defect = max(defect, abs(float(u @ g)))
         return defect
 

@@ -18,22 +18,30 @@ hindsight in O(p) per step.  The smoothed path is the global minimizer of
 the full objective; the penalized recursion and a dense solve are only the
 references it is checked against.
 
-The filter step is chosen by width alone, once per filter
-(:func:`_step_for_width`).  From ``_BLAS_MIN_P`` coefficients it is
-:func:`_kf_step_impl` on every backend, which keeps the covariance as one
-triangle: BLAS's symmetric level-2 routines (Dongarra et al. 1988, ACM
-TOMS 14) read it with ``dsymv`` and downdate it with ``dsyr``, and never
-touch the other triangle, so the state is symmetric by construction.  A
-narrower filter steps with ``_kf_step``: numba's compiled loops when numba
-imports, else :func:`_kf_step_impl`, whose narrow step multiplies the
-whole matrix.  A bank, always narrow, steps with ``_kf_bank``.  So a wide
-filter's outputs are the same with numba or without it.
+``KalmanEstimator.update`` steps one row.  Its step is chosen by width
+alone, once per filter (:func:`_step_for_width`).  From ``_BLAS_MIN_P``
+coefficients it is :func:`_kf_step_impl` on every backend, which keeps
+the covariance as one triangle: BLAS's symmetric level-2 routines
+(Dongarra et al. 1988, ACM TOMS 14) read it with ``dsymv`` and downdate it
+with ``dsyr``, and never touch the other triangle, so the state is
+symmetric by construction.  A narrower filter steps with ``_kf_step``:
+numba's compiled loops when numba imports, else :func:`_kf_step_impl`,
+whose narrow step multiplies the whole matrix.  So a wide filter's
+outputs are the same with numba or without it.
+
+``KalmanEstimator.update_block`` steps a block of rows at once
+(:func:`_kf_block_impl`): the rows' innovations are the Cholesky factor
+of their joint forecast covariance (Kailath 1968, IEEE TAC 13), so the
+block costs a few level-3 BLAS calls on the same triangle from
+``_BLAS_MIN_P``, and numpy calls below it, on every backend.  The
+backtest steps its rows that way once the prior no longer dominates
+(:data:`BLOCK_MAX_Q`); numba serves ``update`` and the smoother.
 
 Importing this module loads numpy alone.  scipy, which takes about twice
 as long as numpy to import, is loaded the first time a step needs it: by
-the first filter step at ``p >= _BLAS_MIN_P``, by ``fls_smooth_batch``
-and by ``FlsEstimator``.  A run that only filters at ``p < _BLAS_MIN_P``
-never loads it.
+the first filter step (of a row or of a block) at ``p >= _BLAS_MIN_P``,
+by ``fls_smooth_batch`` and by ``FlsEstimator``.  A run that only filters
+at ``p < _BLAS_MIN_P`` never loads it.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -61,39 +69,24 @@ _ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
 # have not been timed against the one-triangle step at any width.
 _BLAS_MIN_P = 16
 
-# Widest filter a bank holds (a KalmanEstimator built with a sequence of
-# vomega values).  A bank saves numpy's per-call overhead, most of a narrow
-# step: one row of a bank cost 17-22 us at p=3-15, against 21-28 us for
-# two filters run one per pass and 42-46 us for four (interpreted, best of
-# 5).  The limit covers the factor-score regressions of svd mode, a few
-# factors wide.  Raw-return regressions, whose width is the market's, take
-# one pass per filter from 9 streams on, so that a 12-stream market traces
-# like the 432-stream benchmark (perfbench/selftest.py counts its updates).
-BANK_MAX_P = 8
-
-
-def filter_passes(p: int, n: int) -> list[tuple[int, int]]:
-    """How ``n`` filters of ``p`` coefficients fed the same rows are run:
-    the ``(lo, hi)`` index ranges of the passes over the rows.
-
-    Up to :data:`BANK_MAX_P` coefficients, one pass steps them all as one
-    bank; wider, each filter gets a pass of its own.  From ``_BLAS_MIN_P``
-    that is also the faster order: two covariances that wide overflow a
-    core's L2 cache when stepped in turn.  A filter's path is the same, bit
-    for bit, either way.
-    """
-    if p <= BANK_MAX_P:
-        return [(0, n)]
-    return [(d, d + 1) for d in range(n)]
+# Last forecast variance above which rows are stepped one at a time rather
+# than as a block.  While the prior dominates, the block's forecast
+# covariance holds entries this large against its unit observation noise.
+# Blocks from the first row on were up to 1.9e-7 of the largest
+# coefficient from the row filter (p = 64, regressors scaled by 1e3, delta
+# 1e-6); with this limit the gap was at most 1.9e-12 over p in {1, 3, 8,
+# 15, 16, 17, 64}, regressor scales 1e-3 to 1e3 and delta 1e-6 to 0.9999
+# (TestBlockStep.test_engine_matches_row_steps).
+BLOCK_MAX_Q = 1e4
 
 
 @functools.cache
-def _blas():
-    """``(dsymv, dsyr, dger)``: scipy's BLAS routines, imported on the
+def _scipy_linalg():
+    """``(blas, lapack)``: scipy's BLAS and LAPACK wrappers, imported on the
     first call."""
-    from scipy.linalg.blas import dger, dsymv, dsyr
+    from scipy.linalg import blas, lapack
 
-    return dsymv, dsyr, dger
+    return blas, lapack
 
 
 def _status(e, q, beta_new) -> int:
@@ -131,8 +124,8 @@ def _kf_step_impl(P, beta, x, y, vomega):
     """
     wide = P.shape[0] >= _BLAS_MIN_P
     if wide:
-        dsymv, dsyr, _ = _blas()
-        Rx = dsymv(1.0, P.T, x, lower=0) + vomega * x
+        blas = _scipy_linalg()[0]
+        Rx = blas.dsymv(1.0, P.T, x, lower=0) + vomega * x
     else:
         Rx = np.dot(P, x) + vomega * x
     q = np.dot(x, Rx) + 1.0
@@ -149,49 +142,86 @@ def _kf_step_impl(P, beta, x, y, vomega):
     P.ravel()[:: P.shape[0] + 1] += vomega
     g = Rx / math.sqrt(q)
     if wide:
-        dsyr(-1.0, g, a=P.T, lower=0, overwrite_a=1)
+        blas.dsyr(-1.0, g, a=P.T, lower=0, overwrite_a=1)
     else:
         P -= g[:, None] * g
     return _ACCEPTED, beta_new, e, q, K
 
 
 @np.errstate(all="ignore")
-def _kf_bank_step(P, beta, x, y, vomega):
-    """One update of a bank of filters, interpreted: each array of
-    :func:`_kf_step_impl` gains a leading axis, one entry per filter.
+def _kf_block_impl(P, beta, X, Y, vomega, betas):
+    """The updates of the ``B`` rows of ``X`` and ``Y`` as one step, each
+    row's ``beta'``, ``e`` and ``q`` those of :func:`_kf_step_impl` on the
+    rows in turn, up to rounding.
 
-    ``P`` is (D, p, p), ``beta`` (D, p) and ``vomega`` (D,); ``x`` and
-    ``y`` are shared.  Returns ``(status, beta', e, q, K)`` with
-    ``status`` a list of one code per filter.  If any filter rejects the
-    step, none of them is written.
+    Given ``beta``, the rows' forecast errors have the covariance whose
+    lower triangle is that of ``X A + I``, ``A = P X' + vomega X'
+    diag(1..B)`` (row ``j``'s coefficients have drifted ``j`` steps).  Its
+    Cholesky factor ``L`` gives the innovations (Kailath 1968):
+    ``eps = L^-1 (Y - X beta)``, ``e_i = L_ii eps_i``, ``q_i = L_ii^2``.
+    With ``G = A L^-T``, row ``i``'s coefficients are ``beta + G_1 eps_1
+    + ... + G_i eps_i``, and ``P <- P + B vomega I - G G'``.
 
-    Every product is per filter: ``P @ x`` on the stack, and
-    ``v[:, None] @ x`` for the dot products.  numpy hands each filter's
-    product to the same BLAS ``dgemv`` or ``ddot`` call that one filter's
-    ``np.dot`` makes, so each filter's results equal, bit for bit, those of
-    :func:`_kf_step_impl` run on it alone.  (One ``(D, p) @ x`` product
-    would not: its rounding depends on D.)  The downdate subtracts the
-    broadcast product, as :func:`_kf_step_impl` does below ``_BLAS_MIN_P``;
-    no bank is that wide (:data:`BANK_MAX_P`).
+    ``betas``, C-ordered ``(B, p)``, holds ``A`` and ``G`` before the
+    coefficient rows.  Returns ``(e, q)``; or ``None``, leaving ``P`` as
+    it was, when the factorization fails or a row fails the checks of
+    :func:`_kf_step_impl`.  Below ``_BLAS_MIN_P`` it runs on numpy and
+    keeps both of P's triangles; from it, like :func:`_kf_step_impl`, on
+    P's lower triangle alone, with ``dsymm`` and ``dsyrk`` (Dongarra et
+    al. 1990, ACM TOMS 16), ``dpotrf`` and ``dtrsm``.
     """
-    vomega = vomega[:, None]
-    Rx = P @ x
-    Rx += vomega * x
-    q = Rx[:, None] @ x         # (D, 1), as is e
-    q += 1.0
-    e = y - beta[:, None] @ x
-    K = Rx / q
-    beta_new = beta + e * K
-    # The one test of _kf_step_impl, with log q, finite only where q > 0.
-    test = sum((np.log(q) * e).ravel().tolist()) + np.vdot(beta_new, beta_new)
-    if not math.isfinite(test):
-        status = [_status(*v) for v in zip(e[:, 0], q[:, 0], beta_new)]
-        if any(status):
-            return status, beta, e[:, 0], q[:, 0], K
-    P.reshape(len(P), -1)[:, :: x.shape[0] + 1] += vomega
-    g = Rx / np.sqrt(q)
-    P -= g[:, :, None] * g[:, None, :]
-    return [_ACCEPTED] * len(P), beta_new, e[:, 0], q[:, 0], K
+    B, p = X.shape
+    drift = np.arange(1.0, B + 1.0)
+    drift *= vomega
+    # einsum scales rows without the iterator buffers of a broadcast
+    # multiply, which would take as much memory as betas.
+    np.einsum("ij,i->ij", X, drift, out=betas)
+    A = betas.T
+    wide = p >= _BLAS_MIN_P
+    if wide:
+        blas, lapack = _scipy_linalg()
+        # X' for dsymm, then G for dsyrk: one (p, B) temporary, freed
+        # with the step, so that a pass holds none between its blocks.
+        G = np.array(X.T, order="F")
+        blas.dsymm(1.0, P.T, G, beta=1.0, c=A, lower=0, overwrite_c=1)
+        S = X @ A
+        S.ravel()[:: B + 1] += 1.0
+        # The factor of Sigma is U', U upper in the Fortran-ordered S.T.
+        U, info = lapack.dpotrf(S.T, lower=0, overwrite_a=1)
+        if info:
+            return None
+        eps = blas.dtrsv(U, Y - X @ beta, lower=0, trans=1)
+        blas.dtrsm(1.0, U, A, side=1, lower=0, overwrite_b=1)
+        np.copyto(G, A)
+        d = np.diagonal(U)
+    else:
+        A += P @ X.T
+        S = X @ A
+        S.ravel()[:: B + 1] += 1.0
+        try:
+            L = np.linalg.cholesky(S)       # reads the lower triangle alone
+        except np.linalg.LinAlgError:
+            return None
+        solved = np.linalg.solve(L, np.column_stack((Y - X @ beta, betas)))
+        eps, G = solved[:, 0], solved[:, 1:].T
+        d = np.diagonal(L)
+    e = d * eps
+    q = d * d
+    if not (np.isfinite(e).all() and np.isfinite(q).all() and (q > 0.0).all()):
+        return None
+    # Row i is beta + G_1 eps_1 + ... + G_i eps_i, summed in that order, so
+    # the last row is finite only if every row is.
+    np.einsum("ij,i->ij", G.T, eps, out=betas)
+    betas[0] += beta
+    np.cumsum(betas, axis=0, out=betas)
+    if not np.isfinite(betas[-1]).all():
+        return None
+    P.ravel()[:: p + 1] += B * vomega
+    if wide:
+        blas.dsyrk(-1.0, G, beta=1.0, c=P.T, lower=0, overwrite_c=1)
+    else:
+        P -= G @ G.T
+    return e, q
 
 
 def _kf_forecast_loops(P, beta, x, y, vomega):
@@ -240,28 +270,6 @@ def _kf_step_loops(P, beta, x, y, vomega):
     return status, beta_new, e, q, K
 
 
-def _filter_by_filter(forecast, downdate, P, beta, x, y, vomega):
-    """The update of :func:`_kf_bank_step`, one filter at a time.
-
-    ``forecast`` and ``downdate`` are the two halves of one filter's step,
-    as :func:`_kf_forecast_loops` and :func:`_kf_downdate_loops`.  Every
-    filter passes its checks before any is downdated, so a step that one
-    filter rejects writes none of them.
-    """
-    steps = [forecast(P[d], beta[d], x, y, vomega[d]) for d in range(len(P))]
-    status = [step[0] for step in steps]
-    if not any(status):
-        for d, step in enumerate(steps):
-            downdate(P[d], step[5], vomega[d])
-        beta = np.array([step[1] for step in steps])
-    e, q, K = (np.array([step[k] for step in steps]) for k in (2, 3, 4))
-    return status, beta, e, q, K
-
-
-_kf_bank_loops = functools.partial(
-    _filter_by_filter, _kf_forecast_loops, _kf_downdate_loops
-)
-
 try:
     from numba import njit
 
@@ -276,13 +284,10 @@ try:
             _kf_downdate_jit(P, g, vomega)
         return status, beta_new, e, q, K
 
-    # A bank loops the compiled halves over its filters.
-    _kf_bank = functools.partial(_filter_by_filter, _kf_forecast_jit, _kf_downdate_jit)
     KERNEL_BACKEND = "numba"
 except ImportError:   # pragma: no cover - numba is a declared dependency
     # Interpreted, the loops would cost a Python step per entry of P.
     _kf_step = _kf_step_impl
-    _kf_bank = _kf_bank_step
     KERNEL_BACKEND = "python"
 
 
@@ -311,15 +316,7 @@ class UnderdeterminedError(ValueError):
 
 
 class RejectedStep(ValueError):
-    """A filter update was refused and the state left as it was.
-
-    ``filter`` is the index of the first filter that rejected it in a bank,
-    ``None`` for a single filter or an observation no filter can take.
-    """
-
-    def __init__(self, message: str, filter: int | None = None) -> None:
-        super().__init__(message)
-        self.filter = filter
+    """A filter update was refused and the state left as it was."""
 
 
 @dataclass(frozen=True)
@@ -481,7 +478,7 @@ def fls_smooth_batch(
             raise ValueError("prior shapes must be (p, p) and (p,)")
     vomega = 1.0 / smoothing.mu
     step = _step_for_width(p)
-    dger = _blas()[2]           # dep -= K E' needs no symmetry
+    dger = _scipy_linalg()[0].dger      # dep -= K E' needs no symmetry
 
     # Forward: the filter from a zero mean with the first row taken as
     # known, and dep = d(forecast mean)/d(first row).
@@ -525,8 +522,7 @@ def fls_smooth_batch(
 
 
 class KfDiagnostics(NamedTuple):
-    """Per-step byproducts of a Kalman update: numbers for one filter,
-    arrays with one entry (or row) per filter for a bank."""
+    """Per-step byproducts of a Kalman update."""
 
     innovation: float     # observation minus its one-step forecast
     forecast_var: float   # variance of that forecast error
@@ -547,67 +543,49 @@ class KalmanEstimator:
     The prior covariance is ``prior_scale * I`` (by default
     ``DEFAULT_PRIOR_SCALE``) or a given ``P0``; giving both is an error.
 
-    A sequence of ``vomega`` values builds a bank: one filter per value,
-    all fed the same observations, the multi-process model of West &
-    Harrison (1997, ch. 12).  ``P`` is then (D, p, p) and ``beta`` (D, p),
-    ``prior_scale`` may give one value per filter (``P0`` is one prior for
-    all of them), and one ``update`` steps them all.  A bank holds filters
-    of up to :data:`BANK_MAX_P` coefficients (see :func:`filter_passes`).
-    Each filter's path is the one it follows alone, bit for bit.
-
-    The step is chosen once, at construction, by width
-    (:func:`_step_for_width`): from ``p = _BLAS_MIN_P`` the one-triangle
-    BLAS step of :func:`_kf_step_impl` on every backend, below it
-    ``_kf_step`` (compiled when numba imports), and ``_kf_bank`` for a
-    bank.  ``prior_scale`` and ``P0`` are keyword-only, so a call that
-    still passes an observation noise third fails rather than setting the
-    prior.
+    ``update`` steps one row, with the step chosen once, at construction,
+    by width (:func:`_step_for_width`): from ``p = _BLAS_MIN_P`` the
+    one-triangle BLAS step of :func:`_kf_step_impl` on every backend,
+    below it ``_kf_step`` (compiled when numba imports).
+    ``update_block`` steps a block of rows at once
+    (:func:`_kf_block_impl`), interpreted on every backend.
+    ``prior_scale`` and ``P0`` are keyword-only, so a call that still
+    passes an observation noise third fails rather than setting the prior.
 
     Not thread-safe: ``update`` mutates in place.  The covariance state is
     kept in one buffer, downdated in place; from ``p = _BLAS_MIN_P`` the
-    step keeps only its lower triangle current.  Reading ``P`` gives a new
+    steps keep only its lower triangle current.  Reading ``P`` gives a new
     read-only symmetric array, mirrored from that triangle.
     """
 
     def __init__(
         self,
         p: int,
-        vomega,
+        vomega: float,
         *,
-        prior_scale=None,
+        prior_scale: float | None = None,
         P0: NDArray[np.float64] | None = None,
     ) -> None:
         if not isinstance(p, (int, np.integer)) or p < 1:
             raise ValueError(f"p must be a positive integer, got {p!r}")
-        bank = np.array(vomega, dtype=float)
-        if bank.ndim > 1 or bank.size == 0:
-            raise ValueError("vomega must be a number or a 1-d sequence of them")
-        if not ((bank >= 0.0).all() and np.isfinite(bank).all()):
+        vomega = float(vomega)
+        if not (vomega >= 0.0 and math.isfinite(vomega)):
             raise ValueError(f"vomega must be finite and >= 0, got {vomega}")
-        if bank.ndim and p > BANK_MAX_P:
-            raise ValueError(
-                f"a bank holds filters of at most {BANK_MAX_P} coefficients, "
-                f"got p={p}: run wider filters one at a time"
-            )
         self.p = int(p)
-        self.vomega = bank if bank.ndim else float(bank)
-        self._step = _kf_bank if bank.ndim else _step_for_width(self.p)
+        self.vomega = vomega
+        self._step = _step_for_width(self.p)
         if P0 is not None and prior_scale is not None:
             raise ValueError("give prior_scale or P0, not both")
         if P0 is None:
             if prior_scale is None:
                 prior_scale = DEFAULT_PRIOR_SCALE
-            scale = np.asarray(prior_scale, dtype=float)
-            if scale.shape not in ((), bank.shape):
-                raise ValueError("prior_scale must be a number or one per filter")
-            if not ((scale > 0.0).all() and np.isfinite(scale).all()):
+            if not (prior_scale > 0.0 and math.isfinite(prior_scale)):
                 raise ValueError(
                     f"prior_scale must be finite and positive, got {prior_scale}"
                 )
             # scale * I, without an identity matrix as scratch.
-            self._cov = np.zeros(bank.shape + (self.p, self.p))
-            diagonal = self._cov.reshape(-1, self.p * self.p)[:, :: self.p + 1]
-            diagonal[...] = scale.reshape(-1, 1)
+            self._cov = np.zeros((self.p, self.p))
+            self._cov.ravel()[:: self.p + 1] = prior_scale
         else:
             P0 = np.asarray(P0, dtype=float)
             if P0.shape != (self.p, self.p):
@@ -623,22 +601,20 @@ class KalmanEstimator:
                     "P0 must be positive semidefinite, got eigenvalue "
                     f"{eigs[0]!r}"
                 )
-            # Every filter of a bank starts from this one prior.
-            self._cov = np.broadcast_to(P0, bank.shape + P0.shape).copy()
-        self.beta = np.zeros(bank.shape + (self.p,))
+            self._cov = P0
+        self.beta = np.zeros(self.p)
         self.t = 0
 
     @property
     def P(self) -> NDArray[np.float64]:
-        """The covariance, ``(p, p)``, or ``(D, p, p)`` for a bank.
+        """The covariance, ``(p, p)``.
 
         A new read-only array on every read, symmetric: the stored lower
-        triangle, mirrored.  Every kernel keeps that triangle current (the
+        triangle, mirrored.  Every step keeps that triangle current (the
         narrow ones, compiled or not, keep both), so the mirror is the
         state on any backend.  The next update does not change it.
         """
-        lower = np.tri(self.p, dtype=bool)
-        P = np.where(lower, self._cov, self._cov.swapaxes(-1, -2))
+        P = np.where(np.tri(self.p, dtype=bool), self._cov, self._cov.T)
         P.flags.writeable = False
         return P
 
@@ -646,20 +622,15 @@ class KalmanEstimator:
     def from_smoothing(
         cls,
         p: int,
-        smoothing: Smoothing | Sequence[Smoothing],
-        prior_scale=DEFAULT_PRIOR_SCALE,
+        smoothing: Smoothing,
+        prior_scale: float = DEFAULT_PRIOR_SCALE,
     ) -> "KalmanEstimator":
-        """Estimator whose state noise matches a smoothness weight, or a
-        bank with one filter per weight of a sequence.
+        """Estimator whose state noise matches a smoothness weight.
 
         State noise ``1/mu`` per coefficient with unit observation noise
         makes the filtered path the penalized one, up to the prior.
         """
-        if isinstance(smoothing, Smoothing):
-            vomega = 1.0 / smoothing.mu
-        else:
-            vomega = [1.0 / s.mu for s in smoothing]
-        return cls(p, vomega=vomega, prior_scale=prior_scale)
+        return cls(p, vomega=1.0 / smoothing.mu, prior_scale=prior_scale)
 
     @classmethod
     def fls_equivalent(
@@ -691,33 +662,48 @@ class KalmanEstimator:
 
         Raises :class:`RejectedStep`, leaving the state untouched, when
         ``x`` or ``y`` is not finite or the step would leave a non-finite
-        state or a forecast variance that is not positive.  In a bank, one
-        filter's rejection rejects the step for all of them, and the
-        exception's ``filter`` is that filter's index.
+        state or a forecast variance that is not positive.
         """
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.p,):
             raise ValueError(f"x must have shape ({self.p},), got {x.shape}")
         y = float(y)
-        P = self._cov
-        status, beta_new, e, q, K = self._step(P, self.beta, x, y, self.vomega)
+        status, beta_new, e, q, K = self._step(self._cov, self.beta, x, y, self.vomega)
         # A non-finite x or y makes e or q non-finite, so the kernel
         # rejects it; its message is chosen here, on that path alone.
-        if any(status) if P.ndim == 3 else status != _ACCEPTED:
+        if status != _ACCEPTED:
             if not (math.isfinite(y) and np.isfinite(x).all()):
                 raise RejectedStep("x and y must be finite")
-            d = None
-            if P.ndim == 3:
-                d = next(d for d, code in enumerate(status) if code)
-                status, q = status[d], q[d]
             if status == _NONPOSITIVE:
-                raise RejectedStep(f"forecast variance must stay positive, got {q}", d)
-            raise RejectedStep(
-                "non-finite update: check the scale of x and the state", d
-            )
+                raise RejectedStep(f"forecast variance must stay positive, got {q}")
+            raise RejectedStep("non-finite update: check the scale of x and the state")
         self.beta = beta_new
         self.t += 1
         return KfDiagnostics(innovation=e, forecast_var=q, gain=K)
+
+    def update_block(self, X, Y, out):
+        """Consume the rows of ``X`` (B, p) and ``Y`` (B,) in one step.
+
+        Writes each row's updated coefficients, those its :meth:`update`
+        would leave, into ``out``, a C-ordered (B, p) array, and returns
+        each row's innovation and forecast variance, ``(e, q)``.  Returns
+        ``None``, leaving the state as it was, when the block cannot be
+        stepped whole (see :func:`_kf_block_impl`); :meth:`update` then
+        steps or rejects each of its rows as it always does.  Rows agree
+        with :meth:`update` to rounding once the data dominate the prior:
+        while the last forecast variance exceeds :data:`BLOCK_MAX_Q`, step
+        rows through :meth:`update` instead.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        Y = np.asarray(Y, dtype=np.float64)
+        B = len(X)
+        if X.shape != (B, self.p) or Y.shape != (B,) or out.shape != X.shape:
+            raise ValueError(f"X and out must be (B, {self.p}) and Y (B,)")
+        stepped = _kf_block_impl(self._cov, self.beta, X, Y, self.vomega, out)
+        if stepped is not None:
+            self.beta = out[-1].copy()
+            self.t += B
+        return stepped
 
 
 def write_coefficient_csv(path, p: int, rows) -> None:

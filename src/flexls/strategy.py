@@ -11,6 +11,7 @@ ledger looks ahead.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,11 +21,11 @@ from numpy.typing import NDArray
 
 from .eigentrack import EigenTracker
 from .estimator import (
+    BLOCK_MAX_Q,
     DEFAULT_PRIOR_SCALE,
     KalmanEstimator,
     RejectedStep,
     Smoothing,
-    filter_passes,
 )
 from .ingest import DataError, ReturnMatrix
 from .util import block_rows, iso_dates, write_table
@@ -192,19 +193,15 @@ def estimate_spreads(
     filter rejects raises :class:`~flexls.ingest.DataError` naming its date
     and delta.
 
+    Each configuration's filter runs in a pass of its own, in grid order,
+    so its outputs are the same, bit for bit, alone or in any grid.
     Nothing keeps the coefficient rows: ``write_coefficients(index, p,
-    rows)``, if given, is called once per configuration, in grid order, and
-    ``rows`` yields that configuration's blocks ``(betas, e, Q)`` (NaN where
-    no regressors exist) of the rows
-    :func:`~flexls.estimator.write_coefficient_csv` formats at a time.  Rows
-    it leaves unread are still stepped.
-
-    The grid runs in the passes :func:`~flexls.estimator.filter_passes`
-    gives: past :data:`~flexls.estimator.BANK_MAX_P` regressors, a pass per
-    configuration, whose filter steps as its rows are read; up to it, one
-    bank, whose first configuration's rows are read as it steps while the
-    others' wait.  A configuration's outputs are the same, bit for bit,
-    either way, and alone or in a grid.
+    rows)``, if given, is called once per configuration, and ``rows``
+    yields that configuration's blocks ``(betas, e, Q)`` (NaN where no
+    regressors exist) of the rows
+    :func:`~flexls.estimator.write_coefficient_csv` formats at a time, as
+    the filter steps them.  A block is valid until the next one is pulled:
+    the pass refills one buffer.  Rows it leaves unread are still stepped.
     """
     grid = list(grid)
     if not grid:
@@ -219,77 +216,81 @@ def estimate_spreads(
     spreads = np.empty((n, len(grid)))
     spreads[:] = returns.target[:, None]
 
-    for lo, hi in filter_passes(dim, len(grid)):
-        blocks = _filter_pass(returns, regressors, grid[lo:hi], spreads[:, lo:hi])
-        if write_coefficients is None:
-            for _ in blocks:
-                pass
-            continue
-        # The pass's first configuration is written as the filter steps;
-        # the rest of a bank's wait until the pass is over.
-        waiting = [[] for _ in range(lo + 1, hi)]
-        rows = _first_of_each(blocks, waiting)
-        write_coefficients(lo, dim, rows)
-        for _ in rows:
-            pass
-        for d, held in enumerate(waiting, lo + 1):
-            write_coefficients(d, dim, iter(held))
-            held.clear()
+    for d, config in enumerate(grid):
+        rows = _filter_pass(returns, regressors, config, spreads[:, d])
+        if write_coefficients is not None:
+            write_coefficients(d, dim, rows)
+        # Step the rows left unread, binding no block: a loop variable would
+        # keep this pass's buffer alive into the next.
+        collections.deque(rows, maxlen=0)
     return spreads
 
 
-def _first_of_each(blocks, waiting):
-    """Yield the first entry of each of ``blocks``; append its other
-    entries to the lists of ``waiting``, one list per entry."""
-    for block in blocks:
-        for held, rows in zip(waiting, block[1:]):
-            held.append(rows)
-        yield block[0]
+# Most rows one block step takes.  At p = 3 and 8, blocks of 64 rows cost
+# 1.5-1.7 us a row, against 3.0-3.3 us for 128 and 12 us for row steps
+# (BLAS at one thread).  At p = 432 the writer's block (18 rows) is the
+# tighter bound: a longer block would need a longer buffer.
+_BLOCK_MAX_ROWS = 64
 
 
-def _filter_pass(returns, regressors, configs, spreads):
-    """Step the filters of ``configs`` over the return rows, writing each
-    row's residuals into the ``(n, len(configs))`` columns given.  Yields,
-    for each block of rows, a list with each configuration's
-    ``(betas, e, Q)`` block."""
-    bank = len(configs) > 1
-    smoothing = [Smoothing(config.delta) for config in configs]
-    scales = [config.prior_scale for config in configs]
+def _filter_pass(returns, regressors, config, spreads):
+    """Step the filter of ``config`` over the return rows, subtracting each
+    row's fit from ``spreads``, its ``(n,)`` column.  Yields, for each
+    writer block of rows, the ``(betas, e, Q)`` block, in one buffer
+    refilled for the next.
+
+    Each run of rows with regressors steps as blocks of at most
+    ``_BLOCK_MAX_ROWS`` rows (:meth:`KalmanEstimator.update_block`).  A row
+    steps alone, through :meth:`KalmanEstimator.update`, while the last
+    forecast variance exceeds :data:`~flexls.estimator.BLOCK_MAX_Q`, and
+    every row of a block the block step refuses steps alone, so a
+    rejection is the one the row step makes.
+    """
     dim = regressors.values.shape[1]
-    # A pass of one configuration runs one filter, with scalar and 1-d
-    # outputs: a bank of one would pay for its stacks on every row.
     kf = KalmanEstimator.from_smoothing(
-        dim,
-        smoothing if bank else smoothing[0],
-        prior_scale=scales if bank else scales[0],
+        dim, Smoothing(config.delta), prior_scale=config.prior_scale
     )
-    s = spreads if bank else spreads[:, 0]
-    n = len(returns)
     step = block_rows(dim + 3)       # a coefficient file's t, betas, e and Q
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        betas = np.full((len(configs), stop - start, dim), np.nan)
-        e, q = np.full((2, len(configs), stop - start), np.nan)
-        for i in range(start, stop):
-            if not regressors.ready[i]:
+    most = min(step, _BLOCK_MAX_ROWS)
+    betas = np.empty((step, dim))
+    e, q = np.empty((2, step))
+    last_q = math.inf
+    for start in range(0, len(returns), step):
+        # This writer block's rows, indexed from 0.
+        rows = slice(start, start + step)
+        X, Y, s = regressors.values[rows], returns.target[rows], spreads[rows]
+        ready, k = regressors.ready[rows], len(X)
+        betas.fill(np.nan)
+        e.fill(np.nan)
+        q.fill(np.nan)
+        i = 0
+        while i < k:
+            if not ready[i]:
+                i += 1
                 continue
-            f = regressors.values[i]
-            try:
-                diag = kf.update(f, returns.target[i])
-            except RejectedStep as exc:
-                # A bank names its rejecting filter, unless all of them
-                # reject the row; a pass of one filter is that filter.
-                d = exc.filter if bank else 0
-                at = "" if d is None else f" at delta {configs[d].delta!r}"
-                raise DataError(
-                    f"regression update on {returns.dates[i]} rejected{at}: {exc}"
-                ) from None
-            e[:, i - start] = diag.innovation
-            q[:, i - start] = diag.forecast_var
-            betas[:, i - start] = kf.beta
-            # Each filter's fit is its own dot product, as one filter's is.
-            s[i] -= (kf.beta[:, None, :] @ f)[:, 0] if bank else kf.beta @ f
-        yield [(betas[d], e[d], q[d]) for d in range(len(configs))]
+            # One row while the prior dominates, else the run of ready rows
+            # from i, up to `most` of them, as one block.
+            end, stepped = i + 1, None
+            if last_q <= BLOCK_MAX_Q:
+                while end < k and end - i < most and ready[end]:
+                    end += 1
+                stepped = kf.update_block(X[i:end], Y[i:end], betas[i:end])
+            if stepped is None:
+                for j in range(i, end):
+                    try:
+                        diag = kf.update(X[j], Y[j])
+                    except RejectedStep as exc:
+                        raise DataError(
+                            f"regression update on {returns.dates[start + j]} "
+                            f"rejected at delta {config.delta!r}: {exc}"
+                        ) from None
+                    e[j], q[j], betas[j] = diag.innovation, diag.forecast_var, kf.beta
+            else:
+                e[i:end], q[i:end] = stepped
+            last_q = q[end - 1]
+            s[i:end] -= np.einsum("ij,ij->i", X[i:end], betas[i:end])
+            i = end
+        yield betas[:k], e[:k], q[:k]
 
 
 @dataclass

@@ -151,8 +151,9 @@ class TestReadme:
 
 class TestVersion:
     def test_prints_version_and_kernel(self, capsys):
-        # Narrow filters take the backend's kernel; from _BLAS_MIN_P every
-        # filter takes the one-triangle BLAS step.
+        # A narrow row step takes the backend's kernel; from _BLAS_MIN_P
+        # every row step takes the one-triangle BLAS step.  The block step
+        # is numpy's below _BLAS_MIN_P and BLAS's from it, on any backend.
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == EXIT_OK
@@ -160,7 +161,8 @@ class TestVersion:
         assert KERNEL_BACKEND == expected
         assert estimator_module._BLAS_MIN_P == 16
         assert capsys.readouterr().out == (
-            f"flexls {__version__} (kernel: {expected} below p=16, BLAS from p=16)\n"
+            f"flexls {__version__} (kernel: {expected} below p=16, BLAS from p=16; "
+            "block step: numpy below p=16, BLAS from p=16)\n"
         )
 
 
@@ -595,8 +597,8 @@ class TestBacktestErrors:
     def test_one_rejecting_delta_fails_the_grid_and_leaves_no_outputs(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        # The whole grid runs as one bank of filters; give delta 0.9 alone
-        # a prior wide enough that its forecast variance turns negative.
+        # Give delta 0.9 alone a prior wide enough that its forecast
+        # variance turns negative.
         table, _ = gen_market(MarketConfig(seed=0, steps=300))
         prices = tmp_path / "prices.csv"
         write_csv(table, prices)
@@ -820,8 +822,10 @@ class TestStaging:
 
     def reject_late(self, monkeypatch, tmp_path, before):
         """Make the second delta's filter reject row LATE_ROW, and record
-        what had been written by then."""
-        update = KalmanEstimator.update
+        what had been written by then.  A block holding that row is
+        refused, as a block with a failing row is, so the row steps alone
+        and its update rejects it."""
+        update, update_block = KalmanEstimator.update, KalmanEstimator.update_block
         second = 1.0 / Smoothing(self.DELTAS[1]).mu
         seen = {}
 
@@ -833,7 +837,13 @@ class TestStaging:
                 raise RejectedStep("forecast variance must stay positive, got -1.0")
             return update(kf, x, y)
 
+        def refused_late(kf, X, Y, out):
+            if kf.vomega == second and kf.t <= self.LATE_ROW < kf.t + len(X):
+                return None
+            return update_block(kf, X, Y, out)
+
         monkeypatch.setattr(KalmanEstimator, "update", late_rejection)
+        monkeypatch.setattr(KalmanEstimator, "update_block", refused_late)
         return seen
 
     @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])
@@ -1221,8 +1231,10 @@ class TestBenchmarkTraceTargets:
     ):
         # The benchmark's tracer around a small run of each benchmark shape:
         # every per-layer metric is reported, and the filter's update count
-        # is one per row for a bank, one per row and delta for wide passes.
-        # 12 raw streams is the benchmark self-test's small backtest-raw.
+        # is one per delta: each filter steps its first row alone, while the
+        # prior dominates, and the rest in blocks, which the update span
+        # does not see.  12 raw streams is the benchmark self-test's small
+        # backtest-raw.
         spans = self.load_spans(monkeypatch)
         table, _ = gen_market(MarketConfig(seed=0, n_streams=n_streams, steps=121))
         data = tmp_path / "prices.csv"
@@ -1243,6 +1255,4 @@ class TestBenchmarkTraceTargets:
         metrics = tracer.layer_metrics(tracer.run_id, 120, 0)
         assert not tracer.absent
         assert set(metrics) == set(spans.LAYER_UNITS)
-        # svd:3 seeds one component per row: two rows have no regressors.
-        updates = 118 if features == "svd:3" else 4 * 120
-        assert metrics["estimator.kf_updates"] == updates
+        assert metrics["estimator.kf_updates"] == 4

@@ -8,25 +8,21 @@ import pytest
 
 import flexls.estimator as estimator_module
 from flexls.estimator import (
-    BANK_MAX_P,
     DEFAULT_PRIOR_SCALE,
     FlsEstimator,
     KalmanEstimator,
     RejectedStep,
     Smoothing,
     UnderdeterminedError,
-    _kf_bank,
-    _kf_bank_loops,
-    _kf_bank_step,
+    _kf_block_impl,
     _kf_step,
     _kf_step_impl,
     _kf_step_loops,
-    filter_passes,
     fls_smooth_batch,
     write_coefficient_csv,
 )
-from flexls.ingest import to_log_returns
-from flexls.strategy import EstimatorConfig
+from flexls.ingest import DataError, to_log_returns
+from flexls.strategy import EstimatorConfig, Regressors, estimate_spreads
 from flexls.synth import MarketConfig, gen_market
 from flexls.util import BLOCK_CELLS
 
@@ -477,8 +473,8 @@ class TestKalmanEstimator:
 
     @pytest.mark.parametrize(
         "vomega, prior_scale",
-        [(0.1, -5.0), (0.1, 1e6), ([0.1, 0.2], [1.0, 2.0, 3.0])],
-        ids=["negative", "the-default-value", "three-for-a-bank-of-two"],
+        [(0.1, -5.0), (0.1, 1e6)],
+        ids=["negative", "the-default-value"],
     )
     def test_prior_scale_and_P0_are_exclusive(self, vomega, prior_scale):
         # P0 sets the prior, so a prior_scale beside it would be ignored.
@@ -486,7 +482,7 @@ class TestKalmanEstimator:
         with pytest.raises(ValueError, match="prior_scale or P0, not both"):
             KalmanEstimator(p, vomega=vomega, prior_scale=prior_scale, P0=np.eye(p))
         est = KalmanEstimator(p, vomega=vomega, P0=np.eye(p))
-        np.testing.assert_array_equal(est.P, np.broadcast_to(np.eye(p), est.P.shape))
+        np.testing.assert_array_equal(est.P, np.eye(p))
 
     def test_default_prior_scale(self):
         est = KalmanEstimator(2, vomega=0.1)
@@ -619,132 +615,136 @@ class TestKalmanEstimator:
             assert e1 == e2 and q1 == q2
 
 
-class TestFilterBank:
-    """A vomega sequence builds a bank: one update steps every filter, and
-    each filter's state is the one it reaches alone, bit for bit."""
+class TestBlockStep:
+    """update_block steps a block of rows as one: each row's coefficients,
+    innovation and forecast variance are those of update, to rounding, and
+    a block it cannot step leaves the state as it was."""
 
-    VOMEGA = (0.25, 4.0, 0.02, 1.0)
+    @pytest.mark.parametrize("p", [1, 3, 8, 15, 16, 17, 64])
+    def test_engine_matches_row_steps(self, p):
+        # The engine (blocks once the prior no longer dominates) against
+        # update alone, over regressor scales and deltas.  Gaps are taken
+        # relative to the largest magnitude of each output, and for the
+        # spreads y - x.beta, to that of the terms |y| + |x|.|beta|, since
+        # at scale 1e3 the two nearly cancel.  The worst gaps measured were
+        # betas 1.9e-12 (p = 64, scale 1, delta 1e-6), e 7.1e-13 (the same),
+        # Q 1.1e-14 (the same) and spreads 6.5e-12 (p = 1, scale 1e3, delta
+        # 0.9999): the bound holds a margin of 15.
+        returns, _ = make_market(seed=60 + p, steps=400, n_streams=p)
+        for scale in (1e-3, 1.0, 1e3):
+            regressors = Regressors(
+                values=returns.features * scale, ready=np.ones(len(returns), bool)
+            )
+            for delta in (1e-6, 0.2, 0.9, 0.9999):
+                config = EstimatorConfig(delta)
+                spreads, [(betas, e, q)] = with_coefficients(
+                    returns, [config], regressors
+                )
+                kf = KalmanEstimator.from_smoothing(p, Smoothing(delta))
+                rows = np.empty_like(betas)
+                row_e, row_q, row_spreads = (np.empty(len(returns)) for _ in range(3))
+                for i, (x, y) in enumerate(zip(regressors.values, returns.target)):
+                    diag = kf.update(x, y)
+                    rows[i], row_e[i], row_q[i] = kf.beta, diag.innovation, diag.forecast_var
+                    row_spreads[i] = y - kf.beta @ x
+                terms = np.abs(returns.target) + np.einsum(
+                    "ij,ij->i", np.abs(regressors.values), np.abs(rows)
+                )
+                gaps = [
+                    np.abs(got - want).max() / np.abs(size).max()
+                    for got, want, size in [
+                        (betas, rows, rows),
+                        (e, row_e, row_e),
+                        (q, row_q, row_q),
+                        (spreads[:, 0], row_spreads, terms),
+                    ]
+                ]
+                assert max(gaps) <= 1e-10, (scale, delta, gaps)
 
-    def run_alone(self, p, vomega, xs, ys):
-        est = KalmanEstimator(p, vomega=vomega)
-        rows = [est.update(x, y) + (est.beta,) for x, y in zip(xs, ys)]
-        return rows, est
+    def test_a_rejection_is_the_row_steps_on_the_block_path(self, monkeypatch):
+        # A prior this wide drives delta 0.9's forecast variance below zero
+        # within the first rows.  With every row offered to the block step
+        # first, the refused block's rows step alone and the same row is
+        # rejected, on the same date.
+        returns, _ = make_market(seed=0, steps=300)
+        regressors = Regressors(returns.features, np.ones(len(returns), bool))
+        grid = [EstimatorConfig(delta=0.9, prior_scale=1e20)]
+        messages = []
+        refused = []
+        update_block = KalmanEstimator.update_block
 
-    @pytest.mark.parametrize("p", [1, 3, BANK_MAX_P])
-    def test_each_filter_matches_its_run_alone_bitwise(self, p):
-        rng = np.random.default_rng(30 + p)
-        xs, ys = rng.normal(size=(60, p)), rng.normal(size=60)
-        for order in (self.VOMEGA, self.VOMEGA[::-1]):
-            bank = KalmanEstimator(p, vomega=order)
-            rows = [bank.update(x, y) + (bank.beta,) for x, y in zip(xs, ys)]
-            assert bank.P.shape == (4, p, p) and bank.t == 60
-            for d, vomega in enumerate(order):
-                alone, est = self.run_alone(p, vomega, xs, ys)
-                for (e, q, K, beta), (e1, q1, K1, beta1) in zip(rows, alone):
-                    assert e[d] == e1 and q[d] == q1
-                    assert K[d].tobytes() == K1.tobytes()
-                    assert beta[d].tobytes() == beta1.tobytes()
-                assert bank.P[d].tobytes() == est.P.tobytes()
+        def recorded(self, X, Y, out):
+            result = update_block(self, X, Y, out)
+            if result is None:
+                refused.append(self.t)
+            return result
 
-    @pytest.mark.parametrize(
-        "bank_step, step",
-        [
-            (_kf_bank_step, _kf_step_impl),
-            (_kf_bank_loops, _kf_step_loops),
-            (_kf_bank, _kf_step),
-        ],
-        ids=["impl", "loops", "live"],
-    )
-    def test_kernel_steps_a_bank_as_its_filters(self, bank_step, step):
-        # The loops kernel, numba's, steps a bank filter by filter; the
-        # interpreted one as stacks.  A rejection writes no filter.
-        rng = np.random.default_rng(31)
-        p, vomega = 4, np.array(self.VOMEGA)
-        P = np.stack([np.eye(p) * (d + 1.0) for d in range(4)])
-        beta = rng.normal(size=(4, p))
-        singles = [(P[d].copy(), beta[d].copy()) for d in range(4)]
-        for _ in range(30):
-            x, y = rng.normal(size=p), float(rng.normal())
-            status, beta, e, q, K = bank_step(P, beta, x, y, vomega)
-            assert list(status) == [estimator_module._ACCEPTED] * 4
-            for d, (P1, b1) in enumerate(singles):
-                s1, b1, e1, q1, K1 = step(P1, b1, x, y, vomega[d])
-                singles[d] = (P1, b1)
-                assert e[d] == e1 and q[d] == q1
-                np.testing.assert_array_equal(K[d], K1)
-                np.testing.assert_array_equal(beta[d], b1)
-                np.testing.assert_array_equal(P[d], P1)
-        P[2] = -10.0 * np.eye(p)
-        before = [P.copy(), beta.copy()]
-        with np.errstate(all="ignore"):   # the interpreted loops warn
-            status, beta_out, *_ = bank_step(P, beta, np.ones(p), 1.0, vomega)
-        assert list(status) == [0, 0, estimator_module._NONPOSITIVE, 0]
-        np.testing.assert_array_equal(P, before[0])
-        np.testing.assert_array_equal(beta_out, before[1])
+        monkeypatch.setattr(KalmanEstimator, "update_block", recorded)
+        for limit in (0.0, np.inf):
+            monkeypatch.setattr("flexls.strategy.BLOCK_MAX_Q", limit)
+            with pytest.raises(DataError, match="rejected at delta 0.9: ") as exc:
+                estimate_spreads(returns, grid, regressors)
+            messages.append(str(exc.value))
+        assert refused
+        assert messages[0] == messages[1]
 
-    def test_bank_takes_a_prior_scale_per_filter(self):
-        bank = KalmanEstimator(2, vomega=[0.5, 0.5], prior_scale=[1.0, 9.0])
-        np.testing.assert_array_equal(bank.P, [np.eye(2), 9.0 * np.eye(2)])
-        with pytest.raises(ValueError, match="prior_scale must be a number"):
-            KalmanEstimator(2, vomega=[0.5, 0.5], prior_scale=[1.0, 2.0, 3.0])
-        with pytest.raises(ValueError, match="prior_scale must be finite"):
-            KalmanEstimator(2, vomega=[0.5, 0.5], prior_scale=[1.0, -2.0])
-        with pytest.raises(ValueError, match="vomega must be a number"):
-            KalmanEstimator(2, vomega=[[0.5]])
-
-    @pytest.mark.parametrize("p", [3, BANK_MAX_P])
-    def test_one_filter_rejecting_rejects_the_step_for_all(self, p):
+    @pytest.mark.parametrize("p", [3, 17])
+    def test_a_refused_block_leaves_the_state(self, p):
         rng = np.random.default_rng(p)
-        bank = KalmanEstimator(p, vomega=[0.3, 0.3, 0.3])
-        bank.update(rng.normal(size=p), 0.2)
-        # A covariance set by hand can be indefinite: filter 1's q < 0.
-        bank._cov[1] = -10.0 * np.eye(p)
-        state = [bank.P.copy(), bank.beta.copy(), bank.t]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(
-                RejectedStep, match="^forecast variance must stay positive"
-            ) as rejected:
-                bank.update(np.ones(p), 1.0)
-        assert rejected.value.filter == 1
-        np.testing.assert_array_equal(bank.P, state[0])
-        np.testing.assert_array_equal(bank.beta, state[1])
-        assert bank.t == state[2]
+        est = KalmanEstimator(p, vomega=0.3)
+        est.update(rng.normal(size=p), 0.2)
+        X, Y = rng.normal(size=(5, p)), rng.normal(size=5)
+        for bad in ("indefinite", "nan-y"):
+            cov = est._cov.copy()
+            if bad == "indefinite":     # set by hand: no factor exists
+                est._cov[...] = -10.0 * np.eye(p)
+            Y_bad = Y.copy()
+            if bad == "nan-y":
+                Y_bad[3] = np.nan
+            state = [est._cov.copy(), est.beta.copy(), est.t]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert est.update_block(X, Y_bad, np.empty((5, p))) is None
+            np.testing.assert_array_equal(est._cov, state[0])
+            np.testing.assert_array_equal(est.beta, state[1])
+            assert est.t == state[2]
+            est._cov[...] = cov
+        out = np.empty((5, p))
+        assert est.update_block(X, Y, out) is not None
+        assert est.t == 6
+        np.testing.assert_array_equal(est.beta, out[-1])
+        if p < estimator_module._BLAS_MIN_P:     # numpy keeps both triangles
+            np.testing.assert_array_equal(est._cov, est._cov.T)
 
-    def test_bank_holds_narrow_filters_only(self):
-        assert filter_passes(BANK_MAX_P, 3) == [(0, 3)]
-        assert filter_passes(BANK_MAX_P + 1, 3) == [(0, 1), (1, 2), (2, 3)]
-        assert filter_passes(BANK_MAX_P + 1, 1) == [(0, 1)]
-        KalmanEstimator(BANK_MAX_P, vomega=[0.3, 0.7])
-        with pytest.raises(ValueError, match="a bank holds filters of at most"):
-            KalmanEstimator(BANK_MAX_P + 1, vomega=[0.3, 0.7])
-        KalmanEstimator(BANK_MAX_P + 1, vomega=0.3)
-
-    @pytest.mark.parametrize("vomega", [0.3, [0.3, 0.7]], ids=["one", "bank"])
+    @pytest.mark.parametrize("how", ["one", "block"])
     @pytest.mark.parametrize(
         "x, y",
         [([np.inf, 1.0, 0.0], 1.0), ([np.nan, 0.0, 0.0], 1.0), ([1.0, 2.0, 3.0], np.inf)],
         ids=["inf-x", "nan-x", "inf-y"],
     )
-    def test_non_finite_observation_rejected_and_state_kept(self, vomega, x, y):
-        est = KalmanEstimator(3, vomega=vomega)
+    def test_non_finite_observation_rejected_and_state_kept(self, how, x, y):
+        est = KalmanEstimator(3, vomega=0.3)
         est.update([0.1, -0.2, 0.3], 0.5)
         state = [est.P.copy(), est.beta.copy(), est.t]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="x and y must be finite"):
-                est.update(x, y)
+            if how == "one":
+                with pytest.raises(ValueError, match="x and y must be finite"):
+                    est.update(x, y)
+            else:
+                rows = np.array([[0.2, 0.1, -0.1], x])
+                assert est.update_block(rows, [0.1, y], np.empty((2, 3))) is None
         np.testing.assert_array_equal(est.P, state[0])
         np.testing.assert_array_equal(est.beta, state[1])
         assert est.t == state[2]
 
 
-
 class TestKernelChoice:
-    """A filter's step is chosen by its width alone: from _BLAS_MIN_P the
-    one-triangle BLAS step on every backend, below it the module's
+    """A filter's row step is chosen by its width alone: from _BLAS_MIN_P
+    the one-triangle BLAS step on every backend, below it the module's
     _kf_step, which numba compiles when it imports.  _kf_step_loops
-    stands in for the compiled kernel here."""
+    stands in for the compiled kernel here.  The block step is
+    _kf_block_impl at every width, on every backend."""
 
     WIDTHS = (1, 8, 15, 16, 432)
 
@@ -760,7 +760,7 @@ class TestKernelChoice:
 
         spy("_kf_step_impl", _kf_step_impl)
         spy("_kf_step", narrow)
-        spy("_kf_bank", _kf_bank)
+        spy("_kf_block_impl", _kf_block_impl)
         return calls
 
     @pytest.mark.parametrize(
@@ -774,11 +774,10 @@ class TestKernelChoice:
             est = KalmanEstimator(p, vomega=0.5)
             est.update(rng.normal(size=p), 0.1)
             fls_smooth_batch(rng.normal(size=(3, p)), rng.normal(size=3), Smoothing(0.5))
-            assert calls == ["_kf_step_impl" if wide else "_kf_step"] * 4, p
+            est.update_block(rng.normal(size=(2, p)), rng.normal(size=2), np.empty((2, p)))
+            row = "_kf_step_impl" if wide else "_kf_step"
+            assert calls == [row] * 4 + ["_kf_block_impl"], p
             calls.clear()
-        bank = KalmanEstimator(3, vomega=[0.5, 0.7])
-        bank.update(rng.normal(size=3), 0.1)
-        assert calls == ["_kf_bank"]
 
     def test_wide_outputs_do_not_depend_on_the_narrow_kernel(self, monkeypatch):
         # The loops kernel sums in another order than dsymv and dsyr, so a

@@ -9,7 +9,6 @@ import pytest
 
 from flexls.estimator import (
     _BLAS_MIN_P,
-    BANK_MAX_P,
     KalmanEstimator,
     Smoothing,
     write_coefficient_csv,
@@ -49,14 +48,14 @@ def make_market(seed=0, **kwargs):
 def with_coefficients(returns, grid, regressors=None):
     """estimate_spreads over ``regressors`` (by default the raw returns),
     and each configuration's coefficient rows, innovations and forecast
-    variances, each gathered whole from the ``(betas, e, Q)`` blocks the
-    writer is handed."""
+    variances, each gathered whole from copies of the ``(betas, e, Q)``
+    blocks the writer is handed: a block is valid until the next is pulled."""
     if regressors is None:
         regressors = compute_features(returns)
     blocks = {}
 
     def keep(d, p, rows):
-        blocks[d] = list(rows)
+        blocks[d] = [[column.copy() for column in block] for block in rows]
 
     spreads = estimate_spreads(returns, grid, regressors, keep)
     paths = [[np.concatenate(c) for c in zip(*blocks[d])] for d in sorted(blocks)]
@@ -262,16 +261,15 @@ class TestEstimateSpreads:
 
 
 class TestGrid:
-    """A delta grid runs as one bank of filters up to BANK_MAX_P regressors
-    and as one pass per delta past it; a delta's outputs never depend on
-    which, nor on the grid around it."""
+    """Each delta of a grid runs a pass of its own, stepping its rows in
+    blocks; a delta's outputs never depend on the grid around it."""
 
     GRID = (0.2, 0.5, 0.9, 0.98)
 
     @pytest.mark.parametrize(
         "n_streams, features",
         [
-            (BANK_MAX_P, FeatureConfig()),
+            (8, FeatureConfig()),
             (8, FeatureConfig(mode="svd", k=3)),
             (12, FeatureConfig()),
             (_BLAS_MIN_P + 1, FeatureConfig()),
@@ -318,23 +316,33 @@ class TestGrid:
         ids=["svd-k3", "raw-p12", "raw-p17"],
     )
     def test_filter_updates_per_ready_row(self, monkeypatch, n_streams, features):
+        # Each delta's filter steps every ready row once, alone or in a
+        # block, and no other row.
         returns, _ = make_market(seed=22, steps=80, n_streams=n_streams)
         regressors = compute_features(returns, features)
-        calls = []
-        update = KalmanEstimator.update
+        stepped = []
+        update, update_block = KalmanEstimator.update, KalmanEstimator.update_block
 
         def counted(self, x, y):
-            calls.append(self.P.shape)
-            return update(self, x, y)
+            diag = update(self, x, y)
+            stepped.append((self.vomega, 1))
+            return diag
+
+        def counted_block(self, X, Y, out):
+            result = update_block(self, X, Y, out)
+            if result is not None:
+                stepped.append((self.vomega, len(X)))
+            return result
 
         monkeypatch.setattr(KalmanEstimator, "update", counted)
+        monkeypatch.setattr(KalmanEstimator, "update_block", counted_block)
         estimate_spreads(returns, [EstimatorConfig(d) for d in self.GRID], regressors)
         ready = int(regressors.ready.sum())
-        p = regressors.values.shape[1]
-        if p <= BANK_MAX_P:     # one bank: one update per row
-            assert calls == [(4, p, p)] * ready
-        else:                   # one filter per pass
-            assert calls == [(p, p)] * (4 * ready)
+        rows = {}
+        for vomega, count in stepped:
+            rows[vomega] = rows.get(vomega, 0) + count
+        assert rows == {1.0 / Smoothing(d).mu: ready for d in self.GRID}
+        assert len(stepped) < len(self.GRID) * ready     # some blocks
 
     @pytest.mark.parametrize(
         "steps, reads", [(60, False), (600, True)], ids=["no-writer", "writer"]
@@ -381,9 +389,9 @@ class TestGrid:
             estimate_spreads(returns, narrow + [wide], regressors)
 
     def test_a_rejecting_delta_is_named_on_every_path(self):
-        # One pass per delta past BANK_MAX_P, one bank up to it: the
-        # message names the delta, not a filter's place in either.
-        for n_streams in (BANK_MAX_P, BANK_MAX_P + 1):
+        # numpy's block step below _BLAS_MIN_P, BLAS's from it: the message
+        # names the delta, not its place in the grid.
+        for n_streams in (8, _BLAS_MIN_P + 1):
             returns, _ = make_market(seed=0, steps=300, n_streams=n_streams)
             grid = [
                 EstimatorConfig(delta=0.2),
@@ -393,9 +401,9 @@ class TestGrid:
             with pytest.raises(DataError, match="rejected at delta 0.9: "):
                 estimate_spreads(returns, grid, compute_features(returns))
 
-    @pytest.mark.parametrize("n_streams", [BANK_MAX_P, BANK_MAX_P + 1])
+    @pytest.mark.parametrize("n_streams", [8, _BLAS_MIN_P + 1])
     def test_rows_a_writer_leaves_unread_are_still_stepped(self, n_streams):
-        # A bank up to BANK_MAX_P, one pass per delta past it; the writer
+        # numpy's block step below _BLAS_MIN_P, BLAS's from it; the writer
         # reads each delta's first block only.
         steps = 2 * BLOCK_CELLS // 10      # more than two writer blocks
         returns, _ = make_market(seed=25, steps=steps, n_streams=n_streams)
