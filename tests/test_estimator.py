@@ -1,5 +1,6 @@
 """Unit and property tests for the recursive estimators."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -737,6 +738,47 @@ class TestBlockStep:
         np.testing.assert_array_equal(est.P, state[0])
         np.testing.assert_array_equal(est.beta, state[1])
         assert est.t == state[2]
+
+
+class TestFilterBank:
+    """A grid of deltas is a bank of filters, one per delta, each stepped
+    in a pass of its own: each filter reaches the state it reaches alone,
+    bit for bit, and one filter's rejection rejects the run."""
+
+    VOMEGA = (0.25, 4.0, 0.02, 1.0)
+
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_each_filter_matches_its_run_alone_bitwise(self, p):
+        returns, _ = make_market(seed=30 + p, steps=200, n_streams=p)
+        regressors = Regressors(returns.features, np.ones(len(returns), bool))
+        deltas = [1.0 / (1.0 + vomega) for vomega in self.VOMEGA]
+        for order in (deltas, deltas[::-1]):
+            grid = [EstimatorConfig(delta) for delta in order]
+            spreads, paths = with_coefficients(returns, grid, regressors)
+            for d, config in enumerate(grid):
+                alone, [path] = with_coefficients(returns, [config], regressors)
+                assert spreads[:, d].tobytes() == alone[:, 0].tobytes()
+                for got, want in zip(paths[d], path):
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [3, 8])
+    def test_one_filter_rejecting_rejects_the_step_for_all(self, p):
+        # Wherever the rejecting filter sits in the grid, the run fails on
+        # the date that filter fails alone, and names its delta.  On seed 5
+        # the wide prior is rejected at both widths.
+        returns, _ = make_market(seed=5, steps=300, n_streams=p)
+        regressors = Regressors(returns.features, np.ones(len(returns), bool))
+        wide = EstimatorConfig(delta=0.9, prior_scale=1e20)
+        with pytest.raises(DataError) as alone:
+            estimate_spreads(returns, [wide], regressors)
+        day = re.search(r"on (\S+) rejected", str(alone.value)).group(1)
+        others = [EstimatorConfig(delta=0.2), EstimatorConfig(delta=0.5)]
+        for place in range(3):
+            grid = others[:place] + [wide] + others[place:]
+            with pytest.raises(
+                DataError, match=f"on {day} rejected at delta 0.9: "
+            ):
+                estimate_spreads(returns, grid, regressors)
 
 
 class TestKernelChoice:

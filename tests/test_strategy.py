@@ -401,7 +401,7 @@ class TestGrid:
             with pytest.raises(DataError, match="rejected at delta 0.9: "):
                 estimate_spreads(returns, grid, compute_features(returns))
 
-    @pytest.mark.parametrize("n_streams", [8, _BLAS_MIN_P + 1])
+    @pytest.mark.parametrize("n_streams", [8, 9, _BLAS_MIN_P + 1])
     def test_rows_a_writer_leaves_unread_are_still_stepped(self, n_streams):
         # numpy's block step below _BLAS_MIN_P, BLAS's from it; the writer
         # reads each delta's first block only.
