@@ -16,10 +16,9 @@ run removes the staging directory, so it leaves no partial outputs and
 changes no file already there.  Given equal inputs, outputs are
 byte-identical across reruns.  ``flexls --version`` also names the filter
 steps each width takes.  A single row (``KalmanEstimator.update``) steps
-below ``p = 16`` with the narrow kernel, ``numba`` (JIT-compiled) or
-``python`` (interpreted), and from ``p = 16`` with BLAS's one-triangle
-step on every backend.  The backtest's engine steps most rows a block at
-a time, with numpy below ``p = 16`` and BLAS from it, on every backend.
+on Python floats below ``p = 6``, with numpy below ``p = 16`` and with
+BLAS's one-triangle step from ``p = 16``.  The backtest's engine steps
+most rows a block at a time, with numpy below ``p = 16`` and BLAS from it.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ import numpy as np
 from . import __version__
 from .estimator import (
     _BLAS_MIN_P,
+    _NUMPY_MIN_P,
     DEFAULT_PRIOR_SCALE,
-    KERNEL_BACKEND,
     KalmanEstimator,
     Smoothing,
     fls_smooth_batch,
@@ -588,9 +587,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version",
         action="version",
         version=(
-            f"flexls {__version__} (kernel: {KERNEL_BACKEND} below p={_BLAS_MIN_P}, "
-            f"BLAS from p={_BLAS_MIN_P}; block step: numpy below p={_BLAS_MIN_P}, "
-            f"BLAS from p={_BLAS_MIN_P})"
+            f"flexls {__version__} (row step: floats below p={_NUMPY_MIN_P}, "
+            f"numpy below p={_BLAS_MIN_P}, BLAS from p={_BLAS_MIN_P}; "
+            f"block step: numpy below p={_BLAS_MIN_P}, BLAS from p={_BLAS_MIN_P})"
         ),
         help="print the version and the filter steps of each width",
     )

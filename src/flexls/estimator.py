@@ -20,22 +20,22 @@ references it is checked against.
 
 ``KalmanEstimator.update`` steps one row.  Its step is chosen by width
 alone, once per filter (:func:`_step_for_width`).  From ``_BLAS_MIN_P``
-coefficients it is :func:`_kf_step_impl` on every backend, which keeps
-the covariance as one triangle: BLAS's symmetric level-2 routines
-(Dongarra et al. 1988, ACM TOMS 14) read it with ``dsymv`` and downdate it
-with ``dsyr``, and never touch the other triangle, so the state is
-symmetric by construction.  A narrower filter steps with ``_kf_step``:
-numba's compiled loops when numba imports, else :func:`_kf_step_impl`,
-whose narrow step multiplies the whole matrix.  So a wide filter's
-outputs are the same with numba or without it.
+coefficients it is :func:`_kf_step_impl`'s BLAS step, which keeps the
+covariance as one triangle: BLAS's symmetric level-2 routines (Dongarra
+et al. 1988, ACM TOMS 14) read it with ``dsymv`` and downdate it with
+``dsyr``, and never touch the other triangle, so the state is symmetric
+by construction.  From ``_NUMPY_MIN_P`` up to that width it is
+:func:`_kf_step_impl`'s numpy step, which multiplies the whole matrix.
+Narrower still, it is :func:`_kf_step_loops`, the same step on Python
+floats, which spares the fixed cost of a dozen numpy calls.
 
 ``KalmanEstimator.update_block`` steps a block of rows at once
 (:func:`_kf_block_impl`): the rows' innovations are the Cholesky factor
 of their joint forecast covariance (Kailath 1968, IEEE TAC 13), so the
 block costs a few level-3 BLAS calls on the same triangle from
-``_BLAS_MIN_P``, and numpy calls below it, on every backend.  The
-backtest steps its rows that way once the prior no longer dominates
-(:data:`BLOCK_MAX_Q`); numba serves ``update`` and the smoother.
+``_BLAS_MIN_P``, and numpy calls below it.  The backtest steps its rows
+that way once the prior no longer dominates (:data:`BLOCK_MAX_Q`); the
+row step serves each filter's first rows, ``update`` and the smoother.
 
 Importing this module loads numpy alone.  scipy, which takes about twice
 as long as numpy to import, is loaded the first time a step needs it: by
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -60,14 +61,25 @@ from .util import write_blocks
 _ACCEPTED, _NONFINITE, _NONPOSITIVE = 0, 1, 2
 
 # Narrowest covariance stepped with BLAS ``dsymv`` and ``dsyr`` on one
-# triangle, on every backend.  At p=16 numpy's full-matrix product and
-# broadcast downdate cost the same per interpreted update (about 10 us);
-# from there they fall behind, 1.15x at 32, 1.5x at 64, 2.4x at 128 and
-# 8x at 432, where the one-triangle step takes about 50-60 us against
-# 90-105 us for ``dgemv`` and ``dger`` on the whole matrix (best and median
-# of 9).  Below this width a step needs no scipy.  numba's compiled loops
-# have not been timed against the one-triangle step at any width.
+# triangle.  At p=16 numpy's full-matrix product and broadcast downdate
+# cost the same per update (about 10 us); from there they fall behind,
+# 1.15x at 32, 1.5x at 64, 2.4x at 128 and 8x at 432, where the
+# one-triangle step takes about 50-60 us against 90-105 us for ``dgemv``
+# and ``dger`` on the whole matrix (best and median of 9).  Below this
+# width a step needs no scipy.
 _BLAS_MIN_P = 16
+
+# Narrowest filter whose row step runs on numpy; a narrower one steps on
+# Python floats (:func:`_kf_step_loops`).  A numpy call costs about a
+# microsecond at any small size, so the float step wins while the filter
+# has few entries.  Updates per second through ``KalmanEstimator.update``,
+# in thousands (best of 3 x 30,000 rows, BLAS at 1 thread, range of 5 runs
+# on a 2-core machine):
+#
+#     p        1        2        3        4        5      6      7      8
+#     floats   175-191  147-163  127-136  105-114  90-97  74-80  60-66  53-57
+#     numpy    76-86    85-93    86-91    80-92    79-89  78-92  80-89  75-90
+_NUMPY_MIN_P = 6
 
 # Last forecast variance above which rows are stepped one at a time rather
 # than as a block.  While the prior dominates, the block's forecast
@@ -105,8 +117,8 @@ def _status(e, q, beta_new) -> int:
 # step is rejected, so numpy need not warn about it.
 @np.errstate(all="ignore")
 def _kf_step_impl(P, beta, x, y, vomega):
-    """One filter update, interpreted: numpy or BLAS for the forecast and
-    for P, with unit observation noise.
+    """One filter update, with numpy or BLAS for the forecast and for P,
+    and unit observation noise.
 
     Returns ``(status, beta', e, q, K)``.  Only an accepted step (finite
     ``e``, ``q`` and ``beta'``, and ``q > 0``) writes, and it writes only
@@ -224,81 +236,63 @@ def _kf_block_impl(P, beta, X, Y, vomega, betas):
     return e, q
 
 
-def _kf_forecast_loops(P, beta, x, y, vomega):
-    """The forecast and checks of :func:`_kf_step_impl`, for numba to
-    compile; writes nothing.
-
-    Returns ``(status, beta', e, q, K, g)``, ``g`` the downdate's vector.
-    """
-    Rx = np.dot(P, x) + vomega * x
-    q = np.dot(x, Rx) + 1.0
-    e = y - np.dot(x, beta)
-    if not (math.isfinite(q) and math.isfinite(e)):
-        return _NONFINITE, beta, e, q, Rx, Rx
-    if not q > 0.0:
-        return _NONPOSITIVE, beta, e, q, Rx, Rx
-    K = Rx / q
-    beta_new = beta + e * K
-    for b in beta_new:
-        if not math.isfinite(b):
-            return _NONFINITE, beta, e, q, K, K
-    return _ACCEPTED, beta_new, e, q, K, Rx / math.sqrt(q)
-
-
-def _kf_downdate_loops(P, g, vomega) -> None:
-    """The downdate of :func:`_kf_step_impl`, for numba to compile.
-
-    Nothing is allocated at p x p: the loop walks the upper triangle and
-    mirrors each entry, so both triangles hold the downdated covariance.
-    """
-    p = g.shape[0]
-    for i in range(p):
-        gi = g[i]
-        P[i, i] = (P[i, i] + vomega) - gi * gi
-        for j in range(i + 1, p):
-            v = P[i, j] - gi * g[j]
-            P[i, j] = v
-            P[j, i] = v
-
-
 def _kf_step_loops(P, beta, x, y, vomega):
-    """The update of :func:`_kf_step_impl` as loops: same contract and
-    checks."""
-    status, beta_new, e, q, K, g = _kf_forecast_loops(P, beta, x, y, vomega)
-    if status == _ACCEPTED:
-        _kf_downdate_loops(P, g, vomega)
-    return status, beta_new, e, q, K
+    """The update of :func:`_kf_step_impl` on Python floats, for narrow
+    filters: the same contract and the same checks, in the same order.
 
-
-try:
-    from numba import njit
-
-    _kf_forecast_jit = njit(cache=True)(_kf_forecast_loops)
-    _kf_downdate_jit = njit(cache=True)(_kf_downdate_loops)
-
-    @njit(cache=True)
-    def _kf_step(P, beta, x, y, vomega):
-        """:func:`_kf_step_loops`, compiled: one call per filter update."""
-        status, beta_new, e, q, K, g = _kf_forecast_jit(P, beta, x, y, vomega)
-        if status == _ACCEPTED:
-            _kf_downdate_jit(P, g, vomega)
-        return status, beta_new, e, q, K
-
-    KERNEL_BACKEND = "numba"
-except ImportError:   # pragma: no cover - numba is a declared dependency
-    # Interpreted, the loops would cost a Python step per entry of P.
-    _kf_step = _kf_step_impl
-    KERNEL_BACKEND = "python"
+    Each sum runs left to right, so at ``p = 1`` every operation is the
+    numpy step's and the bits agree; from ``p = 2`` numpy's dot products
+    may fuse or reorder theirs, and the two agree to rounding.  Python's
+    float arithmetic gives ``inf`` or ``nan`` on overflow without a
+    warning, and an accepted step divides only by ``q > 0`` and its square
+    root, so this step needs no ``np.errstate``.
+    """
+    xs = x.tolist()
+    bs = beta.tolist()
+    flat = P.ravel().tolist()           # P's rows, end to end
+    p = len(xs)
+    Rx = []
+    q = xb = 0.0
+    k = 0
+    for xi, b in zip(xs, bs):
+        s = 0.0
+        for xj in xs:
+            s += flat[k] * xj
+            k += 1
+        r = s + vomega * xi
+        Rx.append(r)
+        q += xi * r
+        xb += xi * b
+    q += 1.0
+    e = y - xb
+    if math.isfinite(q) and math.isfinite(e) and q > 0.0:
+        K = [r / q for r in Rx]
+        beta_new = [b + e * k for b, k in zip(bs, K)]
+        if all(map(math.isfinite, beta_new)):
+            root = math.sqrt(q)
+            g = [r / root for r in Rx]
+            for i in range(0, p * p, p + 1):
+                flat[i] += vomega       # flat is now P + vomega I
+            gg = [a * b for a in g for b in g]
+            P.ravel()[:] = list(map(operator.sub, flat, gg))
+            return _ACCEPTED, np.array(beta_new), e, q, np.array(K)
+    # Rejected: the numpy step's gain and checks, which may overflow or
+    # divide by zero, on this path alone.
+    with np.errstate(all="ignore"):
+        K = np.divide(Rx, q)
+        return _status(e, q, beta + e * K), beta, e, q, K
 
 
 def _step_for_width(p: int):
-    """The step of one filter of ``p`` coefficients: :func:`_kf_step_impl`
-    from ``_BLAS_MIN_P``, on every backend, else ``_kf_step``.
+    """The row step of one filter of ``p`` coefficients: :func:`_kf_step_loops`
+    below ``_NUMPY_MIN_P``, else :func:`_kf_step_impl` (numpy below
+    ``_BLAS_MIN_P``, BLAS from it).
 
     Reads the module's names when called, so a stand-in installed there is
     the one chosen.
     """
-    return _kf_step_impl if p >= _BLAS_MIN_P else _kf_step
+    return _kf_step_impl if p >= _NUMPY_MIN_P else _kf_step_loops
+
 
 # Reciprocal-condition floor below which a normal-equations solve is
 # treated as underdetermined rather than silently amplified.
@@ -488,10 +482,10 @@ def fls_smooth_batch(
     e, q = np.empty(T), np.empty(T)
     E, K = np.empty((T, p)), np.empty((T, p))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T):
+        for t, y in enumerate(ys.tolist()):
             E[t] = xs[t] @ dep
             status, beta, e[t], q[t], K[t] = step(
-                P, beta, xs[t], ys[t], vomega if t else 0.0
+                P, beta, xs[t], y, vomega if t else 0.0
             )
             if status != _ACCEPTED:
                 raise ValueError(
@@ -545,10 +539,10 @@ class KalmanEstimator:
 
     ``update`` steps one row, with the step chosen once, at construction,
     by width (:func:`_step_for_width`): from ``p = _BLAS_MIN_P`` the
-    one-triangle BLAS step of :func:`_kf_step_impl` on every backend,
-    below it ``_kf_step`` (compiled when numba imports).
-    ``update_block`` steps a block of rows at once
-    (:func:`_kf_block_impl`), interpreted on every backend.
+    one-triangle BLAS step of :func:`_kf_step_impl`, from
+    ``_NUMPY_MIN_P`` its numpy step, and below that the same step on
+    Python floats, :func:`_kf_step_loops`.  ``update_block`` steps a block
+    of rows at once (:func:`_kf_block_impl`).
     ``prior_scale`` and ``P0`` are keyword-only, so a call that still
     passes an observation noise third fails rather than setting the prior.
 
@@ -611,8 +605,8 @@ class KalmanEstimator:
 
         A new read-only array on every read, symmetric: the stored lower
         triangle, mirrored.  Every step keeps that triangle current (the
-        narrow ones, compiled or not, keep both), so the mirror is the
-        state on any backend.  The next update does not change it.
+        narrow ones keep both), so the mirror is the state.  The next
+        update does not change it.
         """
         P = np.where(np.tri(self.p, dtype=bool), self._cov, self._cov.T)
         P.flags.writeable = False

@@ -38,12 +38,9 @@ from flexls.eigentrack import EigenTracker
 import flexls.estimator as estimator_module
 from flexls.estimator import (
     DEFAULT_PRIOR_SCALE,
-    KERNEL_BACKEND,
     KalmanEstimator,
     RejectedStep,
     Smoothing,
-    _kf_step,
-    _kf_step_impl,
 )
 from flexls.ingest import MAX_MISSING_FRAC, load_csv, write_csv
 from flexls.metrics import TRADING_DAYS_PER_YEAR, summarize
@@ -151,18 +148,17 @@ class TestReadme:
 
 class TestVersion:
     def test_prints_version_and_kernel(self, capsys):
-        # A narrow row step takes the backend's kernel; from _BLAS_MIN_P
-        # every row step takes the one-triangle BLAS step.  The block step
-        # is numpy's below _BLAS_MIN_P and BLAS's from it, on any backend.
+        # A row steps on Python floats below _NUMPY_MIN_P, on numpy below
+        # _BLAS_MIN_P and with the one-triangle BLAS step from it.  The
+        # block step is numpy's below _BLAS_MIN_P and BLAS's from it.
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == EXIT_OK
-        expected = "python" if _kf_step is _kf_step_impl else "numba"
-        assert KERNEL_BACKEND == expected
+        assert estimator_module._NUMPY_MIN_P == 6
         assert estimator_module._BLAS_MIN_P == 16
         assert capsys.readouterr().out == (
-            f"flexls {__version__} (kernel: {expected} below p=16, BLAS from p=16; "
-            "block step: numpy below p=16, BLAS from p=16)\n"
+            f"flexls {__version__} (row step: floats below p=6, numpy below p=16, "
+            "BLAS from p=16; block step: numpy below p=16, BLAS from p=16)\n"
         )
 
 

@@ -16,7 +16,6 @@ from flexls.estimator import (
     Smoothing,
     UnderdeterminedError,
     _kf_block_impl,
-    _kf_step,
     _kf_step_impl,
     _kf_step_loops,
     fls_smooth_batch,
@@ -262,7 +261,7 @@ class TestKalmanEstimator:
 
     @pytest.mark.parametrize("p", [17, 433])
     def test_wide_step_never_touches_the_upper_triangle(self, p):
-        # From _BLAS_MIN_P the interpreted step keeps P's lower triangle
+        # From _BLAS_MIN_P the row step keeps P's lower triangle
         # alone: NaN above the diagonal is never read (the path is the same
         # bit for bit), and the zeros above the diagonal of the clean run
         # are never written.  Odd p leaves BLAS a scalar tail after its
@@ -309,9 +308,7 @@ class TestKalmanEstimator:
         assert eig.min() >= -1e-12 * eig.max()
 
     @pytest.mark.parametrize(
-        "step",
-        [_kf_step_impl, _kf_step, _kf_step_loops],
-        ids=["impl", "step", "loops"],
+        "step", [_kf_step_impl, _kf_step_loops], ids=["impl", "loops"]
     )
     def test_kernel_downdates_only_the_covariance(self, step):
         rng = np.random.default_rng(16)
@@ -337,14 +334,14 @@ class TestKalmanEstimator:
         np.testing.assert_array_equal(x, x_then)
 
     @pytest.mark.parametrize(
-        "step",
-        [_kf_step_impl, _kf_step, _kf_step_loops],
-        ids=["impl", "step", "loops"],
+        "step", [_kf_step_impl, _kf_step_loops], ids=["impl", "loops"]
     )
     def test_kernel_leaves_its_inputs_untouched(self, step):
-        """A rejected step writes none of its inputs."""
-        # The second case has finite e and q, but a gain near 5e7 that
-        # carries the 1e305 innovation past the float range.
+        """A rejected step writes none of its inputs, and returns its
+        status without raising or warning."""
+        # The first case overflows e and q.  The second has finite e and q,
+        # but a gain near 5e7 that carries the 1e305 innovation past the
+        # float range.
         P = np.array([[2.0, 0.5], [0.5, 1.0]])
         cases = [
             (estimator_module._NONFINITE, P, np.full(2, 1e200), 1.0),
@@ -354,7 +351,8 @@ class TestKalmanEstimator:
         for expected, P0, x, y in cases:
             P, beta = P0.copy(), np.array([0.1, -0.2])
             before = [v.copy() for v in (P, beta, x)]
-            with np.errstate(all="ignore"):   # the interpreted loops warn
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
                 status = step(P, beta, x, y, 0.3)[0]
             assert status == expected
             for now, then in zip((P, beta, x), before):
@@ -571,49 +569,55 @@ class TestKalmanEstimator:
             est.P = np.asfortranarray(P0)
 
     def test_loops_kernel_tracks_blas_kernel(self):
-        # From _BLAS_MIN_P the interpreted kernel steps P's lower triangle
-        # with dsymv and dsyr, which sum and may fuse in their own order,
-        # so the two forms agree to rounding, on the lower triangle
-        # mirrored; below it both take the same products, so they agree
-        # bitwise.
-        rng = np.random.default_rng(20)
-        for p in (6, 17):
-            lower = np.tri(p, dtype=bool)
-            P1, P2 = np.eye(p) * 5.0, np.eye(p) * 5.0
-            b1 = b2 = np.zeros(p)
-            for _ in range(100):
-                x = rng.normal(size=p)
-                y = float(rng.normal())
-                s1, b1, e1, q1, K1 = _kf_step_impl(P1, b1, x, y, 0.7)
-                s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 0.7)
-                assert s1 == s2 == estimator_module._ACCEPTED
-                np.testing.assert_array_equal(P2, P2.T)
-                np.testing.assert_allclose(b2, b1, rtol=1e-12, atol=1e-14)
-                mirrored = np.where(lower, P1, P1.T)
-                np.testing.assert_allclose(P2, mirrored, rtol=1e-12, atol=1e-14)
-                assert e2 == pytest.approx(e1, rel=1e-12, abs=1e-14)
-                if p < estimator_module._BLAS_MIN_P:
-                    np.testing.assert_array_equal(P1, P2)
-                    np.testing.assert_array_equal(b1, b2)
+        """The float step against the numpy step it shadows, one step at a
+        time from the numpy step's state, at every width it serves:
+        bitwise at p = 1, where each sum has one term; from p = 2 to
+        1e-12, as numpy's dot products may fuse or reorder theirs.  At
+        p = 17 the float step is the reference for the BLAS step, which
+        keeps P's lower triangle alone.
 
-    def test_jit_kernel_matches_plain_python_bitwise(self):
-        if _kf_step is _kf_step_impl:
-            pytest.skip("JIT compiler unavailable; the interpreted kernel runs")
-        rng = np.random.default_rng(13)
-        p = 4
-        P1, P2 = np.eye(p) * 5.0, np.eye(p) * 5.0
-        b1 = b2 = np.zeros(p)
-        for _ in range(50):
-            x = rng.normal(size=p)
-            y = float(rng.normal())
-            s1, b1, e1, q1, K1 = _kf_step(P1, b1, x, y, 0.7)
-            s2, b2, e2, q2, K2 = _kf_step_loops(P2, b2, x, y, 0.7)
-            assert s1 == s2 == estimator_module._ACCEPTED
-            assert b1.shape == K1.shape == (p,)
-            assert np.array_equal(b1, b2)
-            assert np.array_equal(K1, K2)
-            assert np.array_equal(P1, P2)
-            assert e1 == e2 and q1 == q2
+        Each output's gap is taken against the size of the terms it is
+        summed from, since a sum that cancels keeps only their rounding:
+        e against |y| + |x|'|beta|, q against |x|'|R||x| + 1 (R = P +
+        vomega I), K against |R||x| / q, beta' against |beta| + |e||R||x|
+        / q and P' against R.  The worst gaps here were 3.0e-15 below
+        p = 6 and 1.2e-15 at p = 17; over seeds 0-9 they reached 2.2e-14
+        and 2.7e-14, 37 times inside the bound."""
+        rng = np.random.default_rng(20)
+        worst = 0.0
+        for p in (*range(1, estimator_module._NUMPY_MIN_P), 17):
+            lower = np.tri(p, dtype=bool)
+            for scale in (1e-3, 1.0, 1e3):
+                for delta in (1e-6, 0.9, 0.9999):
+                    vomega = 1.0 / Smoothing(delta).mu
+                    P = DEFAULT_PRIOR_SCALE * np.eye(p)
+                    beta = np.zeros(p)
+                    for _ in range(100):
+                        x = scale * rng.normal(size=p)
+                        y = float(rng.normal() + x.sum())
+                        P2 = np.where(lower, P, P.T)
+                        R = P2 + vomega * np.eye(p)
+                        Rx_terms = np.abs(R) @ np.abs(x)
+                        s1, b1, e1, q1, K1 = _kf_step_impl(P, beta, x, y, vomega)
+                        s2, b2, e2, q2, K2 = _kf_step_loops(P2, beta, x, y, vomega)
+                        assert s1 == s2 == estimator_module._ACCEPTED
+                        assert b2.shape == K2.shape == (p,)
+                        np.testing.assert_array_equal(P2, P2.T)
+                        if p == 1:
+                            assert (e1, q1) == (e2, q2)
+                            for a1, a2 in ((b1, b2), (K1, K2), (P, P2)):
+                                np.testing.assert_array_equal(a1, a2)
+                        K_size = Rx_terms.max() / q1
+                        worst = max(
+                            worst,
+                            abs(e2 - e1) / (abs(y) + np.abs(x) @ np.abs(beta)),
+                            abs(q2 - q1) / (np.abs(x) @ Rx_terms + 1.0),
+                            np.abs(K2 - K1).max() / K_size,
+                            np.abs(b2 - b1).max() / (np.abs(beta).max() + abs(e1) * K_size),
+                            np.abs(P2 - np.where(lower, P, P.T)).max() / np.abs(R).max(),
+                        )
+                        beta = b1
+        assert worst < 1e-12
 
 
 class TestBlockStep:
@@ -782,67 +786,42 @@ class TestFilterBank:
 
 
 class TestKernelChoice:
-    """A filter's row step is chosen by its width alone: from _BLAS_MIN_P
-    the one-triangle BLAS step on every backend, below it the module's
-    _kf_step, which numba compiles when it imports.  _kf_step_loops
-    stands in for the compiled kernel here.  The block step is
-    _kf_block_impl at every width, on every backend."""
+    """A filter's row step is chosen by its width alone: the float step
+    _kf_step_loops up to the crossover (p = 5), then _kf_step_impl, on
+    numpy below _BLAS_MIN_P and BLAS from it.  The block step is
+    _kf_block_impl at every width."""
 
-    WIDTHS = (1, 8, 15, 16, 432)
+    ROW_STEPS = {
+        1: "_kf_step_loops",
+        5: "_kf_step_loops",
+        6: "_kf_step_impl",
+        15: "_kf_step_impl",
+        16: "_kf_step_impl",
+        432: "_kf_step_impl",
+    }
 
-    def spy_on_steps(self, monkeypatch, narrow):
+    def spy_on_steps(self, monkeypatch):
         calls = []
+        for name in ("_kf_step_impl", "_kf_step_loops", "_kf_block_impl"):
+            step = getattr(estimator_module, name)
 
-        def spy(name, step):
-            def recorded(*args):
+            def recorded(*args, name=name, step=step):
                 calls.append(name)
                 return step(*args)
 
             monkeypatch.setattr(estimator_module, name, recorded)
-
-        spy("_kf_step_impl", _kf_step_impl)
-        spy("_kf_step", narrow)
-        spy("_kf_block_impl", _kf_block_impl)
         return calls
 
-    @pytest.mark.parametrize(
-        "narrow", [_kf_step, _kf_step_loops], ids=["as-is", "stand-in"]
-    )
-    def test_each_width_steps_with_one_kernel(self, monkeypatch, narrow):
-        calls = self.spy_on_steps(monkeypatch, narrow)
+    def test_each_width_steps_with_one_kernel(self, monkeypatch):
+        calls = self.spy_on_steps(monkeypatch)
         rng = np.random.default_rng(40)
-        for p in self.WIDTHS:
-            wide = p >= estimator_module._BLAS_MIN_P
+        for p, row in self.ROW_STEPS.items():
             est = KalmanEstimator(p, vomega=0.5)
             est.update(rng.normal(size=p), 0.1)
             fls_smooth_batch(rng.normal(size=(3, p)), rng.normal(size=3), Smoothing(0.5))
             est.update_block(rng.normal(size=(2, p)), rng.normal(size=2), np.empty((2, p)))
-            row = "_kf_step_impl" if wide else "_kf_step"
             assert calls == [row] * 4 + ["_kf_block_impl"], p
             calls.clear()
-
-    def test_wide_outputs_do_not_depend_on_the_narrow_kernel(self, monkeypatch):
-        # The loops kernel sums in another order than dsymv and dsyr, so a
-        # wide filter that took it would move in its last bits.
-        returns, _ = make_market(seed=41, n_streams=17, steps=300)
-        grid = [EstimatorConfig(delta) for delta in (0.5, 0.98)]
-
-        def outputs():
-            spreads, paths = with_coefficients(returns, grid)
-            smoothed = fls_smooth_batch(
-                returns.features, returns.target, Smoothing(0.9)
-            )
-            columns = [
-                column
-                for d, (_, e, Q) in enumerate(paths)
-                for column in (spreads[:, d], e, Q)
-            ]
-            betas = [b for b, _, _ in paths]
-            return [a.tobytes() for a in [*columns, *betas, smoothed]]
-
-        expected = outputs()
-        monkeypatch.setattr(estimator_module, "_kf_step", _kf_step_loops)
-        assert outputs() == expected
 
 
 class TestOlsFit:
