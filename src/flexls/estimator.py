@@ -29,13 +29,15 @@ by construction.  From ``_NUMPY_MIN_P`` up to that width it is
 Narrower still, it is :func:`_kf_step_loops`, the same step on Python
 floats, which spares the fixed cost of a dozen numpy calls.
 
-``KalmanEstimator.update_block`` steps a block of rows at once
+``KalmanEstimator.update_block`` steps a run of rows as that many
+``update`` calls would, to rounding.  Once the prior no longer dominates
+(:data:`BLOCK_MAX_Q`) it steps them a block at a time
 (:func:`_kf_block_impl`): the rows' innovations are the Cholesky factor
 of their joint forecast covariance (Kailath 1968, IEEE TAC 13), so the
 block costs a few level-3 BLAS calls on the same triangle from
-``_BLAS_MIN_P``, and numpy calls below it.  The backtest steps its rows
-that way once the prior no longer dominates (:data:`BLOCK_MAX_Q`); the
-row step serves each filter's first rows, ``update`` and the smoother.
+``_BLAS_MIN_P``, and numpy calls below it.  The row step serves each
+filter's first rows, the rows of a block the block step refuses,
+``update`` and the smoother.
 
 Importing this module loads numpy alone.  scipy, which takes about twice
 as long as numpy to import, is loaded the first time a step needs it: by
@@ -81,8 +83,8 @@ _BLAS_MIN_P = 16
 #     numpy    76-86    85-93    86-91    80-92    79-89  78-92  80-89  75-90
 _NUMPY_MIN_P = 6
 
-# Last forecast variance above which rows are stepped one at a time rather
-# than as a block.  While the prior dominates, the block's forecast
+# Last forecast variance above which ``update_block`` steps a row alone
+# rather than in a block.  While the prior dominates, the block's forecast
 # covariance holds entries this large against its unit observation noise.
 # Blocks from the first row on were up to 1.9e-7 of the largest
 # coefficient from the row filter (p = 64, regressors scaled by 1e3, delta
@@ -90,6 +92,12 @@ _NUMPY_MIN_P = 6
 # 15, 16, 17, 64}, regressor scales 1e-3 to 1e3 and delta 1e-6 to 0.9999
 # (TestBlockStep.test_engine_matches_row_steps).
 BLOCK_MAX_Q = 1e4
+
+# Most rows one block step takes.  At p = 3 and 8, blocks of 64 rows cost
+# 1.5-1.7 us a row, against 3.0-3.3 us for 128 and 12 us for row steps
+# (BLAS at one thread).  At p = 432 the backtest's writer block (18 rows)
+# is the tighter bound.
+_BLOCK_MAX_ROWS = 64
 
 
 @functools.cache
@@ -541,8 +549,9 @@ class KalmanEstimator:
     by width (:func:`_step_for_width`): from ``p = _BLAS_MIN_P`` the
     one-triangle BLAS step of :func:`_kf_step_impl`, from
     ``_NUMPY_MIN_P`` its numpy step, and below that the same step on
-    Python floats, :func:`_kf_step_loops`.  ``update_block`` steps a block
-    of rows at once (:func:`_kf_block_impl`).
+    Python floats, :func:`_kf_step_loops`.  ``update_block`` steps a run
+    of rows, in blocks (:func:`_kf_block_impl`) once the prior no longer
+    dominates.
     ``prior_scale`` and ``P0`` are keyword-only, so a call that still
     passes an observation noise third fails rather than setting the prior.
 
@@ -598,6 +607,7 @@ class KalmanEstimator:
             self._cov = P0
         self.beta = np.zeros(self.p)
         self.t = 0
+        self._last_q = math.inf     # the last step's forecast variance
 
     @property
     def P(self) -> NDArray[np.float64]:
@@ -673,31 +683,54 @@ class KalmanEstimator:
             raise RejectedStep("non-finite update: check the scale of x and the state")
         self.beta = beta_new
         self.t += 1
+        self._last_q = q
         return KfDiagnostics(innovation=e, forecast_var=q, gain=K)
 
     def update_block(self, X, Y, out):
-        """Consume the rows of ``X`` (B, p) and ``Y`` (B,) in one step.
+        """Consume the rows of ``X`` (B, p) and ``Y`` (B,) as B calls of
+        :meth:`update` would, to rounding.
 
-        Writes each row's updated coefficients, those its :meth:`update`
-        would leave, into ``out``, a C-ordered (B, p) array, and returns
-        each row's innovation and forecast variance, ``(e, q)``.  Returns
-        ``None``, leaving the state as it was, when the block cannot be
-        stepped whole (see :func:`_kf_block_impl`); :meth:`update` then
-        steps or rejects each of its rows as it always does.  Rows agree
-        with :meth:`update` to rounding once the data dominate the prior:
-        while the last forecast variance exceeds :data:`BLOCK_MAX_Q`, step
-        rows through :meth:`update` instead.
+        Writes each row's updated coefficients into ``out``, a C-contiguous
+        float64 (B, p) array, and returns each row's innovation and forecast
+        variance, ``(e, q)``.  While the last forecast variance exceeds
+        :data:`BLOCK_MAX_Q` a row steps alone, through :meth:`update`;
+        otherwise rows step in blocks of at most ``_BLOCK_MAX_ROWS``
+        (:func:`_kf_block_impl`), and each row of a block that step refuses
+        steps alone.  So a row :meth:`update` would reject raises its
+        :class:`RejectedStep`, with the rows before it stepped: ``t`` has
+        advanced by their count and ``out`` holds their coefficients.
+        Raises ``ValueError``, before any step, on a misshapen input.
         """
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y, dtype=np.float64)
         B = len(X)
-        if X.shape != (B, self.p) or Y.shape != (B,) or out.shape != X.shape:
-            raise ValueError(f"X and out must be (B, {self.p}) and Y (B,)")
-        stepped = _kf_block_impl(self._cov, self.beta, X, Y, self.vomega, out)
-        if stepped is not None:
-            self.beta = out[-1].copy()
-            self.t += B
-        return stepped
+        if X.shape != (B, self.p) or Y.shape != (B,):
+            raise ValueError(f"X must be (B, {self.p}) and Y (B,)")
+        if not (
+            isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == X.shape and out.flags.c_contiguous
+        ):
+            raise ValueError(f"out must be a C-contiguous float64 ({B}, {self.p}) array")
+        e, q = np.empty((2, B))
+        i = 0
+        while i < B:
+            end, stepped = i + 1, None
+            if self._last_q <= BLOCK_MAX_Q:
+                end = min(B, i + _BLOCK_MAX_ROWS)
+                stepped = _kf_block_impl(
+                    self._cov, self.beta, X[i:end], Y[i:end], self.vomega, out[i:end]
+                )
+            if stepped is None:
+                for j in range(i, end):
+                    diag = self.update(X[j], Y[j])
+                    e[j], q[j], out[j] = diag.innovation, diag.forecast_var, self.beta
+            else:
+                e[i:end], q[i:end] = stepped
+                self.beta = out[end - 1].copy()
+                self.t += end - i
+                self._last_q = q[end - 1]
+            i = end
+        return e, q
 
 
 def write_coefficient_csv(path, p: int, rows) -> None:

@@ -20,13 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .eigentrack import EigenTracker
-from .estimator import (
-    BLOCK_MAX_Q,
-    DEFAULT_PRIOR_SCALE,
-    KalmanEstimator,
-    RejectedStep,
-    Smoothing,
-)
+from .estimator import DEFAULT_PRIOR_SCALE, KalmanEstimator, RejectedStep, Smoothing
 from .ingest import DataError, ReturnMatrix
 from .util import block_rows, iso_dates, write_table
 
@@ -226,35 +220,22 @@ def estimate_spreads(
     return spreads
 
 
-# Most rows one block step takes.  At p = 3 and 8, blocks of 64 rows cost
-# 1.5-1.7 us a row, against 3.0-3.3 us for 128 and 12 us for row steps
-# (BLAS at one thread).  At p = 432 the writer's block (18 rows) is the
-# tighter bound: a longer block would need a longer buffer.
-_BLOCK_MAX_ROWS = 64
-
-
 def _filter_pass(returns, regressors, config, spreads):
     """Step the filter of ``config`` over the return rows, subtracting each
     row's fit from ``spreads``, its ``(n,)`` column.  Yields, for each
     writer block of rows, the ``(betas, e, Q)`` block, in one buffer
     refilled for the next.
 
-    Each run of rows with regressors steps as blocks of at most
-    ``_BLOCK_MAX_ROWS`` rows (:meth:`KalmanEstimator.update_block`).  A row
-    steps alone, through :meth:`KalmanEstimator.update`, while the last
-    forecast variance exceeds :data:`~flexls.estimator.BLOCK_MAX_Q`, and
-    every row of a block the block step refuses steps alone, so a
-    rejection is the one the row step makes.
+    Each run of rows with regressors in a writer block steps in one
+    :meth:`KalmanEstimator.update_block` call.
     """
     dim = regressors.values.shape[1]
     kf = KalmanEstimator.from_smoothing(
         dim, Smoothing(config.delta), prior_scale=config.prior_scale
     )
     step = block_rows(dim + 3)       # a coefficient file's t, betas, e and Q
-    most = min(step, _BLOCK_MAX_ROWS)
     betas = np.empty((step, dim))
     e, q = np.empty((2, step))
-    last_q = math.inf
     for start in range(0, len(returns), step):
         # This writer block's rows, indexed from 0.
         rows = slice(start, start + step)
@@ -268,26 +249,17 @@ def _filter_pass(returns, regressors, config, spreads):
             if not ready[i]:
                 i += 1
                 continue
-            # One row while the prior dominates, else the run of ready rows
-            # from i, up to `most` of them, as one block.
-            end, stepped = i + 1, None
-            if last_q <= BLOCK_MAX_Q:
-                while end < k and end - i < most and ready[end]:
-                    end += 1
-                stepped = kf.update_block(X[i:end], Y[i:end], betas[i:end])
-            if stepped is None:
-                for j in range(i, end):
-                    try:
-                        diag = kf.update(X[j], Y[j])
-                    except RejectedStep as exc:
-                        raise DataError(
-                            f"regression update on {returns.dates[start + j]} "
-                            f"rejected at delta {config.delta!r}: {exc}"
-                        ) from None
-                    e[j], q[j], betas[j] = diag.innovation, diag.forecast_var, kf.beta
-            else:
-                e[i:end], q[i:end] = stepped
-            last_q = q[end - 1]
+            end = i + 1
+            while end < k and ready[end]:
+                end += 1
+            t = kf.t
+            try:
+                e[i:end], q[i:end] = kf.update_block(X[i:end], Y[i:end], betas[i:end])
+            except RejectedStep as exc:
+                raise DataError(
+                    f"regression update on {returns.dates[start + i + kf.t - t]} "
+                    f"rejected at delta {config.delta!r}: {exc}"
+                ) from None
             s[i:end] -= np.einsum("ij,ij->i", X[i:end], betas[i:end])
             i = end
         yield betas[:k], e[:k], q[:k]
@@ -353,9 +325,10 @@ def simulate_trading(
     """Fold residuals and prices into a trade ledger.
 
     ``index_prices`` has one more entry than ``spreads``: the leading price
-    anchors the first day's move.  Rows before ``warmup`` (and rows flagged
-    inactive) are forced flat.  ``rule`` is ``mean-reversion`` (trade
-    against the residual) or ``buy-hold`` (always long, the baseline).
+    anchors the first day's move.  Rows before ``warmup``, and rows that
+    ``active`` (one flag per row, if given) marks inactive, are forced
+    flat.  ``rule`` is ``mean-reversion`` (trade against the residual) or
+    ``buy-hold`` (always long, the baseline).
     A price so low that the day's order no longer fits in an int64 contract
     count raises :class:`~flexls.ingest.DataError`.
     """
@@ -364,6 +337,8 @@ def simulate_trading(
     if len(dates) != n:
         raise ValueError(f"{len(dates)} dates for {n} spread rows")
     index_prices = _trading_inputs(n, index_prices, warmup, rule)
+    if active is not None and np.shape(active) != (n,):
+        raise ValueError(f"active must have shape ({n},), got {np.shape(active)}")
 
     signals = np.zeros(n, dtype=np.int64)
     positions = np.zeros(n)

@@ -818,10 +818,10 @@ class TestStaging:
 
     def reject_late(self, monkeypatch, tmp_path, before):
         """Make the second delta's filter reject row LATE_ROW, and record
-        what had been written by then.  A block holding that row is
-        refused, as a block with a failing row is, so the row steps alone
-        and its update rejects it."""
-        update, update_block = KalmanEstimator.update, KalmanEstimator.update_block
+        what had been written by then.  That filter's block step refuses
+        every block, as it refuses a block with a failing row, so each row
+        steps alone and its update rejects that one."""
+        update, block = KalmanEstimator.update, estimator_module._kf_block_impl
         second = 1.0 / Smoothing(self.DELTAS[1]).mu
         seen = {}
 
@@ -833,13 +833,13 @@ class TestStaging:
                 raise RejectedStep("forecast variance must stay positive, got -1.0")
             return update(kf, x, y)
 
-        def refused_late(kf, X, Y, out):
-            if kf.vomega == second and kf.t <= self.LATE_ROW < kf.t + len(X):
+        def refused(P, beta, X, Y, vomega, betas):
+            if vomega == second:
                 return None
-            return update_block(kf, X, Y, out)
+            return block(P, beta, X, Y, vomega, betas)
 
         monkeypatch.setattr(KalmanEstimator, "update", late_rejection)
-        monkeypatch.setattr(KalmanEstimator, "update_block", refused_late)
+        monkeypatch.setattr(estimator_module, "_kf_block_impl", refused)
         return seen
 
     @pytest.mark.parametrize("existing", [False, True], ids=["absent", "existing"])

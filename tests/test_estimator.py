@@ -621,9 +621,9 @@ class TestKalmanEstimator:
 
 
 class TestBlockStep:
-    """update_block steps a block of rows as one: each row's coefficients,
-    innovation and forecast variance are those of update, to rounding, and
-    a block it cannot step leaves the state as it was."""
+    """The block step takes a block of rows as one: each row's
+    coefficients, innovation and forecast variance are those of update, to
+    rounding, and a block it cannot step leaves the state as it was."""
 
     @pytest.mark.parametrize("p", [1, 3, 8, 15, 16, 17, 64])
     def test_engine_matches_row_steps(self, p):
@@ -676,17 +676,17 @@ class TestBlockStep:
         grid = [EstimatorConfig(delta=0.9, prior_scale=1e20)]
         messages = []
         refused = []
-        update_block = KalmanEstimator.update_block
+        block = estimator_module._kf_block_impl
 
-        def recorded(self, X, Y, out):
-            result = update_block(self, X, Y, out)
+        def recorded(P, beta, X, Y, vomega, betas):
+            result = block(P, beta, X, Y, vomega, betas)
             if result is None:
-                refused.append(self.t)
+                refused.append(len(X))
             return result
 
-        monkeypatch.setattr(KalmanEstimator, "update_block", recorded)
+        monkeypatch.setattr(estimator_module, "_kf_block_impl", recorded)
         for limit in (0.0, np.inf):
-            monkeypatch.setattr("flexls.strategy.BLOCK_MAX_Q", limit)
+            monkeypatch.setattr(estimator_module, "BLOCK_MAX_Q", limit)
             with pytest.raises(DataError, match="rejected at delta 0.9: ") as exc:
                 estimate_spreads(returns, grid, regressors)
             messages.append(str(exc.value))
@@ -695,27 +695,29 @@ class TestBlockStep:
 
     @pytest.mark.parametrize("p", [3, 17])
     def test_a_refused_block_leaves_the_state(self, p):
+        # The block step refuses a block it cannot factor, or one whose row
+        # fails the row step's checks, and leaves P and beta as they were.
         rng = np.random.default_rng(p)
-        est = KalmanEstimator(p, vomega=0.3)
+        est = KalmanEstimator(p, vomega=0.3, prior_scale=1.0)
         est.update(rng.normal(size=p), 0.2)
         X, Y = rng.normal(size=(5, p)), rng.normal(size=5)
         for bad in ("indefinite", "nan-y"):
-            cov = est._cov.copy()
+            P = est._cov.copy()
             if bad == "indefinite":     # set by hand: no factor exists
-                est._cov[...] = -10.0 * np.eye(p)
+                P[...] = -10.0 * np.eye(p)
             Y_bad = Y.copy()
             if bad == "nan-y":
                 Y_bad[3] = np.nan
-            state = [est._cov.copy(), est.beta.copy(), est.t]
+            state = [P.copy(), est.beta.copy()]
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert est.update_block(X, Y_bad, np.empty((5, p))) is None
-            np.testing.assert_array_equal(est._cov, state[0])
+                refused = _kf_block_impl(P, est.beta, X, Y_bad, est.vomega, np.empty((5, p)))
+            assert refused is None
+            np.testing.assert_array_equal(P, state[0])
             np.testing.assert_array_equal(est.beta, state[1])
-            assert est.t == state[2]
-            est._cov[...] = cov
         out = np.empty((5, p))
-        assert est.update_block(X, Y, out) is not None
+        e, q = est.update_block(X, Y, out)
+        assert e.shape == q.shape == (5,)
         assert est.t == 6
         np.testing.assert_array_equal(est.beta, out[-1])
         if p < estimator_module._BLAS_MIN_P:     # numpy keeps both triangles
@@ -728,20 +730,154 @@ class TestBlockStep:
         ids=["inf-x", "nan-x", "inf-y"],
     )
     def test_non_finite_observation_rejected_and_state_kept(self, how, x, y):
-        est = KalmanEstimator(3, vomega=0.3)
-        est.update([0.1, -0.2, 0.3], 0.5)
-        state = [est.P.copy(), est.beta.copy(), est.t]
+        # A block steps its rows before the bad one, then rejects it as
+        # update does, leaving the state those rows left.
+        first, good = ([0.1, -0.2, 0.3], 0.5), ([0.2, 0.1, -0.1], 0.1)
+        est, ref = (KalmanEstimator(3, vomega=0.3, prior_scale=1.0) for _ in range(2))
+        est.update(*first)
+        for row in [first, good] if how == "block" else [first]:
+            ref.update(*row)
+        out = np.empty((2, 3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if how == "one":
-                with pytest.raises(ValueError, match="x and y must be finite"):
+            with pytest.raises(RejectedStep, match="x and y must be finite"):
+                if how == "one":
                     est.update(x, y)
-            else:
-                rows = np.array([[0.2, 0.1, -0.1], x])
-                assert est.update_block(rows, [0.1, y], np.empty((2, 3))) is None
+                else:
+                    est.update_block(np.array([good[0], x]), [good[1], y], out)
+        np.testing.assert_array_equal(est.P, ref.P)
+        np.testing.assert_array_equal(est.beta, ref.beta)
+        assert est.t == ref.t
+        if how == "block":
+            np.testing.assert_array_equal(out[0], ref.beta)
+
+
+def _refuse_blocks(monkeypatch, kernel):
+    """Make the block step refuse every block, if ``kernel`` says so."""
+    if kernel == "refused":
+        monkeypatch.setattr(estimator_module, "_kf_block_impl", lambda *args: None)
+
+
+def _assert_same_state(est, ref, out, rows, exact):
+    """``est`` and ``out`` as ``ref`` left them after stepping ``rows``
+    (coefficient rows): bit for bit, or to rounding of each one's
+    largest entry."""
+    assert est.t == ref.t
+    for got, want in ((est.beta, ref.beta), (est.P, ref.P), (out, rows)):
+        if exact:
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+
+class TestBlockContract:
+    """update_block steps a run of rows as that many update calls would, to
+    rounding, whether the block step takes its rows or refuses them; a bad
+    row raises update's rejection, with the rows before it stepped."""
+
+    @pytest.mark.parametrize("kernel", ["allowed", "refused"])
+    @pytest.mark.parametrize("p", [3, 17])
+    def test_a_block_is_its_rows_updates(self, monkeypatch, p, kernel):
+        # 150 rows: the first alone, while the prior dominates, then blocks
+        # of at most 64 rows.  A refused block's rows step through update,
+        # so the two agree bit for bit.
+        _refuse_blocks(monkeypatch, kernel)
+        returns, _ = make_market(seed=70 + p, steps=151, n_streams=p)
+        X, Y = returns.features, returns.target
+        est, ref = (KalmanEstimator.from_smoothing(p, Smoothing(0.9)) for _ in range(2))
+        out = np.empty_like(X)
+        e, q = est.update_block(X, Y, out)
+        rows = np.empty_like(X)
+        row_e, row_q = np.empty((2, len(X)))
+        for i, (x, y) in enumerate(zip(X, Y)):
+            diag = ref.update(x, y)
+            rows[i], row_e[i], row_q[i] = ref.beta, diag.innovation, diag.forecast_var
+        _assert_same_state(est, ref, out, rows, exact=kernel == "refused")
+        np.testing.assert_allclose(e, row_e, rtol=0, atol=1e-10 * np.abs(row_e).max())
+        np.testing.assert_allclose(q, row_q, rtol=1e-10)
+
+    @pytest.mark.parametrize("kernel", ["allowed", "refused"])
+    @pytest.mark.parametrize("bad", ["nan-y", "wide-prior"])
+    @pytest.mark.parametrize("p", [3, 17])
+    def test_a_bad_row_rejects_after_the_rows_before_it(self, monkeypatch, p, bad, kernel):
+        # nan-y: row 70 of 100, after a block of 64 rows the block step
+        # takes.  wide-prior: a prior of 1e20 drives delta 0.9's forecast
+        # variance below zero within the first rows (row 35 at p = 3 on
+        # seed 5, row 21 at p = 17 on seed 0).
+        _refuse_blocks(monkeypatch, kernel)
+        if bad == "nan-y":
+            returns, _ = make_market(seed=80 + p, steps=101, n_streams=p)
+            X, Y = returns.features, returns.target.copy()
+            Y[70] = np.nan
+            prior = DEFAULT_PRIOR_SCALE
+        else:
+            returns, _ = make_market(seed=5 if p == 3 else 0, steps=300, n_streams=p)
+            X, Y = returns.features, returns.target
+            prior = 1e20
+        est, ref = (
+            KalmanEstimator.from_smoothing(p, Smoothing(0.9), prior_scale=prior)
+            for _ in range(2)
+        )
+        rows = []
+        with pytest.raises(RejectedStep) as want:
+            for x, y in zip(X, Y):
+                ref.update(x, y)
+                rows.append(ref.beta)
+        k = ref.t
+        assert 0 < k < len(X)
+        out = np.empty_like(X)
+        with pytest.raises(RejectedStep) as got:
+            est.update_block(X, Y, out)
+        assert str(got.value) == str(want.value)
+        assert est.t == k
+        _assert_same_state(est, ref, out[:k], np.array(rows), exact=kernel == "refused")
+
+    @pytest.mark.parametrize("p", [3, 20])
+    def test_an_empty_block_steps_nothing(self, p):
+        est = KalmanEstimator(p, vomega=0.3, prior_scale=1.0)
+        est.update(np.ones(p), 0.5)
+        state = [est.P, est.beta.copy(), est.t]
+        e, q = est.update_block(np.empty((0, p)), np.empty(0), np.empty((0, p)))
+        assert e.shape == q.shape == (0,)
         np.testing.assert_array_equal(est.P, state[0])
         np.testing.assert_array_equal(est.beta, state[1])
         assert est.t == state[2]
+
+    @pytest.mark.parametrize(
+        "layout", ["fortran", "strided", "float32", "short", "list"]
+    )
+    @pytest.mark.parametrize("p", [3, 20])
+    def test_out_must_be_a_c_contiguous_float64_block(self, p, layout):
+        # From p = 16 the block step writes through out; a copy of it (a
+        # Fortran-ordered or strided out) would leave the coefficient rows
+        # unwritten and commit a wrong state.  Every such out is refused
+        # before any state changes.
+        rng = np.random.default_rng(p)
+        first, X, Y = rng.normal(size=p), rng.normal(size=(10, p)), rng.normal(size=10)
+        est, ref = (KalmanEstimator(p, vomega=0.3, prior_scale=1.0) for _ in range(2))
+        est.update(first, 0.2)
+        out = {
+            "fortran": lambda: np.zeros((10, p), order="F"),
+            "strided": lambda: np.zeros((10, 2 * p))[:, ::2],
+            "float32": lambda: np.zeros((10, p), dtype=np.float32),
+            "short": lambda: np.zeros((9, p)),
+            "list": lambda: np.zeros((10, p)).tolist(),
+        }[layout]()
+        state = [est.P, est.beta.copy(), est.t]
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            est.update_block(X, Y, out)
+        np.testing.assert_array_equal(est.P, state[0])
+        np.testing.assert_array_equal(est.beta, state[1])
+        assert est.t == state[2]
+        # A C-ordered out takes the rows the updates would give.
+        good = np.empty((10, p))
+        est.update_block(X, Y, good)
+        ref.update(first, 0.2)
+        rows = []
+        for x, y in zip(X, Y):
+            ref.update(x, y)
+            rows.append(ref.beta)
+        _assert_same_state(est, ref, good, np.array(rows), exact=False)
 
 
 class TestFilterBank:
@@ -789,7 +925,8 @@ class TestKernelChoice:
     """A filter's row step is chosen by its width alone: the float step
     _kf_step_loops up to the crossover (p = 5), then _kf_step_impl, on
     numpy below _BLAS_MIN_P and BLAS from it.  The block step is
-    _kf_block_impl at every width."""
+    _kf_block_impl at every width, and update_block takes it once the
+    forecast variance is at most BLOCK_MAX_Q."""
 
     ROW_STEPS = {
         1: "_kf_step_loops",
@@ -816,7 +953,7 @@ class TestKernelChoice:
         calls = self.spy_on_steps(monkeypatch)
         rng = np.random.default_rng(40)
         for p, row in self.ROW_STEPS.items():
-            est = KalmanEstimator(p, vomega=0.5)
+            est = KalmanEstimator(p, vomega=0.5, prior_scale=1.0)
             est.update(rng.normal(size=p), 0.1)
             fls_smooth_batch(rng.normal(size=(3, p)), rng.normal(size=3), Smoothing(0.5))
             est.update_block(rng.normal(size=(2, p)), rng.normal(size=2), np.empty((2, p)))

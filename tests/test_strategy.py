@@ -10,6 +10,7 @@ import pytest
 from flexls.estimator import (
     _BLAS_MIN_P,
     KalmanEstimator,
+    RejectedStep,
     Smoothing,
     write_coefficient_csv,
 )
@@ -316,23 +317,21 @@ class TestGrid:
         ids=["svd-k3", "raw-p12", "raw-p17"],
     )
     def test_filter_updates_per_ready_row(self, monkeypatch, n_streams, features):
-        # Each delta's filter steps every ready row once, alone or in a
-        # block, and no other row.
+        # Each delta's filter steps every ready row once, through
+        # update_block, and no other row; update_block steps some of them
+        # in blocks, the rest through update.
         returns, _ = make_market(seed=22, steps=80, n_streams=n_streams)
         regressors = compute_features(returns, features)
-        stepped = []
+        stepped, singles = [], []
         update, update_block = KalmanEstimator.update, KalmanEstimator.update_block
 
         def counted(self, x, y):
-            diag = update(self, x, y)
-            stepped.append((self.vomega, 1))
-            return diag
+            singles.append(self.vomega)
+            return update(self, x, y)
 
         def counted_block(self, X, Y, out):
-            result = update_block(self, X, Y, out)
-            if result is not None:
-                stepped.append((self.vomega, len(X)))
-            return result
+            stepped.append((self.vomega, len(X)))
+            return update_block(self, X, Y, out)
 
         monkeypatch.setattr(KalmanEstimator, "update", counted)
         monkeypatch.setattr(KalmanEstimator, "update_block", counted_block)
@@ -342,7 +341,7 @@ class TestGrid:
         for vomega, count in stepped:
             rows[vomega] = rows.get(vomega, 0) + count
         assert rows == {1.0 / Smoothing(d).mu: ready for d in self.GRID}
-        assert len(stepped) < len(self.GRID) * ready     # some blocks
+        assert len(singles) < len(self.GRID) * ready     # some blocks
 
     @pytest.mark.parametrize(
         "steps, reads", [(60, False), (600, True)], ids=["no-writer", "writer"]
@@ -400,6 +399,31 @@ class TestGrid:
             ]
             with pytest.raises(DataError, match="rejected at delta 0.9: "):
                 estimate_spreads(returns, grid, compute_features(returns))
+
+    @pytest.mark.parametrize(
+        "n_streams, features",
+        [
+            (8, FeatureConfig()),
+            (_BLAS_MIN_P + 1, FeatureConfig()),
+            (8, FeatureConfig(mode="svd", k=3)),
+        ],
+        ids=["raw-p8", "raw-p17", "svd-k3"],
+    )
+    def test_a_rejection_names_the_rejected_rows_date(self, n_streams, features):
+        # The named date is that of the row update rejects, not the first
+        # of its run of ready rows (the svd rows start at the third).
+        returns, _ = make_market(seed=0, steps=300, n_streams=n_streams)
+        regressors = compute_features(returns, features)
+        kf = KalmanEstimator.from_smoothing(
+            regressors.values.shape[1], Smoothing(0.9), prior_scale=1e20
+        )
+        with pytest.raises(RejectedStep):
+            for i in np.flatnonzero(regressors.ready):
+                kf.update(regressors.values[i], returns.target[i])
+        assert i > np.argmax(regressors.ready)
+        wide = EstimatorConfig(delta=0.9, prior_scale=1e20)
+        with pytest.raises(DataError, match=f"on {returns.dates[i]} rejected at delta 0.9: "):
+            estimate_spreads(returns, [wide], regressors)
 
     @pytest.mark.parametrize("n_streams", [8, 9, _BLAS_MIN_P + 1])
     def test_rows_a_writer_leaves_unread_are_still_stepped(self, n_streams):
@@ -543,6 +567,12 @@ class TestSimulateTrading:
             )
         with pytest.raises(ValueError, match="dates"):
             simulate_trading([], np.array([0.1]), np.array([100.0, 101.0]))
+        five = [dt.date(2001, 1, 1) + dt.timedelta(days=i) for i in range(5)]
+        for length in (3, 8):       # too short, too long
+            with pytest.raises(ValueError, match=r"active must have shape \(5,\)"):
+                simulate_trading(
+                    five, np.full(5, 0.01), np.full(6, 100.0), active=np.ones(length, bool)
+                )
 
     def test_order_beyond_int64_is_data_error(self):
         # 1e8 / (250 * 1e-15) = 4e20 contracts, past the int64 range.
