@@ -390,7 +390,10 @@ def to_log_returns(table: PriceTable) -> ReturnMatrix:
             f"{what} price for stream {table.labels[j]} "
             f"on {table.dates[lo + i].isoformat()}"
         )
-    np.log(prices, out=prices)
+    # A row at a time: each row is contiguous, where the whole of a strided
+    # view would take the logs through numpy's ufunc buffers.
+    for row in prices:
+        np.log(row, out=row)
     for i in range(len(prices) - 1, 0, -1):
         prices[i] -= prices[i - 1]
     rets = prices[1:]

@@ -12,9 +12,12 @@ at a time, for tables too long to hold whole.
 
 The writer formats a block of about ``BLOCK_CELLS`` cells at a time with
 numpy, straight into a byte matrix.  Each cell gets a fixed-width slot
-holding every character any of its spellings could need, in order, and a
-boolean mask of the same shape marks the ones its spelling keeps, so
-compressing the matrix, a few rows at a time, gives the block's text.
+holding every character any of its spellings could need, in order, with
+each byte its spelling drops written as 0; no kept byte is 0 (a text cell
+may not hold U+0000), so dropping the matrix's zero bytes, a few rows at
+a time, gives the block's text.  A float slot's digits are written whole
+and then ANDed with mask words of 0x00 and 0xFF bytes, chosen by its
+sign, spelling class and count of significant digits.
 
 A float is spelled exactly as ``'%.17g' % x`` spells it.  For
 ``1e-280 < |x| < 1e280`` the kernel finds the decimal exponent ``E``, then
@@ -45,7 +48,7 @@ import functools
 import numpy as np
 
 # Cells formatted at a time: at 435 columns (a p=432 coefficient path) one
-# block is 18 rows, and its byte matrix and mask take about 0.375 MB each.
+# block is 18 rows, and its byte matrix takes about 0.375 MB.
 BLOCK_CELLS = 8192
 # Steps that gather or index a whole row of slots (the mask words, the
 # compress) take this many bytes of the byte matrix at a time, so that
@@ -124,9 +127,9 @@ def write_table(path, header: list[str], columns, blank_nan: bool = False) -> No
     A column's numpy dtype says how its cells are written: ints in decimal,
     floats as :func:`fmt_g17` spells them (NaN as ``nan``, or with
     ``blank_nan`` as an empty cell, the hole of a price file), text as
-    given and unquoted.  A 2-d ``(rows, k)`` array stands for ``k``
-    neighbouring columns of one kind, and takes ``k`` header cells; a 1-d
-    column is the case ``k = 1``.  Cells are formatted a block of rows at
+    given and unquoted (a text cell may not hold U+0000).  A 2-d
+    ``(rows, k)`` array stands for ``k`` neighbouring columns of one kind,
+    and takes ``k`` header cells; a 1-d column is the case ``k = 1``.  Cells are formatted a block of rows at
     a time, about ``BLOCK_CELLS`` cells, so the scratch held at once stays
     small however long the table is.  A table it cannot write raises
     before the file is opened.
@@ -160,6 +163,8 @@ def _checked(header, columns):
     kinds = [a.dtype.kind for a in arrays]
     if not set(kinds) <= set(_DTYPES):
         raise TypeError(f"columns must hold ints, floats or text, got kinds {kinds}")
+    if any(kind == "U" and _holds_nul(a) for kind, a in zip(kinds, arrays)):
+        raise ValueError("a text cell holds U+0000, which the writer cannot write")
     runs = []
     for kind, a in zip(kinds, arrays):
         if runs and runs[-1][0] == kind:
@@ -180,16 +185,17 @@ def _write(path, header, blocks, blank_nan: bool) -> None:
                 fh.writelines(_format_block(block, blank_nan))
 
 
-def _format_block(runs, blank_nan: bool) -> list[np.ndarray]:
-    """The text of one block of rows, as ``uint8`` arrays to write in turn."""
+def _format_block(runs, blank_nan: bool):
+    """The text of one block of rows, yielded as ``uint8`` arrays to write
+    in turn."""
     parts = []
     for kind, arrays in runs:
         # The run's columns as one (rows, columns) array, copied in C.
         cells = np.concatenate(arrays, axis=1, dtype=_DTYPES[kind])
         shape = cells.shape
         if kind == "U":
-            cells = _utf8(cells)        # (bytes, byte counts)
-            separator = cells[0].shape[-1]
+            cells = _utf8(cells)
+            separator = cells.shape[-1]
             slot = -(-(separator + 1) // 8) * 8
         else:
             slot = _F_WIDTH if kind == "f" else _I_WIDTH
@@ -198,28 +204,28 @@ def _format_block(runs, blank_nan: bool) -> list[np.ndarray]:
     rows = shape[0]
     width = sum(shape[1] * slot for _, _, shape, slot in parts)
     out = np.empty((rows, width), np.uint8)
-    keep = np.empty((rows, width), bool)
     lo = 0
-    for kind, cells, shape, slot in parts:
+    while parts:        # each run's cells are freed once its slots are filled
+        kind, cells, shape, slot = parts.pop(0)
         hi = lo + shape[1] * slot
         slots = out[:, lo:hi].reshape(shape + (slot,))
-        mask = keep[:, lo:hi].reshape(shape + (slot,))
         if kind == "U":
-            _text_slots(*cells, slots, mask)
+            _text_slots(cells, slots)
         elif kind == "f":
-            _float_slots(cells, slots, mask, blank_nan)
+            _float_slots(cells, slots, blank_nan)
         else:
-            _int_slots(cells, slots, mask)
+            _int_slots(cells, slots)
+        del cells
         lo = hi
     # The last cell's separator ends the row.
     out[:, width - slot + separator] = ord("\n")
-    # compress (index, then gather) beats a boolean index on these masks,
-    # whose runs are too short for branch prediction; its index takes 8
-    # bytes per kept byte, so it runs a chunk of rows at a time.
-    return [
-        np.compress(keep[chunk].ravel(), out[chunk].ravel())
-        for chunk in _row_chunks(rows, width)
-    ]
+    # Every byte a spelling drops is 0, and no kept byte is.  compress
+    # (index, then gather) beats a boolean index here, whose runs are too
+    # short for branch prediction; its index takes 8 bytes per kept byte,
+    # so it runs a chunk of rows at a time.
+    for chunk in _row_chunks(rows, width):
+        flat = out[chunk].ravel()
+        yield np.compress(flat != 0, flat)
 
 
 def _row_chunks(n_rows: int, row_bytes: int) -> list[slice]:
@@ -228,27 +234,32 @@ def _row_chunks(n_rows: int, row_bytes: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
+def _holds_nul(text) -> bool:
+    """Whether a cell of a ``U`` array holds U+0000 (which a numpy text
+    array keeps only before a later character: trailing ones are its
+    padding)."""
+    codes = np.ascontiguousarray(text).view(np.uint32)
+    return np.count_nonzero(codes) != np.char.str_len(text).sum()
+
+
 def _utf8(cells):
     """Text cells (a ``U`` array) as UTF-8: a ``uint8`` array with one more
-    axis, each cell's bytes padded with zeros, and each cell's byte count."""
+    axis, each cell's bytes padded with zeros."""
     codes = cells.view(np.uint32).reshape(cells.shape + (-1,))
     if codes.max(initial=0) < 0x80:     # ASCII: each code point is its byte
-        return codes.astype(np.uint8), np.char.str_len(cells)
-    encoded = np.char.encode(cells, "utf-8")
-    return encoded.view(np.uint8).reshape(cells.shape + (-1,)), np.char.str_len(encoded)
+        return codes.astype(np.uint8)
+    return np.char.encode(cells, "utf-8").view(np.uint8).reshape(cells.shape + (-1,))
 
 
-def _text_slots(text, lengths, slots, mask) -> None:
+def _text_slots(text, slots) -> None:
     """Fill the slots of text cells, given as :func:`_utf8` gives them."""
     width = text.shape[-1]
     slots[..., :width] = text
     slots[..., width] = ord(",")
-    mask[..., :width] = np.arange(width) < lengths[..., None]
-    mask[..., width] = True
-    mask[..., width + 1 :] = False
+    slots[..., width + 1 :] = 0
 
 
-def _int_slots(values, slots, mask) -> None:
+def _int_slots(values, slots) -> None:
     """Fill the slots of int64 or uint64 cells: exact, never via a float."""
     quads = _tables().quads
     neg = values < 0
@@ -257,36 +268,43 @@ def _int_slots(values, slots, mask) -> None:
     top = mag // np.uint64(10**16)
     groups = (top.astype(np.intp), *_groups16(mag - top * np.uint64(10**16)))
     digits = np.stack([quads[g] for g in groups], axis=-1).view(np.uint8)
-    slots[..., 0] = ord("-")
-    slots[..., 1:21] = digits
-    slots[..., 21] = ord(",")
     lead = np.argmax(digits != ord("0"), axis=-1)
     lead[mag == 0] = 19
-    mask[..., 0] = neg
-    mask[..., 1:21] = np.arange(20) >= lead[..., None]
-    mask[..., 21] = True
-    mask[..., 22:] = False
+    digits[np.arange(20) < lead[..., None]] = 0
+    slots[..., 0] = np.where(neg, ord("-"), 0)
+    slots[..., 1:21] = digits
+    slots[..., 21] = ord(",")
+    slots[..., 22:] = 0
 
 
-def _float_slots(values, slots, mask, blank_nan: bool) -> None:
-    """Fill the slots of float64 cells as ``'%.17g'`` spells them."""
+def _float_slots(values, slots, blank_nan: bool) -> None:
+    """Fill the slots of float64 cells as ``'%.17g'`` spells them.
+
+    ``values`` is the block's own copy of the cells, and is overwritten.
+    """
     tables = _tables()
-    mag = np.abs(values)
+    neg = np.signbit(values)
+    special = ~np.isfinite(values)
+    odd = values[special]
+    mag = np.abs(values, out=values)
     with np.errstate(invalid="ignore"):     # NaN compares false: not ok
         ok = (mag > 1e-280) & (mag < 1e280)
     zero = mag == 0.0
-    special = ~np.isfinite(values)
+    # Cells fmt_g17 spells: nonzero finite values out of range, then ties.
+    far = np.flatnonzero(~(ok | zero | special))
+    deferred = [(far, mag.ravel()[far])]
     mag[~ok] = 1.0
-    # mag lies in [2**(b-1), 2**b), so E = floor(log10(mag)) is
-    # floor((b-1) * log10(2)), which this integer form gives exactly for
-    # |b-1| < 1650, or one more.
-    e = np.frexp(mag)[1].astype(np.intp)
-    e -= 1
+    # mag is a normal double in [2**b, 2**(b+1)), b its unbiased exponent,
+    # so E = floor(log10(mag)) is floor(b * log10(2)), which this integer
+    # form gives exactly for |b| < 1650, or one more.
+    e = mag.view(np.int64) >> 52
+    e -= 1023
     e *= 78913
     e >>= 18
     e += mag >= tables.ceil10[e + 1 - _P10_MIN]
     n, tie = _scaled(mag, e, tables)
-    defer = ~(ok | zero | special) | tie
+    tie = np.flatnonzero(tie)
+    deferred.append((tie, mag.ravel()[tie]))
     # Rounding can carry to 10**17 (9.99...95e-5 to 1e-4): one more decade.
     carry = n == 10**17
     n[carry] = 10**16
@@ -295,27 +313,28 @@ def _float_slots(values, slots, mask, blank_nan: bool) -> None:
 
     words = slots.view(np.uint64)
     trailing = _digit_words(n, words, tables)
+    del n
     e -= _P10_MIN
     words[..., 5] = tables.exp_words[e]
     # The mask's row: sign, spelling class (from E), significant digits.
     code = tables.class_codes[e]
     code -= trailing
-    code += np.signbit(values) * (_CLASSES * 17)
-    masks = mask.view(np.uint64)
-    for chunk in _row_chunks(len(code), masks[0].nbytes):
-        masks[chunk] = tables.float_masks.take(code[chunk], axis=0)
-    if special.any():
-        # Row 0 nan, 1 inf, 2 -inf, 3 the empty cell of a blank NaN.
-        odd = values[special]
-        row = np.where(odd > 0.0, 1, 2)
-        row[np.isnan(odd)] = 3 if blank_nan else 0
-        words[special, 0] = tables.special_words[row]
-        masks[special] = tables.special_masks[row]
-    for cell in zip(*np.nonzero(defer)):
-        text = fmt_g17(values[cell]).encode("ascii")
-        slots[cell][: len(text)] = np.frombuffer(text, np.uint8)
-        mask[cell][:] = np.arange(_F_WIDTH) < len(text)
-        mask[cell][_SEPARATOR["f"]] = True
+    del trailing
+    code += neg * (_CLASSES * 17)
+    for chunk in _row_chunks(len(code), words[0].nbytes):
+        words[chunk] &= tables.float_masks.take(code[chunk], axis=0)
+    # Row 0 nan, 1 inf, 2 -inf, 3 the empty cell of a blank NaN.
+    row = np.where(odd > 0.0, 1, 2)
+    row[np.isnan(odd)] = 3 if blank_nan else 0
+    words[special] = tables.special_words[row]
+    for cells, mags in deferred:
+        for cell, x in zip(cells.tolist(), mags.tolist()):
+            cell = divmod(cell, neg.shape[1])
+            text = fmt_g17(-x if neg[cell] else x).encode("ascii")
+            slot = slots[cell]
+            slot[:] = 0
+            slot[: len(text)] = np.frombuffer(text, np.uint8)
+            slot[_SEPARATOR["f"]] = ord(",")
 
 
 def _scaled(mag, e, tables):
@@ -324,59 +343,73 @@ def _scaled(mag, e, tables):
 
     ``N`` is the exact product ``p + err`` of mag and the power's ``hi``
     (``p`` an integer: every double above 2**53 is), plus ``mag * lo``.
-    Each product and sum is rounded as the formula writes it, in a few
-    reused buffers.
+    Each product and sum is rounded as the formula writes it, in four
+    cell-sized buffers besides ``mag``: each later part of the power is
+    gathered into the same one (``mode="clip"``: the indices are in range,
+    and ``"raise"`` would copy), which then holds ``N``.
     """
-    i = (16 - _P10_MIN) - e
+    i = np.subtract(16 - _P10_MIN, e, out=e)     # e is restored below
     hi, lo, hi_hi, hi_lo = tables.pow10
-    mag_hi = _SPLIT * mag
-    mag_lo = mag_hi - mag
-    mag_hi -= mag_lo                # c - (c - mag), c = _SPLIT * mag
-    np.subtract(mag, mag_hi, out=mag_lo)
+    part = np.empty_like(mag)
+    # mag = mag_hi + mag_lo: mag_hi = c - (c - mag), c = _SPLIT * mag.
+    mag_hi = np.multiply(mag, _SPLIT)
+    np.subtract(mag_hi, mag, out=part)
+    mag_hi -= part
     p = hi.take(i)
     p *= mag
     # err = ((mag_hi*hi_hi - p) + mag_hi*hi_lo + mag_lo*hi_hi) + mag_lo*hi_lo
-    part = hi_hi.take(i)
-    err = mag_hi * part
+    err = hi_hi.take(i)
+    err *= mag_hi
     err -= p
-    part *= mag_lo                  # mag_lo * hi_hi, added after the next
-    low = hi_lo.take(i)
-    mag_hi *= low
-    err += mag_hi
+    hi_lo.take(i, out=part, mode="clip")
+    part *= mag_hi
     err += part
-    low *= mag_lo
-    err += low
-    part = lo.take(i)
+    mag_lo = np.subtract(mag, mag_hi, out=mag_hi)
+    for power in (hi_hi, hi_lo):
+        power.take(i, out=part, mode="clip")
+        part *= mag_lo
+        err += part
+    lo.take(i, out=part, mode="clip")
     part *= mag
     err += part                     # the remainder: N = p + rint(err)
-    frac = np.floor(err, out=low)
+    np.subtract(16 - _P10_MIN, i, out=e)
+    frac = np.floor(err, out=mag_lo)
     np.subtract(err, frac, out=frac)
     frac -= 0.5
     tie = np.abs(frac, out=frac) < _TIE
-    n = p.astype(np.int64)
-    n += np.rint(err, out=err).astype(np.int64)
+    n = part.view(np.int64)
+    np.copyto(n, p, casting="unsafe")
+    rounded = frac.view(np.int64)
+    np.copyto(rounded, np.rint(err, out=err), casting="unsafe")
+    n += rounded
     return n, tie
 
 
 def _digit_words(n, words, tables):
     """Write the 17 digits of each ``n`` (below 10**17) into words 0-4 of
-    its float slot; returns each cell's count of trailing zeros."""
-    lead = n // 10**16
-    groups = _groups16(n - lead * 10**16)
-    words[..., 0] = tables.lead_words[lead]
-    for k, group in enumerate(groups, 1):
-        words[..., k] = tables.point_quads[group]
-    # Trailing zeros: those of the last group that is not 0000, plus four
-    # for each group after it.  The lead digit is 0 only in a zero, which
-    # is left one digit.  Most cells end in a nonzero group; the loop
-    # visits the rest.
-    flat = [group.ravel() for group in groups]
-    trailing = tables.trailing_zeros[flat[3]]
-    tail = np.flatnonzero(flat[3] == 0)
-    for group in flat[2::-1]:
-        trailing[tail] += tables.trailing_zeros[group[tail]]
-        tail = tail[group[tail] == 0]
-    return trailing.reshape(n.shape)
+    its float slot, a group of four at a time from the last; returns each
+    cell's count of trailing zeros.  ``n``'s buffer is reused."""
+    high = np.empty_like(n)
+    group = np.empty_like(n)
+    for k in range(4, 0, -1):
+        np.floor_divide(n, 10**4, out=high)
+        np.subtract(n, np.multiply(high, 10**4, out=group), out=group)
+        quads = tables.point_quads.take(group, out=n.view(np.uint64), mode="clip")
+        words[..., k] = quads
+        # Trailing zeros: those of the last group that is not 0000, plus
+        # four for each group after it.  Most cells end in a nonzero group;
+        # the later steps visit the rest.
+        flat = group.ravel()
+        if k == 4:
+            trailing = tables.trailing_zeros.take(group)
+            tail = np.flatnonzero(flat == 0)
+        else:
+            trailing.ravel()[tail] += tables.trailing_zeros[flat[tail]]
+            tail = tail[flat[tail] == 0]
+        n, high = high, n
+    # n is the lead digit, 0 only in a zero, which is left one digit.
+    words[..., 0] = tables.lead_words.take(n, out=high.view(np.uint64), mode="clip")
+    return trailing
 
 
 def _groups16(low) -> tuple:
@@ -442,14 +475,15 @@ class _Tables:
                 for n_sig in range(1, 18)
             ]
         )
-        self.float_masks = masks.view(np.uint64)
+        # 0xFF where the spelling keeps the slot's byte, 0 where it drops it.
+        self.float_masks = (masks * np.uint8(0xFF)).view(np.uint64)
+        # Whole slots: nan, inf, -inf, and the empty cell of a blank NaN.
         spellings = [b"nan", b"inf", b"-inf", b""]
-        self.special_words = np.array(spellings, dtype="S8").view(np.uint64)
-        masks = np.zeros((len(spellings), _F_WIDTH), bool)
-        for row, text in zip(masks, spellings):
-            row[: len(text)] = True
-            row[_SEPARATOR["f"]] = True
-        self.special_masks = masks.view(np.uint64)
+        slots = np.zeros((len(spellings), _F_WIDTH), np.uint8)
+        for row, text in zip(slots, spellings):
+            row[: len(text)] = np.frombuffer(text, np.uint8)
+            row[_SEPARATOR["f"]] = ord(",")
+        self.special_words = slots.view(np.uint64)
 
 
 def _float_mask(neg: bool, cls: int, n_sig: int) -> np.ndarray:

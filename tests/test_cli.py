@@ -216,6 +216,38 @@ class TestBacktestCommand:
         added_rows = len(deltas) * (2000 - 500) * n_streams * 8
         assert peaks[2000] - peaks[500] < added_rows / 4
 
+    def test_raw_run_holds_little_besides_its_table_and_covariance(self, tmp_path):
+        # 432 raw streams, 2 deltas, as the benchmark's backtest-raw runs
+        # them on fewer days.  Besides the price table and one 432 x 432
+        # covariance the run holds the filter pass's buffers and one CSV
+        # writer block's scratch: that rest measured 1.01 MB, bounded here
+        # at 1.15 MB.  A keep-mask beside the writer's byte matrix and
+        # fresh arithmetic temporaries took it to 1.82 MB.
+        n_streams, calm = 432, 8 / 432
+        base = MarketConfig()
+        table, _ = gen_market(MarketConfig(
+            seed=0, n_streams=n_streams, n_factors=5, steps=600,
+            factor_vol=base.factor_vol * calm, idio_vol=base.idio_vol * calm,
+        ))
+        nbytes = table.prices.nbytes
+        data = tmp_path / "prices.csv"
+        write_csv(table, data)
+        del table
+        cfg = write_config(
+            tmp_path,
+            f"data = {data}\ntarget = INDEX\nwarmup = 100\n"
+            f"delta_grid = 0.9, 0.98\nout_dir = {tmp_path / 'out'}\n",
+        )
+        argv = ["backtest", "--config", str(cfg)]
+        assert main(argv) == EXIT_OK      # loads scipy's BLAS, builds the tables
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            rest = tracemalloc.get_traced_memory()[1] - nbytes - n_streams**2 * 8
+        finally:
+            tracemalloc.stop()
+        assert rest < 1.15e6
+
     def test_collapsed_tracker_component_skips_the_row(self, tmp_path):
         # A repeated price row (a forward-filled holiday) is an all-zero
         # return row; under amnesia 2 it meets a component that has

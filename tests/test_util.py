@@ -104,6 +104,15 @@ class TestWriteTable:
         write_table(out, header, [mixed, np.arange(len(mixed))])
         assert out.read_bytes() == reference(header, [mixed, np.arange(len(mixed))])
 
+    @pytest.mark.parametrize("cell", ["a\x00b", "Z\u00fc\x00rich", "\x00x"])
+    def test_rejects_a_text_cell_holding_nul(self, tmp_path, cell):
+        # A zero byte marks a byte the kernel drops, so a NUL would vanish.
+        out = tmp_path / "t.csv"
+        names = np.array(["a"] * BLOCK_CELLS + [cell])
+        with pytest.raises(ValueError, match="U\\+0000"):
+            write_table(out, ["name", "n"], [names, np.arange(len(names))])
+        assert not out.exists()
+
 
 class TestWriteBlocks:
     def test_any_split_writes_the_bytes_of_the_whole(self, tmp_path):
@@ -154,29 +163,39 @@ class TestWriteBlocks:
             write_blocks(out, ["a", "b"], [[[1.5], [2.0]], [[3.0], [4.0, 5.0]]])
         assert out.read_bytes() == b"a,b\n1.5,2\n"
 
+    def test_a_block_holding_nul_text_keeps_the_rows_before_it(self, tmp_path):
+        out = tmp_path / "t.csv"
+        blocks = [[["a", "b"], [1, 2]], [["c", "d\x00e"], [3, 4]], [["f"], [5]]]
+        with pytest.raises(ValueError, match="U\\+0000"):
+            write_blocks(out, ["name", "n"], blocks)
+        assert out.read_bytes() == b"name,n\na,1\nb,2\n"
+
 
 def test_one_block_holds_little_besides_its_byte_matrix():
     # One block of a p=432 coefficient path: 18 rows of an int and 434
-    # floats.  Its byte matrix and mask take 18 x 20,856 bytes each; the
-    # rest of the scratch (the float arithmetic, the gathered mask words,
-    # the compress's index) is held to less than 1.5 times as much.  It
-    # was 2.5 times as much when the index and the mask words were made
-    # for the whole block at once.
+    # floats, whose byte matrix takes 18 x 20,856 bytes.  The rest of the
+    # scratch is the float arithmetic's six cell-sized arrays (together
+    # one more matrix), and later the compress's condition and index: the
+    # peak measured 2.13 matrices, bounded here at 2.4.  With a keep-mask
+    # beside the matrix and fresh arithmetic temporaries it was 4.3.
     rows = BLOCK_CELLS // 435
     rng = np.random.default_rng(4)
     # As the coefficient writer hands it over: t, the betas, e and Q.
-    columns = [np.arange(1, rows + 1), rng.normal(size=(rows, 432)), *rng.normal(size=(2, rows))]
+    t, betas = np.arange(1, rows + 1), rng.normal(size=(rows, 432))
+    tail = rng.normal(size=(2, rows))
     header = [str(j) for j in range(435)]
-    _, runs = util._checked(header, columns)
-    util._format_block(runs, False)          # builds the tables
+    _, runs = util._checked(header, [t, betas, *tail])
+    text = b"".join(util._format_block(runs, False))      # builds the tables
+    assert text == reference(header, [t, *betas.T, *tail]).split(b"\n", 1)[1]
     matrix = rows * (24 + 434 * 48)
     tracemalloc.start()
     try:
-        util._format_block(runs, False)
+        for part in util._format_block(runs, False):
+            del part
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * (2 * matrix)
+    assert peak < 2.4 * matrix
 
 
 def reference(header, columns, blank_nan=False) -> bytes:
