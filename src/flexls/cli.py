@@ -255,15 +255,22 @@ def _parse_features(raw: dict[str, str], mode_text: str) -> FeatureConfig:
     return _library_config("features", FeatureConfig, mode=mode, **values)
 
 
-def _recordable_out_dir(out_dir: str) -> str:
-    """``out_dir``, checked to parse back unchanged from effective_config.txt.
+def _recordable_out_dir(out_dir: str, field: str = "--out-dir") -> str:
+    """``out_dir``, checked to parse back unchanged from effective_config.txt
+    and to be a directory, or a path one can be made at.
 
-    Only a command-line value can fail this: a config's value is already
-    stripped and cut at its ``#``.
+    Only a command-line value can fail the first check: a config's value is
+    already stripped and cut at its ``#``.  The second is made before any
+    work, so that a run does not end in a failed ``mkdir``.
     """
     if out_dir != out_dir.strip() or any(c in out_dir for c in "#\n\r"):
-        raise ConfigError("--out-dir", f"{out_dir!r}: a '#', a line break or "
+        raise ConfigError(field, f"{out_dir!r}: a '#', a line break or "
                           "edge whitespace cannot be recorded in a config")
+    base = Path(os.path.abspath(out_dir))
+    while not base.exists():
+        base = base.parent
+    if not base.is_dir():
+        raise ConfigError(field, f"{out_dir!r}: {base} is not a directory")
     return out_dir
 
 
@@ -349,7 +356,10 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
     if trading_days < 1:
         raise ConfigError("trading_days", "must be >= 1")
 
-    out_dir = _recordable_out_dir(getattr(args, "out_dir", None) or merged["out_dir"])
+    if getattr(args, "out_dir", None):
+        out_dir = _recordable_out_dir(args.out_dir)
+    else:
+        out_dir = _recordable_out_dir(merged["out_dir"], "out_dir")
 
     return BacktestJob(
         data=merged["data"],

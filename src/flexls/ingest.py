@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .util import count_lines, iso_dates, open_text, write_table
+from .util import block_rows, count_lines, iso_dates, open_text, write_table
 
 # The hole fraction above which load_csv rejects a stream.
 MAX_MISSING_FRAC = 0.1
@@ -270,7 +270,7 @@ def _row_blocks(a: NDArray, cells: int = _BLOCK_CELLS):
     """``(first row, block)`` for ``a``'s rows in blocks of about ``cells``
     cells, so a temporary made from one block stays small however long the
     table is."""
-    step = max(1, cells // max(1, a.shape[1]))
+    step = block_rows(a.shape[1], cells)
     for lo in range(0, len(a), step):
         yield lo, a[lo : lo + step]
 

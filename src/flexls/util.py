@@ -35,10 +35,12 @@ lies within ``1e-9`` of one half (a true tie such as
 :func:`fmt_g17` instead, as is every nonzero finite value outside that
 range.  The kernel spells a zero ``0`` or ``-0``, and a NaN or an
 infinity ``nan``, ``inf`` or ``-inf``, each from a fixed slot row, as
-``'%.17g'`` does.  Ints are spelled from their 64-bit value, never
-through a float.  Text is written as UTF-8: ASCII text straight from
-its code points, other text through ``np.char.encode``.  The tables are
-built on the first write, not at import.
+``'%.17g'`` does.  An int is written through a float slot: every int
+within ``2**53`` of 0 is an exact double, which ``'%.17g'`` spells as the
+int's own digits, and a larger one is spelled by ``str`` from its 64-bit
+value, taken before the cast.  Text is written as UTF-8: ASCII text
+straight from its code points, other text through ``np.char.encode``.
+The tables are built on the first write, not at import.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ BLOCK_CELLS = 8192
 _CHUNK_BYTES = 1 << 16
 
 # Every slot is a whole number of 8-byte words, so the byte matrix is also
-# a matrix of uint64 words and a float slot is built a word at a time:
+# a matrix of uint64 words and a number slot (a float's or an int's) is
+# built a word at a time:
 #   bytes  0-7    "-0.000" (sign, then a fixed form's leading zeros), the
 #                 first digit, "."
 #   bytes  8-39   four words of four digits, each digit followed by "."
@@ -65,10 +68,8 @@ _CHUNK_BYTES = 1 << 16
 _F_WIDTH = 48
 _F_DIGITS = slice(6, 40, 2)
 _F_POINTS = slice(7, 39, 2)
-# An int slot: sign, 20 digits (2**64 has 20), ",", padding.
-_I_WIDTH = 24
-# Where a float or int slot holds its separator (a text slot: after the text).
-_SEPARATOR = {"f": 45, "i": 21, "u": 21}
+# Where a number slot holds its separator (a text slot: after the text).
+_SEPARATOR = 45
 # Spelling classes of a float: "%g"'s fixed form at exponents -4..16, then
 # its scientific form with a two- or three-digit exponent.
 _CLASSES = 23
@@ -116,23 +117,25 @@ def iso_dates(days) -> np.ndarray:
     return np.asarray([day.isoformat() for day in days], dtype=str)
 
 
-def block_rows(n_columns: int) -> int:
-    """Rows the writer formats at a time in a table of ``n_columns``."""
-    return max(1, BLOCK_CELLS // max(1, n_columns))
+def block_rows(n_columns: int, budget: int = BLOCK_CELLS) -> int:
+    """Rows of ``n_columns`` cells each in a block of about ``budget``
+    cells: by default the rows the writer formats at a time."""
+    return max(1, budget // max(1, n_columns))
 
 
 def write_table(path, header: list[str], columns, blank_nan: bool = False) -> None:
     """Write ``columns``, one per ``header`` cell and all of one length.
 
-    A column's numpy dtype says how its cells are written: ints in decimal,
-    floats as :func:`fmt_g17` spells them (NaN as ``nan``, or with
-    ``blank_nan`` as an empty cell, the hole of a price file), text as
-    given and unquoted (a text cell may not hold U+0000).  A 2-d
-    ``(rows, k)`` array stands for ``k`` neighbouring columns of one kind,
-    and takes ``k`` header cells; a 1-d column is the case ``k = 1``.  Cells are formatted a block of rows at
-    a time, about ``BLOCK_CELLS`` cells, so the scratch held at once stays
-    small however long the table is.  A table it cannot write raises
-    before the file is opened.
+    A column's numpy dtype says how its cells are written: floats as
+    :func:`fmt_g17` spells them (NaN as ``nan``, or with ``blank_nan`` as
+    an empty cell, the hole of a price file), ints in decimal as ``str``
+    spells them (through the float slots, see above), text as given and
+    unquoted (a text cell may not hold U+0000).  A 2-d ``(rows, k)``
+    array stands for ``k`` neighbouring columns of one kind, and takes
+    ``k`` header cells; a 1-d column is the case ``k = 1``.  Cells are
+    formatted a block of rows at a time, about ``BLOCK_CELLS`` cells, so
+    the scratch held at once stays small however long the table is.  A
+    table it cannot write raises before the file is opened.
     """
     _write(path, header, [_checked(header, columns)], blank_nan)
 
@@ -198,8 +201,7 @@ def _format_block(runs, blank_nan: bool):
             separator = cells.shape[-1]
             slot = -(-(separator + 1) // 8) * 8
         else:
-            slot = _F_WIDTH if kind == "f" else _I_WIDTH
-            separator = _SEPARATOR[kind]
+            slot, separator = _F_WIDTH, _SEPARATOR
         parts.append((kind, cells, shape, slot))
     rows = shape[0]
     width = sum(shape[1] * slot for _, _, shape, slot in parts)
@@ -230,7 +232,7 @@ def _format_block(runs, blank_nan: bool):
 
 def _row_chunks(n_rows: int, row_bytes: int) -> list[slice]:
     """Whole rows of a block, about ``_CHUNK_BYTES`` of slots at a time."""
-    step = max(1, _CHUNK_BYTES // max(1, row_bytes))
+    step = block_rows(row_bytes, _CHUNK_BYTES)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
@@ -260,21 +262,16 @@ def _text_slots(text, slots) -> None:
 
 
 def _int_slots(values, slots) -> None:
-    """Fill the slots of int64 or uint64 cells: exact, never via a float."""
-    quads = _tables().quads
-    neg = values < 0
-    mag = values.astype(np.uint64)      # two's complement for the negatives
-    np.negative(mag, out=mag, where=neg)
-    top = mag // np.uint64(10**16)
-    groups = (top.astype(np.intp), *_groups16(mag - top * np.uint64(10**16)))
-    digits = np.stack([quads[g] for g in groups], axis=-1).view(np.uint8)
-    lead = np.argmax(digits != ord("0"), axis=-1)
-    lead[mag == 0] = 19
-    digits[np.arange(20) < lead[..., None]] = 0
-    slots[..., 0] = np.where(neg, ord("-"), 0)
-    slots[..., 1:21] = digits
-    slots[..., 21] = ord(",")
-    slots[..., 22:] = 0
+    """Fill the float slots of int64 or uint64 cells.
+
+    Every int within ``2**53`` of 0 is an exact double, which ``'%.17g'``
+    spells as the int's digits; the others are spelled by ``str`` before
+    the cast, and written over what their doubles gave.
+    """
+    big = np.flatnonzero((values > 2**53) | (values < -(2**53)))
+    texts = [str(v) for v in values.ravel()[big].tolist()]
+    _float_slots(values.astype(np.float64), slots, blank_nan=False)
+    _spell(slots, big, texts)
 
 
 def _float_slots(values, slots, blank_nan: bool) -> None:
@@ -328,13 +325,18 @@ def _float_slots(values, slots, blank_nan: bool) -> None:
     row[np.isnan(odd)] = 3 if blank_nan else 0
     words[special] = tables.special_words[row]
     for cells, mags in deferred:
-        for cell, x in zip(cells.tolist(), mags.tolist()):
-            cell = divmod(cell, neg.shape[1])
-            text = fmt_g17(-x if neg[cell] else x).encode("ascii")
-            slot = slots[cell]
-            slot[:] = 0
-            slot[: len(text)] = np.frombuffer(text, np.uint8)
-            slot[_SEPARATOR["f"]] = ord(",")
+        np.negative(mags, out=mags, where=neg.ravel()[cells])
+        _spell(slots, cells, [fmt_g17(x) for x in mags.tolist()])
+
+
+def _spell(slots, cells, texts) -> None:
+    """Write each of ``texts`` (ASCII, at most 24 characters) whole into a
+    number slot, given by its cell's index in the flattened block."""
+    for cell, text in zip(cells.tolist(), texts):
+        slot = slots[divmod(cell, slots.shape[1])]
+        slot[:] = 0
+        slot[: len(text)] = np.frombuffer(text.encode("ascii"), np.uint8)
+        slot[_SEPARATOR] = ord(",")
 
 
 def _scaled(mag, e, tables):
@@ -394,8 +396,8 @@ def _digit_words(n, words, tables):
     for k in range(4, 0, -1):
         np.floor_divide(n, 10**4, out=high)
         np.subtract(n, np.multiply(high, 10**4, out=group), out=group)
-        quads = tables.point_quads.take(group, out=n.view(np.uint64), mode="clip")
-        words[..., k] = quads
+        out = n.view(np.uint64)
+        words[..., k] = tables.point_quads.take(group, out=out, mode="clip")
         # Trailing zeros: those of the last group that is not 0000, plus
         # four for each group after it.  Most cells end in a nonzero group;
         # the later steps visit the rest.
@@ -410,18 +412,6 @@ def _digit_words(n, words, tables):
     # n is the lead digit, 0 only in a zero, which is left one digit.
     words[..., 0] = tables.lead_words.take(n, out=high.view(np.uint64), mode="clip")
     return trailing
-
-
-def _groups16(low) -> tuple:
-    """The 16 decimal digits of ``low`` (ints below 10**16) as four groups
-    of four, most significant first, each an ``intp`` array."""
-    low = low.astype(np.int64, copy=False)
-    upper = low // 10**8
-    groups = []
-    for part in (upper, low - upper * 10**8):
-        high = part // 10**4
-        groups += [high, part - high * 10**4]
-    return tuple(g.astype(np.intp, copy=False) for g in groups)
 
 
 class _Tables:
@@ -447,9 +437,7 @@ class _Tables:
         groups = np.arange(10**4)
         digits = (groups[:, None] // np.array([1000, 100, 10, 1]) % 10).astype(np.uint8)
         digits += ord("0")
-        # Each group of four digits as one word: bare (4 bytes, for ints),
-        # or each digit followed by "." (8 bytes, for a float slot).
-        self.quads = digits.view(np.uint32)[:, 0]
+        # Each group of four digits as one word, each digit followed by ".".
         points = np.full((10**4, 8), ord("."), np.uint8)
         points[:, ::2] = digits
         self.point_quads = points.view(np.uint64)[:, 0]
@@ -482,7 +470,7 @@ class _Tables:
         slots = np.zeros((len(spellings), _F_WIDTH), np.uint8)
         for row, text in zip(slots, spellings):
             row[: len(text)] = np.frombuffer(text, np.uint8)
-            row[_SEPARATOR["f"]] = ord(",")
+            row[_SEPARATOR] = ord(",")
         self.special_words = slots.view(np.uint64)
 
 
@@ -509,7 +497,7 @@ def _float_mask(neg: bool, cls: int, n_sig: int) -> np.ndarray:
         points[0] = n_sig > 1
         keep[40:42] = True
         keep[42 if cls == 22 else 43 : 45] = True
-    keep[_SEPARATOR["f"]] = True
+    keep[_SEPARATOR] = True
     return keep
 
 

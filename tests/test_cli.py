@@ -673,6 +673,41 @@ class TestBacktestErrors:
         self.run_expecting(EXIT_CONFIG, argv, capsys, "config error: --out-dir: ")
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "file-sub"])
+    @pytest.mark.parametrize("command", ["backtest", "sweep-sharpe", "sim-fig2"])
+    def test_out_dir_at_or_under_a_file_is_config_error(
+        self, tmp_path, market_csv, capsys, command, below
+    ):
+        # Caught before any work: the run would otherwise end in a failed mkdir.
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out_dir = taken / below if below else taken
+        body = base_config(market_csv, tmp_path / "o").replace("delta =", "delta_grid =")
+        cfg = write_config(tmp_path, body)
+        before = sorted(tmp_path.iterdir())
+        argv = [command, "--out-dir", str(out_dir)]
+        if command != "sim-fig2":
+            argv += ["--config", str(cfg)]
+        self.run_expecting(
+            EXIT_CONFIG, argv, capsys,
+            f"config error: --out-dir: {str(out_dir)!r}: {taken} is not a directory",
+        )
+        assert sorted(tmp_path.iterdir()) == before
+        assert taken.read_text() == "a file\n"
+
+    def test_config_out_dir_under_a_file_is_config_error(
+        self, tmp_path, market_csv, capsys
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        cfg = write_config(tmp_path, base_config(market_csv, taken / "sub"))
+        before = sorted(tmp_path.iterdir())
+        self.run_expecting(
+            EXIT_CONFIG, ["backtest", "--config", str(cfg)], capsys,
+            "config error: out_dir: ",
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_too_many_factor_scores_is_config_error(
         self, tmp_path, market_csv, capsys
     ):

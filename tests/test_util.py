@@ -287,11 +287,45 @@ class TestBlockFormatter:
             header, [c[:50_000] for c in columns], blank_nan=True
         )
 
-    def test_unsigned_ints_are_exact(self, tmp_path):
-        values = np.array([0, 1, 9, 10, 2**63, 2**64 - 1, 10**19], dtype=np.uint64)
+    @pytest.mark.parametrize(
+        "dtype, values",
+        [
+            (np.int64, [-(2**63), -(2**53) - 1, -(2**53), -1, 0, 1]
+             + [2**53, 2**53 + 1, 2**63 - 1]),
+            (np.uint64, [0, 1, 9, 10, 2**53, 2**53 + 1, 2**63, 2**64 - 1, 10**19]),
+        ],
+        ids=["int64", "uint64"],
+    )
+    def test_unsigned_ints_are_exact(self, tmp_path, dtype, values):
+        # Either side of 2**53, the last int every double holds exactly.
+        values = np.array(values, dtype=dtype)
         out = tmp_path / "u.csv"
         write_table(out, ["u"], [values])
         assert out.read_bytes() == reference(["u"], [values])
+
+    def test_big_and_exact_ints_beside_a_float_column(self, tmp_path):
+        # Ints beyond 2**53, which str spells, among ones a double holds,
+        # in runs either side of a float run, whole and cut across a block.
+        step = util.block_rows(3)
+        rows = 2 * step + 5
+        rng = np.random.default_rng(53)
+        signed = rng.integers(-(2**54), 2**54, rows)
+        signed[::3] = rng.integers(-(2**63), 2**63, len(signed[::3]), dtype=np.int64)
+        signed[:6] = [-(2**63), -(2**53) - 1, -(2**53), 2**53, 2**53 + 1, 2**63 - 1]
+        unsigned = rng.integers(0, 2**54, rows).astype(np.uint64)
+        unsigned[1::3] = rng.integers(0, 2**64, len(unsigned[1::3]), dtype=np.uint64)
+        unsigned[-3:] = [2**53, 2**53 + 1, 2**64 - 1]
+        header = ["i", "x", "u"]
+        columns = [signed, rng.normal(size=rows) * 1e17, unsigned]
+        expected = reference(header, columns)
+        out = tmp_path / "t.csv"
+        write_table(out, header, columns)
+        assert out.read_bytes() == expected
+        cuts = [0, 7, step + 3, rows]
+        write_blocks(
+            out, header, ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:]))
+        )
+        assert out.read_bytes() == expected
 
     @pytest.mark.parametrize("n_columns", [1, 3])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
