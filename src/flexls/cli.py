@@ -284,6 +284,8 @@ def build_job(raw: dict[str, str], args, need_grid: bool) -> BacktestJob:
     for key in ("data", "target"):
         if key not in merged or not merged[key]:
             raise ConfigError(key, "required")
+    if merged.get("splits") == "":
+        raise ConfigError("splits", "no file given (delete the line for no splits)")
 
     if "delta" in merged and "delta_grid" in merged:
         raise ConfigError("delta", "give either delta or delta_grid, not both")

@@ -306,7 +306,7 @@ def _step_for_width(p: int):
 # treated as underdetermined rather than silently amplified.
 _RCOND_FLOOR = 1e-14
 
-# Default diffuse prior: the Kalman route starts at P0 = PRIOR_SCALE * I,
+# Default diffuse prior: the Kalman route starts at P = PRIOR_SCALE * I,
 # the penalized route at S0 = I / PRIOR_SCALE.  Large enough that the data
 # dominate after a handful of observations, small enough to keep the first
 # few solves well conditioned.
@@ -528,7 +528,6 @@ class KfDiagnostics(NamedTuple):
 
     innovation: float     # observation minus its one-step forecast
     forecast_var: float   # variance of that forecast error
-    gain: NDArray[np.float64]
 
 
 class KalmanEstimator:
@@ -542,8 +541,10 @@ class KalmanEstimator:
     least-squares path (see :meth:`fls_equivalent` for the exact
     correspondence).
 
-    The prior covariance is ``prior_scale * I`` (by default
-    ``DEFAULT_PRIOR_SCALE``) or a given ``P0``; giving both is an error.
+    The prior covariance is ``prior_scale * I``, by default
+    ``DEFAULT_PRIOR_SCALE``; zero starts the coefficients known.
+    ``prior_scale`` is keyword-only, so a call that still passes an
+    observation noise third fails rather than setting the prior.
 
     ``update`` steps one row, with the step chosen once, at construction,
     by width (:func:`_step_for_width`): from ``p = _BLAS_MIN_P`` the
@@ -552,8 +553,6 @@ class KalmanEstimator:
     Python floats, :func:`_kf_step_loops`.  ``update_block`` steps a run
     of rows, in blocks (:func:`_kf_block_impl`) once the prior no longer
     dominates.
-    ``prior_scale`` and ``P0`` are keyword-only, so a call that still
-    passes an observation noise third fails rather than setting the prior.
 
     Not thread-safe: ``update`` mutates in place.  The covariance state is
     kept in one buffer, downdated in place; from ``p = _BLAS_MIN_P`` the
@@ -562,49 +561,21 @@ class KalmanEstimator:
     """
 
     def __init__(
-        self,
-        p: int,
-        vomega: float,
-        *,
-        prior_scale: float | None = None,
-        P0: NDArray[np.float64] | None = None,
+        self, p: int, vomega: float, *, prior_scale: float = DEFAULT_PRIOR_SCALE
     ) -> None:
         if not isinstance(p, (int, np.integer)) or p < 1:
             raise ValueError(f"p must be a positive integer, got {p!r}")
         vomega = float(vomega)
         if not (vomega >= 0.0 and math.isfinite(vomega)):
             raise ValueError(f"vomega must be finite and >= 0, got {vomega}")
+        if not (prior_scale >= 0.0 and math.isfinite(prior_scale)):
+            raise ValueError(f"prior_scale must be finite and >= 0, got {prior_scale}")
         self.p = int(p)
         self.vomega = vomega
         self._step = _step_for_width(self.p)
-        if P0 is not None and prior_scale is not None:
-            raise ValueError("give prior_scale or P0, not both")
-        if P0 is None:
-            if prior_scale is None:
-                prior_scale = DEFAULT_PRIOR_SCALE
-            if not (prior_scale > 0.0 and math.isfinite(prior_scale)):
-                raise ValueError(
-                    f"prior_scale must be finite and positive, got {prior_scale}"
-                )
-            # scale * I, without an identity matrix as scratch.
-            self._cov = np.zeros((self.p, self.p))
-            self._cov.ravel()[:: self.p + 1] = prior_scale
-        else:
-            P0 = np.asarray(P0, dtype=float)
-            if P0.shape != (self.p, self.p):
-                raise ValueError(f"P0 must have shape ({p}, {p})")
-            if not np.all(np.isfinite(P0)):
-                raise ValueError("P0 must be finite")
-            P0 = 0.5 * (P0 + P0.T)
-            # P0 is a covariance: an eigenvalue below zero, beyond rounding,
-            # makes the forecast variance of some regressor negative.
-            eigs = np.linalg.eigvalsh(P0)
-            if eigs[0] < -1e-12 * np.abs(eigs).max():
-                raise ValueError(
-                    "P0 must be positive semidefinite, got eigenvalue "
-                    f"{eigs[0]!r}"
-                )
-            self._cov = P0
+        # scale * I, without an identity matrix as scratch.
+        self._cov = np.zeros((self.p, self.p))
+        self._cov.ravel()[:: self.p + 1] = prior_scale
         self.beta = np.zeros(self.p)
         self.t = 0
         self._last_q = math.inf     # the last step's forecast variance
@@ -646,20 +617,18 @@ class KalmanEstimator:
         """Estimator matching :class:`FlsEstimator` step for step.
 
         The first-step predictive spread must equal the inverse of the
-        penalized prior curvature, so ``P0 = I/s0_scale - vomega*I``.  That
-        requires ``s0_scale <= mu``; tighter priors have no exact filter
-        counterpart with nonnegative starting spread.
+        penalized prior curvature, so ``prior_scale = 1/s0_scale - vomega``.
+        That requires ``s0_scale <= mu``; tighter priors have no exact
+        filter counterpart with nonnegative starting spread.
         """
         if not (s0_scale > 0.0):
             raise ValueError("exact matching needs an invertible prior (s0_scale > 0)")
         vom = 1.0 / smoothing.mu
         p0 = 1.0 / s0_scale - vom
         if p0 < 0.0:
-            raise ValueError(
-                f"s0_scale {s0_scale} exceeds mu {smoothing.mu}; "
-                "no matching filter prior exists"
-            )
-        return cls(p, vomega=vom, P0=np.eye(p) * p0)
+            raise ValueError(f"s0_scale {s0_scale} exceeds mu {smoothing.mu}; "
+                             "no matching filter prior exists")
+        return cls(p, vomega=vom, prior_scale=p0)
 
     def update(self, x, y: float) -> KfDiagnostics:
         """Consume one observation; returns the step diagnostics.
@@ -672,7 +641,7 @@ class KalmanEstimator:
         if x.shape != (self.p,):
             raise ValueError(f"x must have shape ({self.p},), got {x.shape}")
         y = float(y)
-        status, beta_new, e, q, K = self._step(self._cov, self.beta, x, y, self.vomega)
+        status, beta_new, e, q, _ = self._step(self._cov, self.beta, x, y, self.vomega)
         # A non-finite x or y makes e or q non-finite, so the kernel
         # rejects it; its message is chosen here, on that path alone.
         if status != _ACCEPTED:
@@ -684,7 +653,7 @@ class KalmanEstimator:
         self.beta = beta_new
         self.t += 1
         self._last_q = q
-        return KfDiagnostics(innovation=e, forecast_var=q, gain=K)
+        return KfDiagnostics(innovation=e, forecast_var=q)
 
     def update_block(self, X, Y, out):
         """Consume the rows of ``X`` (B, p) and ``Y`` (B,) as B calls of

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -133,17 +134,29 @@ class TestConfigParsing:
 
 
 class TestReadme:
+    README = Path(__file__).resolve().parent.parent / "README.md"
+
     def test_config_table_lists_exactly_the_accepted_keys(self):
         # The README's config table is the documentation of every key: a
         # key the config accepts must have a row, and a removed key must not.
-        readme = Path(__file__).resolve().parent.parent / "README.md"
-        text = readme.read_text(encoding="utf-8")
+        text = self.README.read_text(encoding="utf-8")
         table = text.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
         documented = set()
         for row in table.splitlines()[1:]:
             key_cell = row.split("|")[1]
             documented.update(re.findall(r"`([a-z_]+)`", key_cell))
         assert documented == _JOB_KEYS
+
+    def test_library_quick_start_runs(self, capsys):
+        # The first python block of the quick start shows the library API:
+        # it must run as written, warning about nothing.
+        text = self.README.read_text(encoding="utf-8")
+        section = text.split("\n## Library quick start\n", 1)[1].split("\n## ", 1)[0]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(code, "README.md quick start", "exec"), {})
+        assert capsys.readouterr().out
 
 
 class TestVersion:
@@ -705,6 +718,17 @@ class TestBacktestErrors:
         self.run_expecting(
             EXIT_CONFIG, ["backtest", "--config", str(cfg)], capsys,
             "config error: out_dir: ",
+        )
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_empty_splits_value_is_config_error(self, tmp_path, market_csv, capsys):
+        # An empty value names no file; it is not the run without splits.
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path, base_config(market_csv, out, "splits =\n"))
+        before = sorted(tmp_path.iterdir())
+        self.run_expecting(
+            EXIT_CONFIG, ["backtest", "--config", str(cfg)], capsys,
+            "config error: splits: ",
         )
         assert sorted(tmp_path.iterdir()) == before
 

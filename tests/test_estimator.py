@@ -1,5 +1,6 @@
 """Unit and property tests for the recursive estimators."""
 
+import dataclasses
 import re
 import tracemalloc
 import warnings
@@ -164,7 +165,7 @@ class TestSmoothBatch:
     def test_last_row_is_the_filtered_estimate(self, p):
         # The smoother's default prior S0 = I/1e6 gives the first row a
         # spread of 1e6 I.  A filter forecasts the first row with that
-        # spread from P0 = (1e6 - 1/mu) I, and the last row has no future
+        # spread from P = (1e6 - 1/mu) I, and the last row has no future
         # data, so the filter's last estimate is the smoother's last row.
         # The widths cover both sides of _BLAS_MIN_P.
         returns = to_log_returns(
@@ -175,7 +176,7 @@ class TestSmoothBatch:
             path = fls_smooth_batch(returns.features, returns.target, smoothing)
             vomega = 1.0 / smoothing.mu
             kf = KalmanEstimator(
-                p, vomega=vomega, P0=(DEFAULT_PRIOR_SCALE - vomega) * np.eye(p)
+                p, vomega=vomega, prior_scale=DEFAULT_PRIOR_SCALE - vomega
             )
             for x, y in zip(returns.features, returns.target):
                 kf.update(x, y)
@@ -226,12 +227,12 @@ class TestSmoothBatch:
 
 class TestKalmanEstimator:
     def test_single_step_by_hand(self):
-        """Scalar update worked out by hand: P0=1, both noises 1, x=1, y=3."""
-        est = KalmanEstimator(1, vomega=1.0, P0=np.array([[1.0]]))
+        """Scalar update worked out by hand: P=1, both noises 1, x=1, y=3,
+        so the gain is 2/3."""
+        est = KalmanEstimator(1, vomega=1.0, prior_scale=1.0)
         diag = est.update([1.0], 3.0)
-        assert diag.innovation == 3.0
-        assert diag.forecast_var == 3.0
-        assert diag.gain[0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+        assert diag == (3.0, 3.0)
+        assert diag._fields == ("innovation", "forecast_var")
         assert est.beta[0] == pytest.approx(2.0, abs=1e-15)
         assert est.P[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
 
@@ -295,6 +296,10 @@ class TestKalmanEstimator:
             np.testing.assert_array_equal(P, P.T)
             assert not P.flags.writeable
             assert not np.shares_memory(P, est._cov)
+            # The state cannot be replaced, so it keeps the C-ordered
+            # layout the steps need.
+            with pytest.raises(AttributeError):
+                est.P = np.asfortranarray(P)
 
     def test_covariance_symmetric_psd_at_p432(self):
         table, _ = gen_market(MarketConfig(seed=3, n_streams=432, steps=201))
@@ -359,8 +364,8 @@ class TestKalmanEstimator:
                 np.testing.assert_array_equal(now, then)
 
     def test_indefinite_prior_rejected_without_warning(self):
-        with pytest.raises(ValueError, match="P0 must be positive semidefinite"):
-            KalmanEstimator(1, vomega=0.0, P0=np.array([[-10.0]]))
+        with pytest.raises(ValueError, match="prior_scale must be finite and >= 0"):
+            KalmanEstimator(1, vomega=0.0, prior_scale=-10.0)
         # The kernel handed that prior gets q = x'(P + vomega I)x + 1 = -9
         # and takes no square root of it, so it warns about nothing.
         P = np.array([[-10.0]])
@@ -375,23 +380,9 @@ class TestKalmanEstimator:
         assert q == -9.0
         np.testing.assert_array_equal(P, [[-10.0]])
 
-    @pytest.mark.parametrize(
-        "P0, message",
-        [
-            ([[np.nan]], "P0 must be finite"),
-            ([[-10.0]], "P0 must be positive semidefinite"),
-            ([[1.0, 2.0], [2.0, 1.0]], "P0 must be positive semidefinite"),
-        ],
-        ids=["nan", "negative", "indefinite"],
-    )
-    def test_bad_prior_rejected_at_construction(self, P0, message):
-        P0 = np.array(P0)
-        with pytest.raises(ValueError, match=message):
-            KalmanEstimator(len(P0), vomega=1.0, P0=P0)
-
     def test_semidefinite_priors_construct(self):
         KalmanEstimator(2, vomega=1.0)
-        est = KalmanEstimator(2, vomega=1.0, P0=np.zeros((2, 2)))
+        est = KalmanEstimator(2, vomega=1.0, prior_scale=0.0)
         np.testing.assert_array_equal(est.P, np.zeros((2, 2)))
         est = KalmanEstimator.fls_equivalent(3, Smoothing(0.5), s0_scale=1.0)
         np.testing.assert_array_equal(est.P, np.zeros((3, 3)))
@@ -459,29 +450,16 @@ class TestKalmanEstimator:
             KalmanEstimator(2, vomega=1.0, veps=1.0)
         with pytest.raises(TypeError):   # not a prior_scale
             KalmanEstimator(2, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            KalmanEstimator(2, vomega=1.0, P0=np.eye(3))
+        with pytest.raises(TypeError):   # the prior is one scalar
+            KalmanEstimator(2, vomega=1.0, P0=np.eye(2))
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
     def test_rejects_bad_prior_scale(self, bad):
         # inf would build a P of inf on the diagonal and nan off it.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="prior_scale must be finite"):
                 KalmanEstimator(2, vomega=1.0, prior_scale=bad)
-
-    @pytest.mark.parametrize(
-        "vomega, prior_scale",
-        [(0.1, -5.0), (0.1, 1e6)],
-        ids=["negative", "the-default-value"],
-    )
-    def test_prior_scale_and_P0_are_exclusive(self, vomega, prior_scale):
-        # P0 sets the prior, so a prior_scale beside it would be ignored.
-        p = 2
-        with pytest.raises(ValueError, match="prior_scale or P0, not both"):
-            KalmanEstimator(p, vomega=vomega, prior_scale=prior_scale, P0=np.eye(p))
-        est = KalmanEstimator(p, vomega=vomega, P0=np.eye(p))
-        np.testing.assert_array_equal(est.P, np.eye(p))
 
     def test_default_prior_scale(self):
         est = KalmanEstimator(2, vomega=0.1)
@@ -540,33 +518,6 @@ class TestKalmanEstimator:
             assert est._cov is state
             np.testing.assert_array_equal(before, snapshot)
             assert not np.array_equal(est.P, before)
-
-    def test_fortran_ordered_covariance_gives_the_same_path(self):
-        # A Fortran-ordered prior is stored in C order like any other; the
-        # state cannot be replaced, so it keeps the layout the kernel needs.
-        rng = np.random.default_rng(18)
-        p = 17
-        a = rng.normal(size=(p, p))
-        P0 = a @ a.T
-        xs = rng.normal(size=(40, p))
-        ys = rng.normal(size=40)
-
-        def run(P0):
-            est = KalmanEstimator(p, vomega=0.2, P0=P0)
-            assert est._cov.flags.c_contiguous
-            betas = []
-            for x, y in zip(xs, ys):
-                est.update(x, y)
-                betas.append(est.beta)
-            return np.array(betas), est.P
-
-        betas_c, P_c = run(np.ascontiguousarray(P0))
-        betas_f, P_f = run(np.asfortranarray(P0))
-        np.testing.assert_array_equal(betas_f, betas_c)
-        np.testing.assert_array_equal(P_f, P_c)
-        est = KalmanEstimator(p, vomega=0.2, P0=P0)
-        with pytest.raises(AttributeError):
-            est.P = np.asfortranarray(P0)
 
     def test_loops_kernel_tracks_blas_kernel(self):
         """The float step against the numpy step it shadows, one step at a
@@ -919,6 +870,101 @@ class TestFilterBank:
                 DataError, match=f"on {day} rejected at delta 0.9: "
             ):
                 estimate_spreads(returns, grid, regressors)
+
+
+class TestScaleEquivariance:
+    """Every filter and smoother operation is linear or homogeneous in its
+    inputs, and multiplying a double by a power of two is exact away from
+    overflow and underflow, in any summation order.  So for ``c = 2**k``:
+
+    * ``y -> c y`` gives betas and ``e`` times ``c``, with ``q`` and P
+      unchanged;
+    * ``x -> c x``, with ``vomega / c**2`` and ``prior_scale / c**2``, gives
+      betas over ``c`` and P over ``c**2``, with ``e`` and ``q`` unchanged;
+
+    bit for bit, with no tolerance.  A constant that ties the numerics to
+    the data's units breaks them.  The widths sit either side of
+    ``_NUMPY_MIN_P`` and ``_BLAS_MIN_P``, and at 432.  The smoother and
+    the engine take delta, not ``vomega``, and ``mu`` cannot be scaled by
+    ``c**2`` exactly through delta, so they are held to the ``y`` identity
+    alone."""
+
+    KS = (-40, -7, 9, 40)
+    WIDTHS = (1, 3, 5, 6, 15, 16, 17, 64, 432)
+    VOMEGA = 1.0 / Smoothing(0.9).mu
+    DELTAS = (0.2, 0.9)
+
+    @staticmethod
+    def market(p):
+        """``gen_market`` seed 1: 400 return rows, 300 at p = 432."""
+        returns, _ = make_market(seed=1, steps=301 if p == 432 else 401, n_streams=p)
+        return returns
+
+    @staticmethod
+    def filtered(xs, ys, vomega, prior_scale, chunk):
+        """``(betas, e, q, P)`` of one filter over the rows: through
+        ``update`` when ``chunk`` is None, else through ``update_block``
+        called on ``chunk`` rows at a time."""
+        kf = KalmanEstimator(xs.shape[1], vomega, prior_scale=prior_scale)
+        betas = np.empty_like(xs)
+        e, q = np.empty((2, len(ys)))
+        if chunk is None:
+            for i, (x, y) in enumerate(zip(xs, ys)):
+                diag = kf.update(x, y)
+                betas[i], e[i], q[i] = kf.beta, diag.innovation, diag.forecast_var
+        else:
+            for lo in range(0, len(ys), chunk):
+                hi = lo + chunk
+                e[lo:hi], q[lo:hi] = kf.update_block(xs[lo:hi], ys[lo:hi], betas[lo:hi])
+        return betas, e, q, kf.P
+
+    @staticmethod
+    def assert_bits(got, want, names, k):
+        for name, a, b in zip(names, got, want):
+            assert a.tobytes() == b.tobytes(), (name, k)
+
+    @pytest.mark.parametrize(
+        "chunk", [None, 18, 400], ids=["update", "blocks-of-18", "one-call"]
+    )
+    @pytest.mark.parametrize("p", WIDTHS)
+    def test_filter_identities(self, p, chunk):
+        returns = self.market(p)
+        xs = np.ascontiguousarray(returns.features)
+        ys = returns.target.copy()
+        prior = DEFAULT_PRIOR_SCALE
+        betas, e, q, P = self.filtered(xs, ys, self.VOMEGA, prior, chunk)
+        names = ("betas", "e", "q", "P")
+        for k in self.KS:
+            c = 2.0**k
+            got = self.filtered(xs, c * ys, self.VOMEGA, prior, chunk)
+            self.assert_bits(got, (c * betas, c * e, q, P), names, k)
+            got = self.filtered(c * xs, ys, self.VOMEGA / c**2, prior / c**2, chunk)
+            self.assert_bits(got, (betas / c, e, q, P / c**2), names, k)
+
+    @pytest.mark.parametrize("p", [p for p in WIDTHS if p <= 64])
+    def test_smoother_y_identity(self, p):
+        returns = self.market(p)
+        xs, ys = returns.features, returns.target
+        for delta in self.DELTAS:
+            path = fls_smooth_batch(xs, ys, Smoothing(delta))
+            for k in self.KS:
+                c = 2.0**k
+                got = fls_smooth_batch(xs, c * ys, Smoothing(delta))
+                assert got.tobytes() == (c * path).tobytes(), (delta, k)
+
+    @pytest.mark.parametrize("p", WIDTHS)
+    def test_engine_y_identity(self, p):
+        returns = self.market(p)
+        grid = [EstimatorConfig(delta) for delta in self.DELTAS]
+        spreads, paths = with_coefficients(returns, grid)
+        names = ("betas", "e", "q")
+        for k in self.KS:
+            c = 2.0**k
+            scaled = dataclasses.replace(returns, target=c * returns.target)
+            got_spreads, got_paths = with_coefficients(scaled, grid)
+            assert got_spreads.tobytes() == (c * spreads).tobytes(), k
+            for (betas, e, q), got in zip(paths, got_paths):
+                self.assert_bits(got, (c * betas, c * e, q), names, k)
 
 
 class TestKernelChoice:
